@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -231,7 +230,10 @@ def _build_parser() -> _Parser:
     impute.add_argument("--max-iter", type=int, default=1000)
     impute.add_argument("--seed", type=int, default=0)
     impute.add_argument("--init-sigma", type=float, default=0.1)
-    impute.add_argument("--threads", type=int, default=os.cpu_count())
+    impute.add_argument(
+        "--threads", type=int, default=1,
+        help="weight-solver threads (default 1: the thread pool is usually slower)",
+    )
     impute.add_argument("--manifest", default=None, help="write key=value run record here")
     impute.add_argument("--dump-weights", default=None, help="dump weight matrix as 'i j w' text")
     impute.add_argument("--progress", action="store_true", help="per-iteration lines on stderr")

@@ -4,6 +4,14 @@ A minimum spanning tree (symmetrized into directed edge pairs) keeps the
 graph connected; additional directed edges from nearest non-neighbors then
 raise every vertex's in-degree to the configured minimum. Tie-breaking is
 always by smaller vertex index so identical inputs yield identical graphs.
+
+The tree comes from a dense Prim over the rows of ``D`` that compares
+edges by the strict total order (weight, smaller index, larger index).
+Under a strict total order the spanning tree is unique, so it is the tree
+Kruskal's algorithm yields when it scans edges in that order. The whole
+stage takes O(n^2) time and allocates nothing n x n beyond ``D`` itself.
+``build_graph`` validates ``D`` once; ``build_mst`` and
+``augment_to_min_degree`` each validate their own input.
 """
 
 from __future__ import annotations
@@ -11,25 +19,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import ValidationError
 
-# scan the sorted edge stream in slices; the tree usually completes early
-_KRUSKAL_CHUNK = 1 << 18
+# side of the square tiles the symmetry check compares
+_SYMMETRY_TILE = 256
 
 
 def _validated_distances(D) -> np.ndarray:
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValidationError("distance matrix must be square")
-    if not np.isfinite(D).all():
+    # reductions instead of elementwise masks: NaN and infinities reach
+    # the extremes, and no n x n temporary is made
+    lo, hi = np.min(D, initial=0.0), np.max(D, initial=0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValidationError("distance matrix contains non-finite values")
-    if (D < 0).any():
+    if lo < 0:
         raise ValidationError("distance matrix contains negative values")
     if np.diagonal(D).any():
         raise ValidationError("distance matrix must have a zero diagonal")
-    if not np.array_equal(D, D.T):
-        raise ValidationError("distance matrix must be symmetric")
+    # tile by tile, so the transpose is read in cache-sized blocks
+    n, b = D.shape[0], _SYMMETRY_TILE
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            if not np.array_equal(D[i : i + b, j : j + b], D[j : j + b, i : i + b].T):
+                raise ValidationError("distance matrix must be symmetric")
     return D
 
 
@@ -59,61 +76,64 @@ class NeighborGraph:
         }
 
 
-def build_mst(D) -> list[tuple[int, int, float]]:
-    """Minimum spanning tree of the complete graph implied by ``D``.
-
-    Kruskal's algorithm with union-find; edges are considered in order of
-    (weight, smaller index, larger index). Returns n-1 undirected edges as
-    (u, v, weight) tuples with u < v; the graph constructor materializes
-    each as two directed edges.
-    """
-    D = _validated_distances(D)
+def _mst(D: np.ndarray) -> list[tuple[int, int, float]]:
     n = D.shape[0]
     if n < 2:
         raise ValidationError("spanning tree needs at least 2 vertices")
+    # best_w[v] / best_u[v]: least edge from the tree to v under the order;
+    # tree vertices hold an infinite weight so they are never picked again
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    best_w = D[0].copy()
+    best_w[0] = np.inf
+    best_u = np.zeros(n, dtype=np.int64)
+    src = np.empty(n - 1, dtype=np.int64)
+    dst = np.empty(n - 1, dtype=np.int64)
+    for step in range(n - 1):
+        cand = np.flatnonzero(best_w == best_w.min())
+        if cand.size > 1:
+            lo = np.minimum(best_u[cand], cand)
+            hi = np.maximum(best_u[cand], cand)
+            cand = cand[np.lexsort((hi, lo))]
+        v = cand[0]
+        src[step], dst[step] = best_u[v], v
+        outside[v] = False
+        best_w[v] = np.inf
 
-    iu, ju = np.triu_indices(n, k=1)
-    w = D[iu, ju]
-    # stable sort keeps the row-major (u, v) order among equal weights
-    order = np.argsort(w, kind="stable")
+        row = D[v]
+        take = (row < best_w) & outside
+        # an equal weight replaces the stored edge only if (v, t) is smaller
+        tie = np.flatnonzero(row == best_w)
+        if tie.size:
+            lo_old = np.minimum(best_u[tie], tie)
+            hi_old = np.maximum(best_u[tie], tie)
+            lo_new = np.minimum(v, tie)
+            hi_new = np.maximum(v, tie)
+            take[tie] = (lo_new < lo_old) | ((lo_new == lo_old) & (hi_new < hi_old))
+        np.copyto(best_w, row, where=take)
+        best_u[take] = v
 
-    parent = list(range(n))
-    size = [1] * n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges: list[tuple[int, int, float]] = []
-    pos = 0
-    while pos < order.size and len(edges) < n - 1:
-        sel = order[pos : pos + _KRUSKAL_CHUNK]
-        for u, v, wt in zip(iu[sel].tolist(), ju[sel].tolist(), w[sel].tolist()):
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            edges.append((u, v, wt))
-            if len(edges) == n - 1:
-                break
-        pos += _KRUSKAL_CHUNK
-    return edges
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    w = D[lo, hi]
+    order = np.lexsort((hi, lo, w))
+    return list(zip(lo[order].tolist(), hi[order].tolist(), w[order].tolist()))
 
 
-def augment_to_min_degree(mst_edges, D, delta: int) -> NeighborGraph:
-    """Raise every in-degree to ``delta`` by adding directed edges.
+def build_mst(D) -> list[tuple[int, int, float]]:
+    """Minimum spanning tree of the complete graph implied by ``D``.
 
-    The spanning tree edges are symmetrized first. Each vertex below the
-    minimum then repeatedly gains an in-edge from its nearest vertex that
-    has no edge into it yet (self excluded); these extra edges stay
-    one-directional. Vertices already at ``delta`` or above are untouched.
+    Dense Prim in O(n^2) time: edges compare by the strict total order
+    (weight, smaller index, larger index), both when the next vertex is
+    picked and when an equal weight would replace a stored edge, so the
+    tree is the unique minimum under that order. Returns n-1 undirected
+    edges as (u, v, weight) tuples with u < v, sorted by the same order;
+    the graph constructor materializes each as two directed edges.
     """
-    D = _validated_distances(D)
+    return _mst(_validated_distances(D))
+
+
+def _augment(mst_edges, D: np.ndarray, delta: int) -> NeighborGraph:
     n = D.shape[0]
     if delta < 1:
         raise ValidationError("minimum degree must be at least 1")
@@ -129,12 +149,18 @@ def augment_to_min_degree(mst_edges, D, delta: int) -> NeighborGraph:
         in_sets[v].add(u)
 
     for i in range(n):
-        need = delta - len(in_sets[i])
+        have = in_sets[i]
+        need = delta - len(have)
         if need <= 0:
             continue
-        have = in_sets[i]
+        row = D[i]
+        # the delta + 1 nearest columns still hold need sources after i and
+        # its current neighbors are skipped; keeping every column up to that
+        # distance keeps all columns tied at it
+        cut = np.partition(row, delta)[delta]
+        cols = np.flatnonzero(row <= cut)
         # stable sort: equal distances resolve to the smaller vertex index
-        for j in np.argsort(D[i], kind="stable").tolist():
+        for j in cols[np.argsort(row[cols], kind="stable")].tolist():
             if j == i or j in have:
                 continue
             have.add(j)
@@ -151,9 +177,24 @@ def augment_to_min_degree(mst_edges, D, delta: int) -> NeighborGraph:
     return NeighborGraph(n, delta, tuple(incoming), tuple(in_weights))
 
 
+def augment_to_min_degree(mst_edges, D, delta: int) -> NeighborGraph:
+    """Raise every in-degree to ``delta`` by adding directed edges.
+
+    The spanning tree edges are symmetrized first. Each vertex below the
+    minimum then repeatedly gains an in-edge from its nearest vertex that
+    has no edge into it yet (self excluded); these extra edges stay
+    one-directional. Vertices already at ``delta`` or above are untouched.
+    """
+    return _augment(mst_edges, _validated_distances(D), delta)
+
+
 def build_graph(D, delta: int = 8) -> NeighborGraph:
-    """Spanning-tree construction followed by minimum-degree augmentation."""
-    return augment_to_min_degree(build_mst(D), D, delta)
+    """Spanning-tree construction followed by minimum-degree augmentation.
+
+    ``D`` is validated once, then shared by both steps.
+    """
+    D = _validated_distances(D)
+    return _augment(_mst(D), D, delta)
 
 
 def in_neighbors(graph: NeighborGraph, i: int) -> np.ndarray:
@@ -192,22 +233,13 @@ def assert_anchor_reachability(graph: NeighborGraph, n_known: int) -> bool:
 
 def is_connected(graph: NeighborGraph) -> bool:
     """Whether the mutual (bidirectional) edges span all vertices."""
-    edges = graph.directed_edges()
-    parent = list(range(graph.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = graph.n
-    for j, i in edges:
-        if j < i and (i, j) in edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-                components -= 1
+    indptr = np.concatenate(([0], np.cumsum(graph.in_degrees())))
+    indices = np.concatenate(graph.incoming)
+    adjacency = sparse.csr_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(graph.n, graph.n)
+    )
+    mutual = adjacency.minimum(adjacency.T)
+    components, _ = csgraph.connected_components(mutual, connection="weak")
     return components == 1
 
 

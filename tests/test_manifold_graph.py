@@ -6,6 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from embimpute import manifold_graph
 from embimpute import (
     NeighborGraph,
     ValidationError,
@@ -48,6 +49,82 @@ def exhaustive_min_tree_weight(D):
         if best is None or weight < best:
             best = weight
     return best
+
+
+def reference_kruskal(D):
+    """Kruskal over every edge in (weight, smaller index, larger index) order."""
+    n = D.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    w = D[iu, ju]
+    order = np.argsort(w, kind="stable")
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = []
+    for u, v, wt in zip(iu[order].tolist(), ju[order].tolist(), w[order].tolist()):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
+            edges.append((u, v, wt))
+            if len(edges) == n - 1:
+                break
+    return edges
+
+
+def reference_augment(mst_edges, D, delta):
+    """Min-degree augmentation scanning a full stable argsort of each row."""
+    n = D.shape[0]
+    in_sets = [set() for _ in range(n)]
+    for u, v, _ in mst_edges:
+        in_sets[u].add(v)
+        in_sets[v].add(u)
+    for i in range(n):
+        need = delta - len(in_sets[i])
+        for j in np.argsort(D[i], kind="stable").tolist():
+            if need <= 0:
+                break
+            if j != i and j not in in_sets[i]:
+                in_sets[i].add(j)
+                need -= 1
+    incoming = [np.array(sorted(s), dtype=np.int64) for s in in_sets]
+    return incoming, [D[i, srcs] for i, srcs in enumerate(incoming)]
+
+
+def ring_around_centre():
+    # 12 integer points at distance exactly 5 from the centre, listed out
+    # of angular order; the centre (index 6) gets one tree edge and then
+    # needs more sources, all tied at the partition threshold
+    ring = [(5, 0), (0, -5), (3, 4), (-4, -3), (-5, 0), (4, -3),
+            (-3, 4), (0, 5), (-3, -4), (4, 3), (3, -4), (-4, 3)]
+    return np.array(ring[:6] + [(0, 0)] + ring[6:], dtype=float)
+
+
+def lattice(*sides):
+    return np.array(list(itertools.product(*map(range, sides))), dtype=float)
+
+
+ORACLE_INPUTS = {
+    "random_300_d4": (lambda: np.random.default_rng(19).normal(size=(300, 4)), (1, 4, 8)),
+    "lattice_2d": (lambda: lattice(15, 15), (4, 8)),
+    "lattice_3d": (lambda: lattice(6, 6, 6), (4, 8)),
+    # shuffled rows: equal-weight edges reach the tree from vertices whose
+    # indices do not grow with the order they join it
+    "lattice_2d_shuffled": (
+        lambda: np.random.default_rng(22).permutation(lattice(12, 12)),
+        (4, 8),
+    ),
+    "tripled_rows": (
+        lambda: np.tile(np.random.default_rng(20).normal(size=(40, 3)), (3, 1)),
+        (2, 4, 8),
+    ),
+    "two_points": (lambda: np.array([[0.0, 0.0], [1.0, 2.0]]), (1,)),
+    "ring_ties_at_threshold": (ring_around_centre, (4, 8)),
+}
 
 
 def points(coords):
@@ -239,3 +316,71 @@ class TestGraphInvariants:
             "max_in_degree": 2,
             "connected": True,
         }
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+    def test_graph_equals_kruskal_and_full_sort(self, name):
+        make, deltas = ORACLE_INPUTS[name]
+        D = euclidean_distance_matrix(make())
+        mst = build_mst(D)
+        reference_mst = reference_kruskal(D)
+        assert mst == reference_mst
+        for delta in deltas:
+            incoming, in_weights = reference_augment(reference_mst, D, delta)
+            for graph in (build_graph(D, delta), augment_to_min_degree(mst, D, delta)):
+                assert len(graph.incoming) == len(incoming)
+                for got, want in zip(graph.incoming, incoming):
+                    np.testing.assert_array_equal(got, want)
+                for got, want in zip(graph.in_weights, in_weights):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_ring_centre_ties_resolve_to_smaller_indices(self):
+        D = euclidean_distance_matrix(ring_around_centre())
+        assert np.count_nonzero(D[6] == 5.0) == 12
+        # tree edge (0, 6) wins the tie at weight 5; then the two smallest
+        # other ring indices
+        assert in_neighbors(build_graph(D, 3), 6).tolist() == [0, 1, 2]
+
+
+def symmetric_distances(n):
+    return euclidean_distance_matrix(np.random.default_rng(21).normal(size=(n, 3)))
+
+
+class TestDistanceValidation:
+    TILE = manifold_graph._SYMMETRY_TILE
+    N = 2 * TILE + TILE // 3  # not a multiple of the tile size
+
+    @pytest.mark.parametrize(
+        "row, col",
+        [
+            (TILE + 44, 17),  # off-diagonal tile
+            (5, TILE // 2),  # inside the first diagonal tile
+            (2 * TILE + 10, 2 * TILE + 40),  # last, partial diagonal tile
+            (N - 1, 3),  # partial off-diagonal tile
+        ],
+    )
+    def test_single_asymmetric_entry_rejected(self, row, col):
+        D = symmetric_distances(self.N)
+        build_graph(D, 4)
+        D[row, col] += 0.5
+        with pytest.raises(ValidationError, match="symmetric"):
+            build_graph(D, 4)
+        with pytest.raises(ValidationError, match="symmetric"):
+            build_mst(D)
+
+    @pytest.mark.parametrize(
+        "value, where, message",
+        [
+            (np.nan, (3, 7), "non-finite"),
+            (np.inf, (7, 3), "non-finite"),
+            (-np.inf, (3, 7), "non-finite"),
+            (-1.0, (3, 7), "negative"),
+            (0.25, (9, 9), "zero diagonal"),
+        ],
+    )
+    def test_bad_entries_rejected_by_build_graph(self, value, where, message):
+        D = symmetric_distances(12)
+        D[where] = value
+        with pytest.raises(ValidationError, match=message):
+            build_graph(D, 2)
