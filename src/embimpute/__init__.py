@@ -56,7 +56,7 @@ from .evaluation import (
     run_synthetic_transfer,
     sensitivity_sweep,
 )
-from .pipeline import PipelineRun, impute_embeddings
+from .pipeline import PipelineRun, impute_aligned, impute_embeddings
 
 __version__ = "0.1.0"
 
@@ -86,6 +86,7 @@ __all__ = [
     "euclidean_distance_matrix",
     "fix_known_block",
     "graph_stats",
+    "impute_aligned",
     "impute_embeddings",
     "in_neighbors",
     "is_connected",

@@ -96,10 +96,7 @@ def _cmd_impute(args) -> int:
     timings["load"] = time.perf_counter() - start
 
     progress = sys.stderr if args.progress else None
-    run = impute_embeddings(
-        domain, table, delta=args.delta, config=config, workers=args.threads,
-        progress=progress,
-    )
+    run = impute_embeddings(domain, table, delta=args.delta, config=config, progress=progress)
     timings.update(run.timings)
 
     start = time.perf_counter()
@@ -124,7 +121,6 @@ def _cmd_impute(args) -> int:
                 "max_iter": args.max_iter,
                 "seed": args.seed,
                 "init_sigma": args.init_sigma,
-                "threads": args.threads,
             },
             digests={"domain": _sha256(args.domain), "embeddings": _sha256(args.embeddings)},
             timings=timings,
@@ -200,7 +196,10 @@ def _cmd_synth(args) -> int:
     if args.sweep:
         if not args.sweep_values:
             raise ValidationError("--sweep requires --sweep-values")
-        values = [float(v) for v in args.sweep_values.split(",") if v.strip()]
+        try:
+            values = [float(v) for v in args.sweep_values.split(",") if v.strip()]
+        except ValueError:
+            raise ValidationError(f"cannot parse sweep values '{args.sweep_values}'") from None
         table = sensitivity_sweep(args.sweep, values, spec, config, args.delta, args.knn_k)
         print(f"{args.sweep}\taccuracy")
         for value, accuracy in table:
@@ -230,10 +229,6 @@ def _build_parser() -> _Parser:
     impute.add_argument("--max-iter", type=int, default=1000)
     impute.add_argument("--seed", type=int, default=0)
     impute.add_argument("--init-sigma", type=float, default=0.1)
-    impute.add_argument(
-        "--threads", type=int, default=1,
-        help="weight-solver threads (default 1: the thread pool is usually slower)",
-    )
     impute.add_argument("--manifest", default=None, help="write key=value run record here")
     impute.add_argument("--dump-weights", default=None, help="dump weight matrix as 'i j w' text")
     impute.add_argument("--progress", action="store_true", help="per-iteration lines on stderr")

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .domain_geometry import DomainMatrix, euclidean_distance_matrix
+from .domain_geometry import DomainMatrix
 from .errors import ValidationError
-from .imputation_engine import ImputationConfig, fix_known_block, power_iterate
-from .manifold_graph import build_graph
-from .weight_solver import assemble_weight_matrix
+from .imputation_engine import ImputationConfig
+from .pipeline import impute_aligned
 
 _CENTER_SPREAD = 3.0
 
@@ -178,15 +177,9 @@ def run_synthetic_transfer(
     imputed vectors, the ground-truth vectors, and a Gaussian baseline
     drawn at the known block's scale.
     """
-    config = config or ImputationConfig()
     data = make_transfer_data(spec)
     p, q = spec.p, spec.n - spec.p
-
-    distances = euclidean_distance_matrix(data.domain)
-    graph = build_graph(distances, delta)
-    weights = assemble_weight_matrix(graph, data.domain)
-    fixed = fix_known_block(weights, p)
-    result = power_iterate(fixed, data.semantic[:p], config)
+    _, _, result, _ = impute_aligned(data.domain, data.semantic[:p], delta, config)
 
     baseline_rng = np.random.default_rng(spec.seed + 0x9E3779B9)
     baseline = data.semantic.copy()
@@ -225,13 +218,17 @@ def sensitivity_sweep(
     """Re-run the transfer experiment varying one knob, all else fixed.
 
     ``parameter`` is ``"delta"`` or ``"eta"``; returns (value, imputed
-    accuracy) pairs in input order.
+    accuracy) pairs in input order. Delta values must be whole numbers.
     """
     if parameter not in ("delta", "eta"):
         raise ValidationError(f"unknown sweep parameter '{parameter}'")
     values = list(values)
     if not values:
         raise ValidationError("sweep needs at least one value")
+    if parameter == "delta":
+        for value in values:
+            if not (math.isfinite(value) and value == int(value)):
+                raise ValidationError(f"delta sweep value {value!r} is not an integer")
     config = config or ImputationConfig()
     table = []
     for value in values:

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConvergenceError, ValidationError
+from .manifold_graph import reached_from_anchors
 from .weight_solver import WeightMatrix
 
 _UNIT_EIGENVALUE_TOL = 1e-6
@@ -86,22 +87,6 @@ def _has_identity_block(m: sparse.csr_matrix, p: int) -> bool:
     )
 
 
-def _free_rows_reachable(m: sparse.csr_matrix, p: int) -> bool:
-    """Every row past ``p`` must depend, possibly transitively, on an anchor."""
-    n = m.shape[0]
-    csc = m[p:, :].tocsc()
-    indptr, indices = csc.indptr, csc.indices
-    seen = bytearray(n - p)
-    stack = list(range(p))
-    while stack:
-        col = stack.pop()
-        for r in indices[indptr[col] : indptr[col + 1]].tolist():
-            if not seen[r]:
-                seen[r] = 1
-                stack.append(p + r)
-    return all(seen)
-
-
 def _validated_known(known: np.ndarray) -> np.ndarray:
     known = np.ascontiguousarray(known, dtype=float)
     if known.ndim != 2 or known.shape[1] < 1:
@@ -109,6 +94,19 @@ def _validated_known(known: np.ndarray) -> np.ndarray:
     if not np.isfinite(known).all():
         raise ValidationError("known vectors contain non-finite values")
     return known
+
+
+def _fixed_system(weights: WeightMatrix, known: np.ndarray):
+    """Validated (known, matrix, p, q) of a system whose known block is fixed."""
+    known = _validated_known(known)
+    p = known.shape[0]
+    _check_range(p, weights.n)
+    m = weights.matrix
+    if not _has_identity_block(m, p):
+        raise ValidationError(
+            "weight rows for known entities must be identity; call fix_known_block first"
+        )
+    return known, m, p, weights.n - p
 
 
 def power_iterate(
@@ -130,19 +128,10 @@ def power_iterate(
     then depend on the initialization.
     """
     config = config or ImputationConfig()
-    known = _validated_known(known)
-    n = weights.n
-    p = known.shape[0]
-    _check_range(p, n)
-    m = weights.matrix
-    if not _has_identity_block(m, p):
-        raise ValidationError(
-            "weight rows for known entities must be identity; call fix_known_block first"
-        )
-    q = n - p
+    known, m, p, q = _fixed_system(weights, known)
     if q == 0:
         return ImputationResult(known.copy(), 0, 0.0, True)
-    if not _free_rows_reachable(m, p):
+    if not reached_from_anchors(m, p):
         raise ConvergenceError(
             "some unknown rows are unreachable from the known block; "
             "the diffusion would not converge deterministically"
@@ -171,7 +160,7 @@ def power_iterate(
             converged = True
             break
 
-    Y = np.empty((n, known.shape[1]))
+    Y = np.empty((p + q, known.shape[1]))
     Y[:p] = known
     Y[p:] = yq
     return ImputationResult(Y, iterations, float(rel), converged)
@@ -184,16 +173,7 @@ def closed_form_solve(weights: WeightMatrix, known: np.ndarray) -> np.ndarray:
     for moderate sizes, not the production path; refuses systems with more
     than 4096 unknown rows.
     """
-    known = _validated_known(known)
-    n = weights.n
-    p = known.shape[0]
-    _check_range(p, n)
-    m = weights.matrix
-    if not _has_identity_block(m, p):
-        raise ValidationError(
-            "weight rows for known entities must be identity; call fix_known_block first"
-        )
-    q = n - p
+    known, m, p, q = _fixed_system(weights, known)
     if q == 0:
         return np.zeros((0, known.shape[1]))
     if q > _CLOSED_FORM_SIZE_CAP:

@@ -204,6 +204,27 @@ def in_neighbors(graph: NeighborGraph, i: int) -> np.ndarray:
     return graph.incoming[i]
 
 
+def reached_from_anchors(sources: sparse.csr_matrix, n_known: int) -> bool:
+    """True iff every row past ``n_known`` is reached from rows below it.
+
+    Row i of ``sources`` stores the sources of i, so a stored entry (i, j)
+    lets information flow from j to i; stored zeros count as edges.
+    """
+    hops = csgraph.dijkstra(
+        sources.T, indices=np.arange(n_known), min_only=True, unweighted=True
+    )
+    return bool(np.isfinite(hops[n_known:]).all())
+
+
+def _adjacency(graph: NeighborGraph) -> sparse.csr_matrix:
+    """CSR matrix whose row i holds the in-neighbors of vertex i."""
+    indptr = np.concatenate(([0], np.cumsum(graph.in_degrees())))
+    indices = np.concatenate(graph.incoming)
+    return sparse.csr_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(graph.n, graph.n)
+    )
+
+
 def assert_anchor_reachability(graph: NeighborGraph, n_known: int) -> bool:
     """True iff every unknown vertex is reachable from the known block.
 
@@ -214,30 +235,12 @@ def assert_anchor_reachability(graph: NeighborGraph, n_known: int) -> bool:
         raise ValidationError("at least one anchor is required")
     if not 0 < n_known <= graph.n:
         raise ValidationError(f"anchor count {n_known} out of range for n={graph.n}")
-    out: list[list[int]] = [[] for _ in range(graph.n)]
-    for i, srcs in enumerate(graph.incoming):
-        for j in srcs.tolist():
-            out[j].append(i)
-    seen = bytearray(graph.n)
-    stack = list(range(n_known))
-    for v in stack:
-        seen[v] = 1
-    while stack:
-        j = stack.pop()
-        for i in out[j]:
-            if not seen[i]:
-                seen[i] = 1
-                stack.append(i)
-    return all(seen[n_known:])
+    return reached_from_anchors(_adjacency(graph), n_known)
 
 
 def is_connected(graph: NeighborGraph) -> bool:
     """Whether the mutual (bidirectional) edges span all vertices."""
-    indptr = np.concatenate(([0], np.cumsum(graph.in_degrees())))
-    indices = np.concatenate(graph.incoming)
-    adjacency = sparse.csr_matrix(
-        (np.ones(indices.size), indices, indptr), shape=(graph.n, graph.n)
-    )
+    adjacency = _adjacency(graph)
     mutual = adjacency.minimum(adjacency.T)
     components, _ = csgraph.connected_components(mutual, connection="weak")
     return components == 1

@@ -5,6 +5,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domain_geometry import DomainMatrix, euclidean_distance_matrix
 from .embedding_io import AlignedProblem, EmbeddingTable, align, merge_imputed
 from .imputation_engine import ImputationConfig, ImputationResult, fix_known_block, power_iterate
@@ -24,37 +26,25 @@ class PipelineRun:
     timings: dict[str, float]
 
 
-def impute_embeddings(
+def impute_aligned(
     domain: DomainMatrix,
-    table: EmbeddingTable,
+    known: np.ndarray,
     delta: int = 8,
     config: ImputationConfig | None = None,
-    workers: int | None = None,
     progress=None,
-) -> PipelineRun:
-    """Recover embedding vectors for domain entities missing from ``table``.
+) -> tuple[NeighborGraph, WeightMatrix, ImputationResult, dict[str, float]]:
+    """Impute the rows of ``domain`` past the ``len(known)`` known ones.
 
-    Aligns entities (known first), builds the minimum-degree neighbor graph
+    The first rows of ``domain`` must be the entities whose vectors are
+    ``known``, in the same order. Builds the minimum-degree neighbor graph
     over affinity distances, solves the reconstruction weights, freezes the
-    known block, and diffuses. When every entity already has a vector the
-    heavy stages are skipped and the table passes through unchanged.
+    known block, and diffuses. Returns the graph, the weights, the result
+    and the ``distance``, ``graph``, ``weights`` and ``iterate`` timings.
     """
-    config = config or ImputationConfig()
-    timings = dict.fromkeys(_STAGES, 0.0)
+    timings = {}
 
     start = time.perf_counter()
-    problem = align(domain, table)
-    timings["align"] = time.perf_counter() - start
-
-    if problem.q == 0:
-        result = ImputationResult(problem.known.copy(), 0, 0.0, True)
-        start = time.perf_counter()
-        merged = merge_imputed(table, problem, result)
-        timings["merge"] = time.perf_counter() - start
-        return PipelineRun(problem, result, merged, None, None, timings)
-
-    start = time.perf_counter()
-    distances = euclidean_distance_matrix(problem.domain)
+    distances = euclidean_distance_matrix(domain)
     timings["distance"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -62,13 +52,44 @@ def impute_embeddings(
     timings["graph"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    weights = assemble_weight_matrix(graph, problem.domain, workers=workers)
+    weights = assemble_weight_matrix(graph, domain)
     timings["weights"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    fixed = fix_known_block(weights, problem.p)
-    result = power_iterate(fixed, problem.known, config, progress=progress)
+    fixed = fix_known_block(weights, len(known))
+    result = power_iterate(fixed, known, config, progress=progress)
     timings["iterate"] = time.perf_counter() - start
+    return graph, weights, result, timings
+
+
+def impute_embeddings(
+    domain: DomainMatrix,
+    table: EmbeddingTable,
+    delta: int = 8,
+    config: ImputationConfig | None = None,
+    progress=None,
+) -> PipelineRun:
+    """Recover embedding vectors for domain entities missing from ``table``.
+
+    Aligns entities (known first), runs ``impute_aligned`` and merges the
+    imputed rows into a copy of the table. When every entity already has a
+    vector the heavy stages are skipped and the table passes through
+    unchanged.
+    """
+    timings = dict.fromkeys(_STAGES, 0.0)
+
+    start = time.perf_counter()
+    problem = align(domain, table)
+    timings["align"] = time.perf_counter() - start
+
+    graph = weights = None
+    if problem.q == 0:
+        result = ImputationResult(problem.known.copy(), 0, 0.0, True)
+    else:
+        graph, weights, result, stage_times = impute_aligned(
+            problem.domain, problem.known, delta, config, progress
+        )
+        timings.update(stage_times)
 
     start = time.perf_counter()
     merged = merge_imputed(table, problem, result)

@@ -9,7 +9,6 @@ the rows yields a sparse row-stochastic matrix supported on graph in-edges.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,43 +156,29 @@ def solve_row_weights(x: np.ndarray, neighbor_matrix: np.ndarray) -> np.ndarray:
     return w / total
 
 
-def assemble_weight_matrix(
-    graph: NeighborGraph,
-    domain: DomainMatrix,
-    workers: int | None = None,
-) -> WeightMatrix:
+def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> WeightMatrix:
     """Solve every row problem over the graph's in-neighbors.
 
-    Row problems are independent; with ``workers`` > 1 they run on a thread
-    pool, and assembly by row index keeps the result identical either way.
-    Columns that end up with no weight anywhere are reported as a
-    diagnostic; they do not break the diffusion, only its symmetry of
-    influence.
+    Rows are solved in index order; a row's zero weights are left out of
+    the sparse support. Columns that end up with no weight anywhere are
+    reported as a diagnostic; they do not break the diffusion, only its
+    symmetry of influence.
     """
     if graph.n != domain.n:
         raise ValidationError(
             f"graph has {graph.n} vertices but domain matrix has {domain.n} rows"
         )
     X = domain.data
-
-    def solve_one(i: int) -> np.ndarray:
-        try:
-            return solve_row_weights(X[i], X[graph.incoming[i]])
-        except ValidationError as exc:
-            raise ValidationError(f"row {i} ({domain.entities[i]}): {exc}") from exc
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve_one, range(graph.n)))
-    else:
-        rows = [solve_one(i) for i in range(graph.n)]
-
     indptr = np.zeros(graph.n + 1, dtype=np.int64)
     index_parts = []
     data_parts = []
-    for i, w in enumerate(rows):
+    for i, srcs in enumerate(graph.incoming):
+        try:
+            w = solve_row_weights(X[i], X[srcs])
+        except ValidationError as exc:
+            raise ValidationError(f"row {i} ({domain.entities[i]}): {exc}") from exc
         keep = w > 0.0
-        index_parts.append(graph.incoming[i][keep])
+        index_parts.append(srcs[keep])
         data_parts.append(w[keep])
         indptr[i + 1] = indptr[i] + int(keep.sum())
     indices = np.concatenate(index_parts)

@@ -78,6 +78,42 @@ class TestImputeCommand:
         assert len(manifest["domain_sha256"]) == 64
         assert any(key.startswith("time_") for key in manifest)
 
+    def test_manifest_keys(self, fixture_files):
+        tmp_path, _, _, domain_csv, vec_path = fixture_files
+        manifest_path = tmp_path / "run.manifest"
+        code = main(
+            [
+                "impute",
+                "--domain", str(domain_csv),
+                "--embeddings", str(vec_path),
+                "--out", str(tmp_path / "out.vec"),
+                "--manifest", str(manifest_path),
+            ]
+        )
+        assert code == 0
+        keys = [line.split("=", 1)[0] for line in manifest_path.read_text().splitlines()]
+        assert keys == [
+            "domain", "embeddings", "out", "delta", "eta", "max_iter", "seed", "init_sigma",
+            "domain_sha256", "embeddings_sha256",
+            "time_load", "time_align", "time_distance", "time_graph", "time_weights",
+            "time_iterate", "time_merge", "time_save",
+            "n", "p", "q", "iterations", "final_relative_change", "converged",
+        ]
+
+    def test_threads_flag_is_gone(self, fixture_files, capsys):
+        tmp_path, _, _, domain_csv, vec_path = fixture_files
+        code = main(
+            [
+                "impute",
+                "--domain", str(domain_csv),
+                "--embeddings", str(vec_path),
+                "--out", str(tmp_path / "out.vec"),
+                "--threads", "2",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         code = main(["impute", "--embeddings", "x.vec", "--out", "y.vec"])
         captured = capsys.readouterr()
@@ -225,6 +261,22 @@ class TestOtherCommands:
         assert code == 0
         assert lines[0] == "delta\taccuracy"
         assert len(lines) == 3
+
+    def test_synth_unparsable_sweep_value_is_one_line_error(self, capsys):
+        code = main(["synth", "--sweep", "eta", "--sweep-values", "1e-2,x"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "1e-2,x" in err
+
+    def test_synth_fractional_delta_sweep_is_one_line_error(self, capsys):
+        code = main(
+            ["synth", "--n", "60", "--p", "40", "--sweep", "delta", "--sweep-values", "4,4.5"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1

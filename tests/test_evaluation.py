@@ -8,6 +8,7 @@ from embimpute import (
     ImputationConfig,
     LabeledEmbeddings,
     SyntheticTransferSpec,
+    TransferReport,
     ValidationError,
     closed_form_solve,
     euclidean_distance_matrix,
@@ -16,6 +17,7 @@ from embimpute import (
     build_graph,
     knn_accuracy,
     make_transfer_data,
+    power_iterate,
     run_synthetic_transfer,
     sensitivity_sweep,
 )
@@ -128,8 +130,6 @@ class TestSyntheticTransfer:
         distances = euclidean_distance_matrix(data.domain)
         weights = assemble_weight_matrix(build_graph(distances, 8), data.domain)
         fixed = fix_known_block(weights, 79)
-        from embimpute import power_iterate
-
         result = power_iterate(
             fixed, data.semantic[:79], ImputationConfig(eta=1e-12, max_iter=20000)
         )
@@ -149,6 +149,36 @@ class TestSyntheticTransfer:
                 )
             means.append(float(np.mean(scores)))
         assert means[0] > means[1] > means[2]
+
+    def test_matches_staged_public_calls(self):
+        spec = SyntheticTransferSpec(n=90, p=55, noise_sigma=0.5, seed=12)
+        config = ImputationConfig(eta=1e-3)
+        report = run_synthetic_transfer(spec, config, delta=5, k=4)
+
+        data = make_transfer_data(spec)
+        weights = assemble_weight_matrix(
+            build_graph(euclidean_distance_matrix(data.domain), 5), data.domain
+        )
+        result = power_iterate(fix_known_block(weights, 55), data.semantic[:55], config)
+        hidden = np.arange(55, 90)
+
+        def score(vectors):
+            return knn_accuracy(
+                LabeledEmbeddings(vectors, data.labels, data.label_names), 4, hidden
+            )
+
+        # the Gaussian baseline never touches the imputation chain
+        assert report == TransferReport(
+            n=90,
+            p=55,
+            q=35,
+            k=4,
+            imputed_accuracy=score(result.Y),
+            truth_accuracy=score(data.semantic),
+            baseline_accuracy=report.baseline_accuracy,
+            iterations=result.iterations,
+            converged=result.converged,
+        )
 
     def test_deterministic_given_seed(self):
         spec = SyntheticTransferSpec(n=70, p=40, seed=11)
@@ -192,3 +222,9 @@ class TestSensitivitySweep:
     def test_empty_values_rejected(self):
         with pytest.raises(ValidationError):
             sensitivity_sweep("delta", [], SyntheticTransferSpec(), ImputationConfig())
+
+    def test_fractional_delta_rejected(self):
+        spec = SyntheticTransferSpec(n=60, p=40, seed=5)
+        for bad in (4.5, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="not an integer"):
+                sensitivity_sweep("delta", [6, bad], spec, ImputationConfig())

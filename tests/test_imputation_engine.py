@@ -14,10 +14,48 @@ from embimpute import (
     power_iterate,
     spectral_diagnostics,
 )
+from embimpute.manifold_graph import reached_from_anchors
 
 
 def weight_matrix(rows):
     return WeightMatrix(sparse.csr_matrix(np.asarray(rows, dtype=float)))
+
+
+def free_rows_reachable(m: sparse.csr_matrix, p: int) -> bool:
+    """Reference: depth-first search from the anchor columns."""
+    n = m.shape[0]
+    csc = m[p:, :].tocsc()
+    indptr, indices = csc.indptr, csc.indices
+    seen = bytearray(n - p)
+    stack = list(range(p))
+    while stack:
+        col = stack.pop()
+        for r in indices[indptr[col] : indptr[col + 1]].tolist():
+            if not seen[r]:
+                seen[r] = 1
+                stack.append(p + r)
+    return all(seen)
+
+
+class TestReachedFromAnchors:
+    def test_agrees_with_depth_first_search(self):
+        rng = np.random.default_rng(90)
+        outcomes = []
+        for _ in range(400):
+            n = int(rng.integers(2, 40))
+            p = int(rng.integers(1, n + 1))
+            m = sparse.random(
+                n, n, density=float(rng.uniform(0.0, 0.15)), format="csr", random_state=rng
+            )
+            expected = free_rows_reachable(m, p)
+            assert reached_from_anchors(m, p) == expected
+            outcomes.append(expected)
+        assert any(outcomes) and not all(outcomes)
+
+    def test_stored_zero_counts_as_edge(self):
+        m = sparse.csr_matrix((np.array([0.0]), np.array([0]), np.array([0, 0, 1])), shape=(2, 2))
+        assert m.nnz == 1
+        assert reached_from_anchors(m, 1) == free_rows_reachable(m, 1) is True
 
 
 class TestImputationConfig:
@@ -101,6 +139,31 @@ class TestPowerIterate:
         W = weight_matrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ConvergenceError, match="unreachable"):
             power_iterate(W, np.array([[1.0]]), ImputationConfig())
+
+    def test_detached_free_cycle_rejected(self):
+        # rows 2 and 3 feed only each other, so no anchor ever reaches them
+        W = weight_matrix(
+            [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0], [0, 0, 1.0, 0]]
+        )
+        with pytest.raises(ConvergenceError, match="unreachable"):
+            power_iterate(W, np.eye(2), ImputationConfig())
+
+    def test_multi_hop_chain_accepted(self):
+        # the anchor reaches 4, 4 reaches 1, 1 reaches 3, 3 reaches 2:
+        # every free row is several hops out, in no index order
+        W = weight_matrix(
+            [
+                [1.0, 0, 0, 0, 0],
+                [0, 0, 0, 0, 1.0],
+                [0, 0, 0, 1.0, 0],
+                [0, 1.0, 0, 0, 0],
+                [1.0, 0, 0, 0, 0],
+            ]
+        )
+        known = np.array([[2.0, -1.0]])
+        result = power_iterate(W, known, ImputationConfig(eta=1e-12))
+        assert result.converged
+        assert np.array_equal(result.Y, np.repeat(known, 5, axis=0))
 
     def test_requires_fixed_block(self, random_system):
         sys = random_system(n=10, p=4, d=3, s=2, delta=3, seed=36)

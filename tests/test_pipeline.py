@@ -1,0 +1,100 @@
+import numpy as np
+
+import embimpute as ei
+from embimpute.pipeline import _STAGES
+
+
+def random_problem(seed, n=40, p=25, d=5, s=6):
+    rng = np.random.default_rng(seed)
+    entities = tuple(f"e{i:03d}" for i in range(n))
+    domain = ei.DomainMatrix(entities, rng.normal(size=(n, d)))
+    table = ei.EmbeddingTable(s, {e: rng.normal(size=s) for e in entities[:p]})
+    return domain, table
+
+
+class TestImputeAligned:
+    def test_matches_staged_public_calls(self, random_system):
+        sys = random_system(n=45, p=20, d=4, s=5, delta=5, seed=60)
+        config = ei.ImputationConfig(eta=1e-4, seed=3)
+        graph, weights, result, timings = ei.impute_aligned(sys.domain, sys.known, 5, config)
+
+        expected = ei.power_iterate(sys.fixed, sys.known, config)
+        assert graph.directed_edges() == sys.graph.directed_edges()
+        assert (weights.matrix != sys.weights.matrix).nnz == 0
+        assert result.Y.tobytes() == expected.Y.tobytes()
+        assert result.iterations == expected.iterations
+        assert list(timings) == ["distance", "graph", "weights", "iterate"]
+
+    def test_impute_embeddings_is_align_then_impute_aligned(self):
+        domain, table = random_problem(61)
+        run = ei.impute_embeddings(domain, table, delta=4)
+        _, weights, result, _ = ei.impute_aligned(
+            run.problem.domain, run.problem.known, delta=4
+        )
+        assert (weights.matrix != run.weights.matrix).nnz == 0
+        assert result.Y.tobytes() == run.result.Y.tobytes()
+
+
+class TestImputeEmbeddings:
+    def test_timings_keep_the_six_stages(self):
+        domain, table = random_problem(62)
+        run = ei.impute_embeddings(domain, table, delta=4)
+        assert list(run.timings) == list(_STAGES)
+        assert _STAGES == ("align", "distance", "graph", "weights", "iterate", "merge")
+        assert all(t > 0.0 for t in run.timings.values())
+
+    def test_timings_when_nothing_is_missing(self):
+        domain, table = random_problem(63, n=10, p=10)
+        run = ei.impute_embeddings(domain, table)
+        assert list(run.timings) == list(_STAGES)
+        assert run.graph is None and run.weights is None
+        assert all(run.timings[k] == 0.0 for k in ("distance", "graph", "weights", "iterate"))
+
+
+def test_public_names():
+    assert sorted(ei.__all__) == [
+        "AlignedProblem",
+        "ConvergenceError",
+        "DomainMatrix",
+        "EmbeddingTable",
+        "ImputationConfig",
+        "ImputationResult",
+        "LabeledEmbeddings",
+        "NeighborGraph",
+        "PipelineRun",
+        "SpectralReport",
+        "SyntheticTransferSpec",
+        "TransferReport",
+        "ValidationError",
+        "WeightMatrix",
+        "align",
+        "assemble_weight_matrix",
+        "assert_anchor_reachability",
+        "augment_to_min_degree",
+        "build_graph",
+        "build_mst",
+        "closed_form_solve",
+        "correlation_domain_matrix",
+        "euclidean_distance_matrix",
+        "fix_known_block",
+        "graph_stats",
+        "impute_aligned",
+        "impute_embeddings",
+        "in_neighbors",
+        "is_connected",
+        "knn_accuracy",
+        "load_domain_csv",
+        "load_embeddings",
+        "load_labels_csv",
+        "load_returns_csv",
+        "make_transfer_data",
+        "merge_imputed",
+        "power_iterate",
+        "run_synthetic_transfer",
+        "save_embeddings",
+        "sensitivity_sweep",
+        "solve_row_weights",
+        "spectral_diagnostics",
+        "write_coordinate_text",
+    ]
+    assert all(hasattr(ei, name) for name in ei.__all__)

@@ -209,16 +209,6 @@ class TestAssembleWeightMatrix:
             cols, _ = W.row(i)
             assert set(cols.tolist()) <= set(g.incoming[i].tolist())
 
-    def test_thread_pool_matches_sequential(self):
-        rng = np.random.default_rng(25)
-        domain = DomainMatrix(
-            tuple(f"e{i}" for i in range(60)), rng.normal(size=(60, 5))
-        )
-        g = build_graph(euclidean_distance_matrix(domain), 6)
-        a = assemble_weight_matrix(g, domain, workers=1)
-        b = assemble_weight_matrix(g, domain, workers=4)
-        assert (a.matrix != b.matrix).nnz == 0
-
     def test_zero_column_diagnostic(self, caplog):
         # the far point is nobody's useful neighbor: its sole dependent row
         # reconstructs exactly without it
