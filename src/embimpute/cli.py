@@ -37,6 +37,9 @@ from .pipeline import impute_embeddings
 from .weight_solver import write_coordinate_text
 
 
+_SOLVER_COUNTERS = ("lstsq_fallbacks", "uniform_fallbacks", "capped_rows")
+
+
 class _UsageError(Exception):
     pass
 
@@ -131,6 +134,8 @@ def _cmd_impute(args) -> int:
                 "iterations": result.iterations,
                 "final_relative_change": f"{result.final_relative_change:.17g}",
                 "converged": _bool_text(result.converged),
+                # no weights are solved when nothing is missing
+                **{key: getattr(run.weights, key) if run.weights else 0 for key in _SOLVER_COUNTERS},
             },
         )
         manifest.write(args.manifest)

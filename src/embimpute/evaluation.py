@@ -207,6 +207,21 @@ def run_synthetic_transfer(
     )
 
 
+def _sweep_setting(parameter: str, value):
+    """The delta (int) or eta (float) that ``value`` asks for."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if parameter == "delta":
+        if not (math.isfinite(number) and number == int(number) and number >= 1):
+            raise ValidationError(f"delta sweep value {value!r} is not an integer >= 1")
+        return int(number)
+    if not (math.isfinite(number) and number > 0):
+        raise ValidationError(f"eta sweep value {value!r} is not a finite number > 0")
+    return number
+
+
 def sensitivity_sweep(
     parameter: str,
     values,
@@ -218,25 +233,26 @@ def sensitivity_sweep(
     """Re-run the transfer experiment varying one knob, all else fixed.
 
     ``parameter`` is ``"delta"`` or ``"eta"``; returns (value, imputed
-    accuracy) pairs in input order. Delta values must be whole numbers.
+    accuracy) pairs in input order. Delta values must be whole numbers
+    from 1 to ``spec.n - 1`` and eta values finite and > 0; every value is
+    checked before the first experiment runs.
     """
     if parameter not in ("delta", "eta"):
         raise ValidationError(f"unknown sweep parameter '{parameter}'")
     values = list(values)
     if not values:
         raise ValidationError("sweep needs at least one value")
-    if parameter == "delta":
-        for value in values:
-            if not (math.isfinite(value) and value == int(value)):
-                raise ValidationError(f"delta sweep value {value!r} is not an integer")
+    settings = [_sweep_setting(parameter, value) for value in values]
+    if parameter == "delta" and max(settings) >= spec.n:
+        raise ValidationError(f"delta sweep value {max(settings)} needs more than {spec.n} entities")
     config = config or ImputationConfig()
     table = []
-    for value in values:
+    for value, setting in zip(values, settings):
         if parameter == "delta":
-            report = run_synthetic_transfer(spec, config, delta=int(value), k=k)
+            report = run_synthetic_transfer(spec, config, delta=setting, k=k)
         else:
             report = run_synthetic_transfer(
-                spec, dataclasses.replace(config, eta=float(value)), delta=delta, k=k
+                spec, dataclasses.replace(config, eta=setting), delta=delta, k=k
             )
         table.append((float(value), report.imputed_accuracy))
     return table

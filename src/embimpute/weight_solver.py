@@ -4,6 +4,20 @@ Each row solves a least-squares reconstruction of the entity's feature
 vector from its in-neighbors' vectors under a standard simplex constraint
 (non-negative weights summing to one), via an active-set method. Stacking
 the rows yields a sparse row-stochastic matrix supported on graph in-edges.
+
+Rows are solved in lockstep. ``assemble_weight_matrix`` takes the rows of
+one in-degree k at a time, forms their Gram matrices G = M Mᵀ and targets
+c = M x in blocks of rows, and advances every row of a block through the
+same active-set sweep: at most 3k sweeps, each one KKT solve per row
+followed by a masked step. Within a sweep the rows are grouped by the
+size f of their free set, and each group's (f + 1) × (f + 1) KKT systems go
+to LAPACK in one stacked ``np.linalg.solve`` call. Grouping by f instead of
+padding every system to size k + 1 means each LAPACK and BLAS call sees
+exactly the operands that a row solved on its own would, so the weights
+are bit-identical to solving the rows one at a time; ``solve_row_weights``
+is that one-row call into the same code. The Gram gather (k·d values per
+row) and the lockstep state (k·k per row) are blocked separately so the
+extra memory stays near a megabyte whatever n and d are.
 """
 
 from __future__ import annotations
@@ -23,13 +37,24 @@ logger = logging.getLogger(__name__)
 _DUAL_TOL = 1e-10  # optimality threshold on the reduced gradient
 _FEAS_TOL = 1e-12
 _ROW_SUM_TOL = 1e-12
+_GATHER_BYTES = 1 << 20  # neighbor vectors gathered per Gram block (k·d per row)
+_STATE_BYTES = 1 << 18  # Gram matrices advanced together (k·k per row)
 
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Sparse row-stochastic matrix; row i holds vertex i's neighbor weights."""
+    """Sparse row-stochastic matrix; row i holds vertex i's neighbor weights.
+
+    The counters record how many rows the solver could not finish by its
+    main path: rows that needed ``lstsq`` for a singular or non-finite KKT
+    system, rows that fell back to uniform weights, and rows stopped by
+    the 3k sweep cap. They are zero for a matrix built by hand.
+    """
 
     matrix: sparse.csr_matrix
+    lstsq_fallbacks: int = 0
+    uniform_fallbacks: int = 0
+    capped_rows: int = 0
 
     def __post_init__(self):
         m = sparse.csr_matrix(self.matrix)
@@ -64,63 +89,118 @@ class WeightMatrix:
         return self.matrix.toarray()
 
 
-def _kkt_solve(G: np.ndarray, c: np.ndarray, free_idx: np.ndarray):
-    """Minimize the reconstruction quadratic over the free coordinates
-    subject to their sum being one; returns (weights, multiplier)."""
-    f = free_idx.size
-    A = np.zeros((f + 1, f + 1))
-    A[:f, :f] = G[np.ix_(free_idx, free_idx)]
-    A[:f, f] = 1.0
-    A[f, :f] = 1.0
-    b = np.empty(f + 1)
-    b[:f] = c[free_idx]
-    b[f] = 1.0
-    try:
-        sol = np.linalg.solve(A, b)
-        if not np.isfinite(sol).all():
-            raise np.linalg.LinAlgError("non-finite solution")
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(A, b, rcond=None)[0]
-    return sol[:f], sol[f]
+def _stacked_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` over a stack, with NaN for each singular system.
 
-
-def _simplex_lsq(G: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Active-set solve of min wᵀGw/2 - cᵀw over the standard simplex.
-
-    Starts from the uniform point; each iteration either drops the first
-    coordinate blocked at zero or frees the most negative reduced gradient.
-    Equal candidates resolve to the smaller index for determinism.
+    A singular system makes the stacked call raise; halving the stack until
+    it stands alone keeps the other systems batched.
     """
-    k = c.size
-    w = np.full(k, 1.0 / k)
-    free = np.ones(k, dtype=bool)
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.full(b.shape, np.nan)
+        h = len(A) // 2
+        return np.concatenate([_stacked_solve(A[:h], b[:h]), _stacked_solve(A[h:], b[h:])])
+
+
+def _kkt_solutions(G, c, rows, free_idx):
+    """Solve the equality-constrained KKT system of every listed row.
+
+    Row ``rows[t]`` keeps ``free_idx[t]`` (f coordinates, ascending) free and
+    minimizes its quadratic over them subject to their sum being one. All
+    systems share the size f + 1, so one stacked LAPACK call solves them;
+    a singular or non-finite system falls back to ``lstsq`` on its own.
+    Returns the (g, f + 1) solutions (weights, then multiplier) and the
+    positions that needed the fallback.
+    """
+    g, f = free_idx.shape
+    A = np.zeros((g, f + 1, f + 1))
+    A[:, :f, :f] = G[rows[:, None, None], free_idx[:, :, None], free_idx[:, None, :]]
+    A[:, :f, f] = 1.0
+    A[:, f, :f] = 1.0
+    b = np.empty((g, f + 1, 1))
+    b[:, :f, 0] = c[rows[:, None], free_idx]
+    b[:, f, 0] = 1.0
+    sol = _stacked_solve(A, b)[:, :, 0]
+    retry = np.flatnonzero(~np.isfinite(sol).all(axis=1))
+    for t in retry:
+        sol[t] = np.linalg.lstsq(A[t], b[t, :, 0], rcond=None)[0]
+    return sol, retry
+
+
+def _simplex_rows(G: np.ndarray, c: np.ndarray):
+    """Active-set solve of min wᵀGw/2 - cᵀw over the standard simplex for
+    every stacked row problem at once, normalized to sum one.
+
+    ``G`` is (r, k, k) and ``c`` is (r, k). Each row starts from the
+    uniform point; each sweep either drops the first coordinate blocked at
+    zero or frees the most negative reduced gradient, for at most 3k
+    sweeps. Equal candidates resolve to the smaller index. Returns the
+    (r, k) weights and the counts of rows that needed ``lstsq``, fell back
+    to uniform weights, and hit the sweep cap.
+    """
+    r, k = c.shape
+    W = np.full((r, k), 1.0 / k)
+    if k == 1:
+        return W, (0, 0, 0)
+    free = np.ones((r, k), dtype=bool)
+    used_lstsq = np.zeros(r, dtype=bool)
+    live = np.arange(r)
     for _ in range(3 * k):
-        idx = np.flatnonzero(free)
-        wf, mu = _kkt_solve(G, c, idx)
-        if wf.min(initial=0.0) >= -_FEAS_TOL:
-            w = np.zeros(k)
-            w[idx] = np.clip(wf, 0.0, None)
-            grad = G @ w - c
-            lam = grad + mu
-            zero_idx = np.flatnonzero(~free)
-            if zero_idx.size:
-                j = zero_idx[np.argmin(lam[zero_idx])]
-                if lam[j] < -_DUAL_TOL:
-                    free[j] = True
-                    continue
-            return w
-        # partial step to the first coordinate that hits zero
-        w_old = w[idx]
-        step = wf - w_old
-        blocked = np.flatnonzero(wf < -_FEAS_TOL)
-        ratios = w_old[blocked] / (w_old[blocked] - wf[blocked])
-        pick = int(np.argmin(ratios))
-        alpha = max(ratios[pick], 0.0)
-        w[idx] = np.clip(w_old + alpha * step, 0.0, None)
-        drop = idx[blocked[pick]]
-        w[drop] = 0.0
-        free[drop] = False
-    return w
+        if not live.size:
+            break
+        # KKT solutions scattered back to full length; fixed coordinates
+        # hold 0 here and in W, so the updates below keep them at 0
+        wf = np.zeros((live.size, k))
+        mu = np.empty(live.size)
+        nfree = free[live].sum(axis=1)
+        for f in np.unique(nfree):
+            pos = np.flatnonzero(nfree == f)
+            rows = live[pos]
+            idx = np.nonzero(free[rows])[1].reshape(pos.size, f)
+            sol, retry = _kkt_solutions(G, c, rows, idx)
+            used_lstsq[rows[retry]] = True
+            wf[pos[:, None], idx] = sol[:, :f]
+            mu[pos] = sol[:, f]
+        fr = free[live]
+        feasible = np.where(fr, wf, 0.0).min(axis=1) >= -_FEAS_TOL
+
+        # feasible: take the solution, then free the most negative reduced
+        # gradient among the fixed coordinates if it beats the tolerance
+        at = live[feasible]
+        W[at] = np.clip(wf[feasible], 0.0, None)
+        # G @ w over the whole block reads G in place instead of copying
+        # the rows taken; only those rows' products are used
+        grad = (G @ W[:, :, None])[at, :, 0] - c[at]
+        lam = np.where(fr[feasible], np.inf, grad + mu[feasible][:, None])
+        j = np.argmin(lam, axis=1)
+        enter = lam[np.arange(at.size), j] < -_DUAL_TOL
+        free[at[enter], j[enter]] = True
+
+        # infeasible: partial step to the first coordinate that hits zero
+        at_step = live[~feasible]
+        w_old = W[at_step]
+        w_sol = wf[~feasible]
+        blocked = fr[~feasible] & (w_sol < -_FEAS_TOL)
+        ratios = np.full(blocked.shape, np.inf)
+        np.divide(w_old, w_old - w_sol, out=ratios, where=blocked)
+        pick = np.argmin(ratios, axis=1)
+        ratio = ratios[np.arange(at_step.size), pick]
+        alpha = np.where(ratio < 0.0, 0.0, ratio)[:, None]
+        W[at_step] = np.clip(w_old + alpha * (w_sol - w_old), 0.0, None)
+        W[at_step, pick] = 0.0
+        free[at_step, pick] = False
+
+        live = np.union1d(at[enter], at_step)
+    capped = live.size
+
+    total = W.sum(axis=1)
+    usable = np.isfinite(total) & (total > 0.0)
+    W[usable] /= total[usable, None]
+    W[~usable] = 1.0 / k
+    counts = (int(used_lstsq.sum()), int((~usable).sum()), capped)
+    return W, counts
 
 
 def solve_row_weights(x: np.ndarray, neighbor_matrix: np.ndarray) -> np.ndarray:
@@ -146,46 +226,82 @@ def solve_row_weights(x: np.ndarray, neighbor_matrix: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(x).all() or not np.isfinite(M).all():
         raise ValidationError("non-finite value in weight problem")
-    if k == 1:
-        return np.ones(1)
+    W, _ = _simplex_rows((M @ M.T)[None], (M @ x)[None])
+    return W[0]
 
-    w = _simplex_lsq(M @ M.T, M @ x)
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        return np.full(k, 1.0 / k)
-    return w / total
+
+def _first_bad_row(graph: NeighborGraph, X: np.ndarray, degrees: np.ndarray):
+    """(row, message) of the first row whose problem cannot be posed, or None."""
+    bad_vertex = ~np.isfinite(X).all(axis=1)
+    bad = degrees == 0
+    if bad_vertex.any():
+        tainted = bad_vertex.copy()
+        srcs = np.concatenate(graph.incoming).astype(np.int64, copy=False)
+        owner = np.repeat(np.arange(graph.n), degrees)
+        tainted[owner[bad_vertex[srcs]]] = True
+        bad |= tainted
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if degrees[i] == 0:
+        return i, "at least one neighbor is required"
+    return i, "non-finite value in weight problem"
 
 
 def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> WeightMatrix:
     """Solve every row problem over the graph's in-neighbors.
 
-    Rows are solved in index order; a row's zero weights are left out of
-    the sparse support. Columns that end up with no weight anywhere are
-    reported as a diagnostic; they do not break the diffusion, only its
-    symmetry of influence.
+    Rows of equal in-degree are solved together in blocks (see the module
+    docstring); a row's zero weights are left out of the sparse support.
+    Columns that end up with no weight anywhere are reported as a
+    diagnostic; they do not break the diffusion, only its symmetry of
+    influence.
     """
     if graph.n != domain.n:
         raise ValidationError(
             f"graph has {graph.n} vertices but domain matrix has {domain.n} rows"
         )
     X = domain.data
-    indptr = np.zeros(graph.n + 1, dtype=np.int64)
-    index_parts = []
-    data_parts = []
-    for i, srcs in enumerate(graph.incoming):
-        try:
-            w = solve_row_weights(X[i], X[srcs])
-        except ValidationError as exc:
-            raise ValidationError(f"row {i} ({domain.entities[i]}): {exc}") from exc
-        keep = w > 0.0
-        index_parts.append(srcs[keep])
-        data_parts.append(w[keep])
-        indptr[i + 1] = indptr[i] + int(keep.sum())
-    indices = np.concatenate(index_parts)
-    data = np.concatenate(data_parts)
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(graph.n, graph.n))
+    n, d = X.shape
+    degrees = graph.in_degrees().astype(np.int64)
+    failure = _first_bad_row(graph, X, degrees)
+    if failure is not None:
+        i, message = failure
+        raise ValidationError(f"row {i} ({domain.entities[i]}): {message}")
 
-    empty_cols = np.flatnonzero(np.bincount(indices, minlength=graph.n) == 0)
+    # candidate weights laid out like the CSR: row i owns [start[i], start[i+1])
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=start[1:])
+    sources = np.concatenate(graph.incoming).astype(np.int64, copy=False)
+    values = np.empty(sources.size)
+    counts = np.zeros(3, dtype=np.int64)
+    for k in np.unique(degrees).tolist():
+        rows_k = np.flatnonzero(degrees == k)
+        slots_k = start[rows_k][:, None] + np.arange(k)
+        state_rows = max(1, _STATE_BYTES // (8 * k * k))
+        gather_rows = max(1, _GATHER_BYTES // (8 * k * d))
+        for lo in range(0, rows_k.size, state_rows):
+            slots = slots_k[lo : lo + state_rows]
+            rows = rows_k[lo : lo + state_rows]
+            G = np.empty((rows.size, k, k))
+            c = np.empty((rows.size, k))
+            for a in range(0, rows.size, gather_rows):
+                part = slice(a, a + gather_rows)
+                M = X[sources[slots[part]]]
+                np.matmul(M, M.transpose(0, 2, 1), out=G[part])
+                np.matmul(M, X[rows[part], :, None], out=c[part, :, None])
+            del M  # free the gathered vectors before the block solves
+            W, block_counts = _simplex_rows(G, c)
+            values[slots] = W
+            counts += block_counts
+
+    keep = values > 0.0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.add.reduceat(keep, start[:-1], dtype=np.int64), out=indptr[1:])
+    indices = sources[keep]
+    matrix = sparse.csr_matrix((values[keep], indices, indptr), shape=(n, n))
+
+    empty_cols = np.flatnonzero(np.bincount(indices, minlength=n) == 0)
     if empty_cols.size:
         shown = ", ".join(str(v) for v in empty_cols[:8])
         logger.warning(
@@ -194,7 +310,8 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
             empty_cols.size,
             shown,
         )
-    return WeightMatrix(matrix)
+    lstsq_rows, uniform_rows, capped_rows = counts.tolist()
+    return WeightMatrix(matrix, lstsq_rows, uniform_rows, capped_rows)
 
 
 def write_coordinate_text(weights: WeightMatrix, path) -> None:

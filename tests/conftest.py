@@ -1,5 +1,7 @@
 """Shared fixtures plus a terminal summary for the acceptance suite."""
 
+import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +31,17 @@ def build_system(n, p, d, s, delta, seed):
         weights=weights,
         fixed=fixed,
     )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_imports_this_checkout():
+    """CLI tests start ``python -m embimpute`` in a child interpreter; put
+    the package this suite imports on its path too, so an uninstalled
+    checkout tests its own code."""
+    source = str(Path(ei.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture

@@ -98,7 +98,14 @@ class TestImputeCommand:
             "time_load", "time_align", "time_distance", "time_graph", "time_weights",
             "time_iterate", "time_merge", "time_save",
             "n", "p", "q", "iterations", "final_relative_change", "converged",
+            "lstsq_fallbacks", "uniform_fallbacks", "capped_rows",
         ]
+        manifest = dict(line.split("=", 1) for line in manifest_path.read_text().splitlines())
+        _, domain, table, _, _ = fixture_files
+        weights = impute_embeddings(domain, table).weights
+        assert manifest["lstsq_fallbacks"] == str(weights.lstsq_fallbacks)
+        assert manifest["uniform_fallbacks"] == str(weights.uniform_fallbacks)
+        assert manifest["capped_rows"] == str(weights.capped_rows)
 
     def test_threads_flag_is_gone(self, fixture_files, capsys):
         tmp_path, _, _, domain_csv, vec_path = fixture_files
@@ -148,6 +155,7 @@ class TestImputeCommand:
             line.split("=", 1) for line in manifest_path.read_text().splitlines()
         )
         assert manifest["q"] == "0"
+        assert manifest["lstsq_fallbacks"] == manifest["capped_rows"] == "0"
 
     def test_nonconvergence_exits_two_but_writes_output(self, fixture_files):
         tmp_path, _, _, domain_csv, vec_path = fixture_files

@@ -21,6 +21,7 @@ from embimpute import (
     run_synthetic_transfer,
     sensitivity_sweep,
 )
+from embimpute import evaluation
 
 
 def knn_oracle(vectors, labels, k, subset):
@@ -222,6 +223,24 @@ class TestSensitivitySweep:
     def test_empty_values_rejected(self):
         with pytest.raises(ValidationError):
             sensitivity_sweep("delta", [], SyntheticTransferSpec(), ImputationConfig())
+
+    def test_bad_eta_rejected_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(evaluation, "impute_aligned", lambda *a, **k: runs.append(a))
+        spec = SyntheticTransferSpec(n=60, p=40, seed=5)
+        for bad in ("x", 0.0, -1e-2, float("nan"), float("inf"), None):
+            with pytest.raises(ValidationError, match="eta sweep value"):
+                sensitivity_sweep("eta", [1e-2, bad], spec, ImputationConfig())
+        assert runs == []
+
+    def test_bad_delta_rejected_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(evaluation, "impute_aligned", lambda *a, **k: runs.append(a))
+        spec = SyntheticTransferSpec(n=60, p=40, seed=5)
+        for values in (["x"], [8, 0], [8, -3], [8, None], [8, 60]):
+            with pytest.raises(ValidationError, match="delta sweep value"):
+                sensitivity_sweep("delta", values, spec, ImputationConfig())
+        assert runs == []
 
     def test_fractional_delta_rejected(self):
         spec = SyntheticTransferSpec(n=60, p=40, seed=5)
