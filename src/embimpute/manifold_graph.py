@@ -12,6 +12,10 @@ Kruskal's algorithm yields when it scans edges in that order. The whole
 stage takes O(n^2) time and allocates nothing n x n beyond ``D`` itself.
 ``build_graph`` validates ``D`` once; ``build_mst`` and
 ``augment_to_min_degree`` each validate their own input.
+
+The graph is stored in the CSR layout of ``WeightMatrix``: row i lists the
+sources of the edges into vertex i, ascending. The weight solver and the
+csgraph reachability checks read these arrays as they are.
 """
 
 from __future__ import annotations
@@ -50,30 +54,54 @@ def _validated_distances(D) -> np.ndarray:
     return D
 
 
-@dataclass
+@dataclass(frozen=True)
 class NeighborGraph:
-    """Directed weighted graph; ``incoming[i]`` lists sources of edges into i.
+    """Directed weighted graph in CSR layout, like ``WeightMatrix``.
 
-    Neighbor arrays are sorted ascending, with ``in_weights[i]`` holding the
-    matching edge distances.
+    ``indices[indptr[i]:indptr[i + 1]]`` are the sources of the edges into
+    vertex i, strictly ascending, and ``distances`` holds the matching edge
+    lengths. The arrays are stored as int64 / float64; a malformed layout
+    raises ``ValidationError``.
     """
 
     n: int
     delta: int
-    incoming: tuple[np.ndarray, ...]
-    in_weights: tuple[np.ndarray, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    distances: np.ndarray
+
+    def __post_init__(self):
+        n = self.n
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        indices = np.asarray(self.indices, dtype=np.int64)
+        distances = np.asarray(self.distances, dtype=np.float64)
+        if (
+            indices.ndim != 1
+            or indptr.shape != (n + 1,)
+            or indptr[0] != 0
+            or indptr[-1] != indices.size
+            or (np.diff(indptr) < 0).any()
+        ):
+            raise ValidationError(
+                f"graph indptr must have {n + 1} entries rising from 0 "
+                f"to the number of sources, {indices.size}"
+            )
+        owner = np.repeat(np.arange(n), np.diff(indptr))
+        if ((indices < 0) | (indices >= n) | (indices == owner)).any():
+            raise ValidationError(f"graph sources must lie in [0, {n}) and differ from their row")
+        if ((np.diff(indices) <= 0) & (owner[1:] == owner[:-1])).any():
+            raise ValidationError("graph sources must be strictly ascending within each row")
+        if distances.shape != indices.shape or not np.isfinite(distances).all() or (distances < 0).any():
+            raise ValidationError("graph distances must be finite, non-negative and one per source")
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "distances", distances)
 
     def in_degrees(self) -> np.ndarray:
-        return np.array([a.size for a in self.incoming])
+        return np.diff(self.indptr)
 
     def edge_count(self) -> int:
-        return int(sum(a.size for a in self.incoming))
-
-    def directed_edges(self) -> set[tuple[int, int]]:
-        """All edges as (src, dst) pairs."""
-        return {
-            (int(j), i) for i, srcs in enumerate(self.incoming) for j in srcs
-        }
+        return self.indices.size
 
 
 def _mst(D: np.ndarray) -> list[tuple[int, int, float]]:
@@ -143,38 +171,29 @@ def _augment(mst_edges, D: np.ndarray, delta: int) -> NeighborGraph:
             f"only {n - 1} exist"
         )
 
-    in_sets: list[set[int]] = [set() for _ in range(n)]
-    for u, v, _ in mst_edges:
-        in_sets[u].add(v)
-        in_sets[v].add(u)
+    # an edge dst <- src is the key dst * n + src, so sorted keys are the
+    # CSR order
+    u, v = np.array([e[:2] for e in mst_edges], dtype=np.int64).reshape(-1, 2).T
+    tree = np.unique(np.concatenate([u * n + v, v * n + u]))
+    need = delta - np.bincount(tree // n, minlength=n)
+    short = np.flatnonzero(need > 0)
 
-    for i in range(n):
-        have = in_sets[i]
-        need = delta - len(have)
-        if need <= 0:
-            continue
+    # at most 1 + (tree degree) of the delta + 1 nearest columns are i or a
+    # tree neighbor, so they still hold the need sources; keeping every
+    # column up to that distance keeps all columns tied at it, and the
+    # stable sort resolves equal distances to the smaller vertex index
+    nearest = np.empty((short.size, delta + 1), dtype=np.int64)
+    for t, i in enumerate(short.tolist()):
         row = D[i]
-        # the delta + 1 nearest columns still hold need sources after i and
-        # its current neighbors are skipped; keeping every column up to that
-        # distance keeps all columns tied at it
-        cut = np.partition(row, delta)[delta]
-        cols = np.flatnonzero(row <= cut)
-        # stable sort: equal distances resolve to the smaller vertex index
-        for j in cols[np.argsort(row[cols], kind="stable")].tolist():
-            if j == i or j in have:
-                continue
-            have.add(j)
-            need -= 1
-            if need == 0:
-                break
+        cols = np.flatnonzero(row <= np.partition(row, delta)[delta])
+        nearest[t] = cols[np.argsort(row[cols], kind="stable")[: delta + 1]]
+    added = short[:, None] * n + nearest
+    fresh = (nearest != short[:, None]) & ~np.isin(added, tree)
+    added = added[fresh & (np.cumsum(fresh, axis=1) <= need[short, None])]
 
-    incoming = []
-    in_weights = []
-    for i in range(n):
-        srcs = np.array(sorted(in_sets[i]), dtype=np.int64)
-        incoming.append(srcs)
-        in_weights.append(D[i, srcs])
-    return NeighborGraph(n, delta, tuple(incoming), tuple(in_weights))
+    dst, src = np.divmod(np.union1d(tree, added), n)
+    indptr = np.searchsorted(dst, np.arange(n + 1))
+    return NeighborGraph(n, delta, indptr, src, D[dst, src])
 
 
 def augment_to_min_degree(mst_edges, D, delta: int) -> NeighborGraph:
@@ -201,7 +220,7 @@ def in_neighbors(graph: NeighborGraph, i: int) -> np.ndarray:
     """Sorted source vertices of edges into vertex ``i``."""
     if not 0 <= i < graph.n:
         raise ValidationError(f"vertex index {i} out of range for n={graph.n}")
-    return graph.incoming[i]
+    return graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
 
 
 def reached_from_anchors(sources: sparse.csr_matrix, n_known: int) -> bool:
@@ -218,10 +237,9 @@ def reached_from_anchors(sources: sparse.csr_matrix, n_known: int) -> bool:
 
 def _adjacency(graph: NeighborGraph) -> sparse.csr_matrix:
     """CSR matrix whose row i holds the in-neighbors of vertex i."""
-    indptr = np.concatenate(([0], np.cumsum(graph.in_degrees())))
-    indices = np.concatenate(graph.incoming)
     return sparse.csr_matrix(
-        (np.ones(indices.size), indices, indptr), shape=(graph.n, graph.n)
+        (np.ones(graph.indices.size), graph.indices, graph.indptr),
+        shape=(graph.n, graph.n),
     )
 
 

@@ -39,6 +39,7 @@ _FEAS_TOL = 1e-12
 _ROW_SUM_TOL = 1e-12
 _GATHER_BYTES = 1 << 20  # neighbor vectors gathered per Gram block (k·d per row)
 _STATE_BYTES = 1 << 18  # Gram matrices advanced together (k·k per row)
+_OVERFLOW = "weight problem overflows: neighbor products are not finite"
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,11 @@ def _stacked_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             return np.full(b.shape, np.nan)
         h = len(A) // 2
         return np.concatenate([_stacked_solve(A[:h], b[:h]), _stacked_solve(A[h:], b[h:])])
+
+
+def _posed(G: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Which stacked rows have a finite Gram matrix and finite targets."""
+    return np.isfinite(G).all(axis=(1, 2)) & np.isfinite(c).all(axis=1)
 
 
 def _kkt_solutions(G, c, rows, free_idx):
@@ -209,7 +215,8 @@ def solve_row_weights(x: np.ndarray, neighbor_matrix: np.ndarray) -> np.ndarray:
     ``neighbor_matrix`` rows are the in-neighbors' feature vectors. The
     result is non-negative, sums to one, and no feasible reweighting can
     lower the reconstruction residual. Falls back to uniform weights only
-    if the solver yields an unusable (non-finite or zero-sum) vector.
+    if the solver yields an unusable (non-finite or zero-sum) vector. A
+    problem whose Gram matrix or target products overflow is rejected.
     """
     x = np.asarray(x, dtype=float)
     M = np.asarray(neighbor_matrix, dtype=float)
@@ -226,20 +233,20 @@ def solve_row_weights(x: np.ndarray, neighbor_matrix: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(x).all() or not np.isfinite(M).all():
         raise ValidationError("non-finite value in weight problem")
-    W, _ = _simplex_rows((M @ M.T)[None], (M @ x)[None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        G, c = (M @ M.T)[None], (M @ x)[None]
+    if not _posed(G, c)[0]:
+        raise ValidationError(_OVERFLOW)
+    W, _ = _simplex_rows(G, c)
     return W[0]
 
 
 def _first_bad_row(graph: NeighborGraph, X: np.ndarray, degrees: np.ndarray):
     """(row, message) of the first row whose problem cannot be posed, or None."""
     bad_vertex = ~np.isfinite(X).all(axis=1)
-    bad = degrees == 0
-    if bad_vertex.any():
-        tainted = bad_vertex.copy()
-        srcs = np.concatenate(graph.incoming).astype(np.int64, copy=False)
-        owner = np.repeat(np.arange(graph.n), degrees)
-        tainted[owner[bad_vertex[srcs]]] = True
-        bad |= tainted
+    bad = (degrees == 0) | bad_vertex
+    owner = np.repeat(np.arange(graph.n), degrees)
+    bad[owner[bad_vertex[graph.indices]]] = True
     if not bad.any():
         return None
     i = int(np.argmax(bad))
@@ -255,7 +262,8 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
     docstring); a row's zero weights are left out of the sparse support.
     Columns that end up with no weight anywhere are reported as a
     diagnostic; they do not break the diffusion, only its symmetry of
-    influence.
+    influence. A row whose products overflow is rejected; the error names
+    the first such row.
     """
     if graph.n != domain.n:
         raise ValidationError(
@@ -263,18 +271,17 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
         )
     X = domain.data
     n, d = X.shape
-    degrees = graph.in_degrees().astype(np.int64)
+    degrees = graph.in_degrees()
     failure = _first_bad_row(graph, X, degrees)
     if failure is not None:
         i, message = failure
         raise ValidationError(f"row {i} ({domain.entities[i]}): {message}")
 
-    # candidate weights laid out like the CSR: row i owns [start[i], start[i+1])
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=start[1:])
-    sources = np.concatenate(graph.incoming).astype(np.int64, copy=False)
+    # candidate weights laid out like the graph: row i owns [start[i], start[i+1])
+    start, sources = graph.indptr, graph.indices
     values = np.empty(sources.size)
     counts = np.zeros(3, dtype=np.int64)
+    overflow = n  # first row whose products overflow; n while there is none
     for k in np.unique(degrees).tolist():
         rows_k = np.flatnonzero(degrees == k)
         slots_k = start[rows_k][:, None] + np.arange(k)
@@ -285,23 +292,30 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
             rows = rows_k[lo : lo + state_rows]
             G = np.empty((rows.size, k, k))
             c = np.empty((rows.size, k))
-            for a in range(0, rows.size, gather_rows):
-                part = slice(a, a + gather_rows)
-                M = X[sources[slots[part]]]
-                np.matmul(M, M.transpose(0, 2, 1), out=G[part])
-                np.matmul(M, X[rows[part], :, None], out=c[part, :, None])
+            with np.errstate(over="ignore", invalid="ignore"):
+                for a in range(0, rows.size, gather_rows):
+                    part = slice(a, a + gather_rows)
+                    M = X[sources[slots[part]]]
+                    np.matmul(M, M.transpose(0, 2, 1), out=G[part])
+                    np.matmul(M, X[rows[part], :, None], out=c[part, :, None])
             del M  # free the gathered vectors before the block solves
+            posed = _posed(G, c)
+            if not posed.all():
+                overflow = min(overflow, int(rows[~posed][0]))
+                continue
             W, block_counts = _simplex_rows(G, c)
             values[slots] = W
             counts += block_counts
 
-    keep = values > 0.0
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.add.reduceat(keep, start[:-1], dtype=np.int64), out=indptr[1:])
-    indices = sources[keep]
-    matrix = sparse.csr_matrix((values[keep], indices, indptr), shape=(n, n))
+    if overflow < n:
+        raise ValidationError(f"row {overflow} ({domain.entities[overflow]}): {_OVERFLOW}")
 
-    empty_cols = np.flatnonzero(np.bincount(indices, minlength=n) == 0)
+    # the graph's layout; WeightMatrix drops the zero weights in place, so
+    # the graph's arrays are copied
+    matrix = sparse.csr_matrix((values, sources, start), shape=(n, n), copy=True)
+    weights = WeightMatrix(matrix, *counts.tolist())
+
+    empty_cols = np.flatnonzero(np.bincount(weights.matrix.indices, minlength=n) == 0)
     if empty_cols.size:
         shown = ", ".join(str(v) for v in empty_cols[:8])
         logger.warning(
@@ -310,8 +324,7 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
             empty_cols.size,
             shown,
         )
-    lstsq_rows, uniform_rows, capped_rows = counts.tolist()
-    return WeightMatrix(matrix, lstsq_rows, uniform_rows, capped_rows)
+    return weights
 
 
 def write_coordinate_text(weights: WeightMatrix, path) -> None:

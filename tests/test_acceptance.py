@@ -107,11 +107,12 @@ def test_c4_weight_matrix_contract():
     sys_ = build_system(n=400, p=150, d=8, s=16, delta=8, seed=201)
     for i in range(400):
         x = sys_.domain.data[i]
-        M = sys_.domain.data[sys_.graph.incoming[i]]
+        srcs = ei.in_neighbors(sys_.graph, i)
+        M = sys_.domain.data[srcs]
         cols, vals = sys_.weights.row(i)
-        assert set(cols.tolist()) <= set(sys_.graph.incoming[i].tolist())
-        w = np.zeros(len(sys_.graph.incoming[i]))
-        w[np.searchsorted(sys_.graph.incoming[i], cols)] = vals
+        assert set(cols.tolist()) <= set(srcs.tolist())
+        w = np.zeros(len(srcs))
+        w[np.searchsorted(srcs, cols)] = vals
         assert w.min() >= 0.0
         assert abs(w.sum() - 1.0) < 1e-12
         assert feasible_perturbations_never_improve(x, M, w, rng, trials=8)

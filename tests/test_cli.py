@@ -194,6 +194,28 @@ class TestImputeCommand:
         assert code == 1
         assert captured.err.startswith("error:") or "No such file" in captured.err
 
+    def test_overflowing_weight_problem_is_one_line_error(self, tmp_path):
+        # distances near 1e140 are finite, but the weight products near
+        # 1e310 are not
+        rng = np.random.default_rng(71)
+        entities = tuple(f"e{i:02d}" for i in range(40))
+        domain = DomainMatrix(entities, 1e155 + 1e140 * rng.normal(size=(40, 3)))
+        write_domain_csv(tmp_path / "domain.csv", domain)
+        table = EmbeddingTable(4, {e: rng.normal(size=4) for e in entities[:25]})
+        save_embeddings(table, tmp_path / "known.vec")
+        proc = run_cli(
+            [
+                "impute",
+                "--domain", str(tmp_path / "domain.csv"),
+                "--embeddings", str(tmp_path / "known.vec"),
+                "--out", str(tmp_path / "out.vec"),
+            ]
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: row ") and proc.stderr.count("\n") == 1
+        assert "weight problem overflows" in proc.stderr
+
     def test_weight_dump(self, fixture_files):
         tmp_path, _, _, domain_csv, vec_path = fixture_files
         dump = tmp_path / "w.txt"

@@ -51,6 +51,11 @@ def exhaustive_min_tree_weight(D):
     return best
 
 
+def directed_edges(graph):
+    """All edges of ``graph`` as (src, dst) pairs."""
+    return {(int(j), i) for i in range(graph.n) for j in in_neighbors(graph, i)}
+
+
 def reference_kruskal(D):
     """Kruskal over every edge in (weight, smaller index, larger index) order."""
     n = D.shape[0]
@@ -182,7 +187,7 @@ class TestAugmentToMinDegree:
         for u, v, _ in mst:
             expected.add((u, v))
             expected.add((v, u))
-        assert g.directed_edges() == expected
+        assert directed_edges(g) == expected
 
     def test_added_sources_are_nearest_nonneighbors(self):
         rng = np.random.default_rng(12)
@@ -217,7 +222,7 @@ class TestAugmentToMinDegree:
         rng = np.random.default_rng(13)
         D = euclidean_distance_matrix(rng.normal(size=(15, 2)))
         g = build_graph(D, 5)
-        assert all((j, j) not in g.directed_edges() for j in range(15))
+        assert all((j, j) not in directed_edges(g) for j in range(15))
 
 
 class TestGraphQueries:
@@ -236,7 +241,7 @@ class TestGraphQueries:
         rng = np.random.default_rng(14)
         D = euclidean_distance_matrix(rng.normal(size=(25, 4)))
         g = build_graph(D, 6)
-        edges = g.directed_edges()
+        edges = directed_edges(g)
         for i in range(25):
             assert in_neighbors(g, i).tolist() == sorted(
                 j for j, dst in edges if dst == i
@@ -252,14 +257,7 @@ class TestAnchorReachability:
             assert assert_anchor_reachability(g, p)
 
     def test_handbuilt_disconnected_graph(self):
-        incoming = (
-            np.array([1]),
-            np.array([0]),
-            np.array([3]),
-            np.array([2]),
-        )
-        weights = tuple(np.ones(a.size) for a in incoming)
-        g = NeighborGraph(4, 1, incoming, weights)
+        g = NeighborGraph(4, 1, [0, 1, 2, 3, 4], [1, 0, 3, 2], np.ones(4))
         assert not assert_anchor_reachability(g, 2)
         assert not is_connected(g)
 
@@ -269,7 +267,7 @@ class TestAnchorReachability:
         g = build_graph(D, 3)
         nxg = nx.DiGraph()
         nxg.add_nodes_from(range(50))
-        nxg.add_edges_from(g.directed_edges())
+        nxg.add_edges_from(directed_edges(g))
         reached = set()
         for a in range(5):
             reached |= nx.descendants(nxg, a) | {a}
@@ -280,6 +278,59 @@ class TestAnchorReachability:
         g = build_graph(D, 1)
         with pytest.raises(ValidationError):
             assert_anchor_reachability(g, 0)
+
+
+class TestGraphLayout:
+    """``NeighborGraph`` checks its CSR arrays; each rule has its own test."""
+
+    # 4 vertices, edges into 0 from 1; into 1 from 0 and 2; into 3 from 2
+    INDPTR, INDICES, DISTANCES = [0, 1, 3, 3, 4], [1, 0, 2, 2], [1.0, 1.0, 2.0, 3.0]
+
+    def test_valid_layout_is_stored_as_int64_and_float64(self):
+        g = NeighborGraph(4, 1, self.INDPTR, np.array(self.INDICES, dtype=np.int32), self.DISTANCES)
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+        assert g.distances.dtype == np.float64
+        assert in_neighbors(g, 1).tolist() == [0, 2]
+        assert in_neighbors(g, 2).tolist() == []
+
+    @pytest.mark.parametrize(
+        "indptr",
+        [[0, 1, 3, 4], [0, 1, 3, 3, 4, 4], [1, 1, 3, 3, 4], [0, 3, 1, 3, 4], [0, 1, 3, 3, 3]],
+    )
+    def test_indptr_must_run_from_zero_to_the_source_count(self, indptr):
+        with pytest.raises(ValidationError, match="indptr"):
+            NeighborGraph(4, 1, indptr, self.INDICES, self.DISTANCES)
+
+    @pytest.mark.parametrize("bad", [7, 4, -1, 1])
+    def test_sources_must_be_other_vertices(self, bad):
+        # source 7 in row 1 used to reach csgraph unchecked and abort the
+        # interpreter; -1 silently read as unreachable; 1 is row 1 itself
+        indices = [1, 0, bad, 2]
+        with pytest.raises(ValidationError, match=r"sources must lie in \[0, 4\)"):
+            NeighborGraph(4, 1, self.INDPTR, indices, self.DISTANCES)
+
+    @pytest.mark.parametrize("indices", [[1, 2, 0, 2], [1, 2, 2, 2]])
+    def test_sources_must_ascend_strictly_within_a_row(self, indices):
+        with pytest.raises(ValidationError, match="strictly ascending"):
+            NeighborGraph(4, 1, self.INDPTR, indices, self.DISTANCES)
+        # a drop between rows is allowed
+        NeighborGraph(4, 1, self.INDPTR, [2, 0, 2, 0], self.DISTANCES)
+
+    @pytest.mark.parametrize(
+        "distances",
+        [[1.0, 1.0, 2.0], [[1.0, 1.0, 2.0, 3.0]], [1.0, np.nan, 2.0, 3.0], [1.0, 1.0, np.inf, 3.0], [1.0, 1.0, 2.0, -3.0]],
+    )
+    def test_distances_must_be_finite_non_negative_and_one_per_source(self, distances):
+        with pytest.raises(ValidationError, match="distances"):
+            NeighborGraph(4, 1, self.INDPTR, self.INDICES, distances)
+
+    def test_counters_read_by_the_benchmark_tracer(self):
+        g = build_graph(euclidean_distance_matrix(np.random.default_rng(23).normal(size=(40, 3))), 5)
+        degrees = g.in_degrees()
+        assert degrees.dtype.kind == "i"
+        assert degrees.tolist() == [in_neighbors(g, i).size for i in range(g.n)]
+        assert type(g.edge_count()) is int
+        assert g.edge_count() == g.indices.size
 
 
 class TestGraphInvariants:
@@ -296,7 +347,7 @@ class TestGraphInvariants:
         D = euclidean_distance_matrix(rng.normal(size=(35, 3)))
         a = build_graph(D, 5)
         b = build_graph(D, 5)
-        assert a.directed_edges() == b.directed_edges()
+        assert directed_edges(a) == directed_edges(b)
 
     def test_determinism_under_distance_ties(self):
         # grid points create many equal distances
@@ -304,7 +355,7 @@ class TestGraphInvariants:
         D = euclidean_distance_matrix(np.array(coords))
         a = build_graph(D, 4)
         b = build_graph(D, 4)
-        assert a.directed_edges() == b.directed_edges()
+        assert directed_edges(a) == directed_edges(b)
 
     def test_stats_keys(self):
         D = points([0.0, 1.0, 3.0])
@@ -328,12 +379,11 @@ class TestReferenceOracle:
         assert mst == reference_mst
         for delta in deltas:
             incoming, in_weights = reference_augment(reference_mst, D, delta)
+            indptr = np.cumsum([0] + [a.size for a in incoming])
             for graph in (build_graph(D, delta), augment_to_min_degree(mst, D, delta)):
-                assert len(graph.incoming) == len(incoming)
-                for got, want in zip(graph.incoming, incoming):
-                    np.testing.assert_array_equal(got, want)
-                for got, want in zip(graph.in_weights, in_weights):
-                    np.testing.assert_array_equal(got, want)
+                assert np.array_equal(graph.indptr, indptr)
+                assert np.array_equal(graph.indices, np.concatenate(incoming))
+                assert np.array_equal(graph.distances, np.concatenate(in_weights))
 
     def test_ring_centre_ties_resolve_to_smaller_indices(self):
         D = euclidean_distance_matrix(ring_around_centre())

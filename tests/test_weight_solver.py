@@ -14,6 +14,7 @@ from embimpute import (
     build_graph,
     euclidean_distance_matrix,
     fix_known_block,
+    in_neighbors,
     make_transfer_data,
     solve_row_weights,
     write_coordinate_text,
@@ -91,7 +92,8 @@ def reference_row_weights(x, M):
 def assert_rows_match_reference(graph, domain, W):
     """Every row of ``W`` holds exactly the reference solver's weights."""
     X = domain.data
-    for i, srcs in enumerate(graph.incoming):
+    for i in range(graph.n):
+        srcs = in_neighbors(graph, i)
         w = reference_row_weights(X[i], X[srcs])
         cols, vals = W.row(i)
         assert np.array_equal(cols, srcs[w > 0.0]), i
@@ -295,7 +297,7 @@ class TestAssembleWeightMatrix:
         W = assemble_weight_matrix(g, domain)
         for i in range(30):
             cols, _ = W.row(i)
-            assert set(cols.tolist()) <= set(g.incoming[i].tolist())
+            assert set(cols.tolist()) <= set(in_neighbors(g, i).tolist())
 
     def test_zero_column_diagnostic(self, caplog):
         # the far point is nobody's useful neighbor: its sole dependent row
@@ -322,18 +324,46 @@ class TestAssembleWeightMatrix:
         domain = DomainMatrix(tuple(f"e{i}" for i in range(20)), rng.normal(size=(20, 2)))
         g = build_graph(euclidean_distance_matrix(domain), 3)
         domain.data[[7, 15], 0] = np.nan  # corrupt after validation
-        first = min(i for i, srcs in enumerate(g.incoming) if {7, 15} & {i, *srcs.tolist()})
+        first = min(i for i in range(20) if {7, 15} & {i, *in_neighbors(g, i).tolist()})
         with pytest.raises(ValidationError, match=rf"^row {first} \(e{first}\): non-finite"):
             assemble_weight_matrix(g, domain)
 
     def test_row_without_neighbors_named(self):
         domain = DomainMatrix(("a", "b", "c"), [[0.0], [1.0], [3.0]])
         g = build_graph(euclidean_distance_matrix(domain), 1)
-        empty = NeighborGraph(3, 1, (g.incoming[0], np.empty(0, dtype=np.int64), g.incoming[2]),
-                              (g.in_weights[0], np.empty(0), g.in_weights[2]))
+        # g with the edges into b left out
+        keep = np.r_[g.indptr[0] : g.indptr[1], g.indptr[2] : g.indptr[3]]
+        empty = NeighborGraph(3, 1, [0, 1, 1, 2], g.indices[keep], g.distances[keep])
         domain.data[2, 0] = np.nan
         with pytest.raises(ValidationError, match=r"^row 1 \(b\): at least one neighbor"):
             assemble_weight_matrix(empty, domain)
+
+
+class TestOverflow:
+    def test_overflowing_row_is_a_one_line_error(self, capfd):
+        with pytest.raises(ValidationError, match="^weight problem overflows"):
+            solve_row_weights([1e200, 0], [[1e200, 1], [2e200, 0], [3e200, 5]])
+        # nothing reaches LAPACK, so it prints nothing
+        assert capfd.readouterr().err == ""
+
+    def test_scale_limit(self):
+        rng = np.random.default_rng(36)
+        x, M = rng.normal(size=3), rng.normal(size=(5, 3))
+        w = solve_row_weights(1e153 * x, 1e153 * M)
+        assert np.array_equal(w, reference_row_weights(1e153 * x, 1e153 * M))
+        assert w.min() >= 0.0 and abs(w.sum() - 1.0) < 1e-12
+        with pytest.raises(ValidationError, match="overflows"):
+            solve_row_weights(1e154 * x, 1e154 * M)
+
+    def test_assembly_names_the_first_overflowing_row(self, capfd):
+        rng = np.random.default_rng(37)
+        domain = DomainMatrix(tuple(f"e{i}" for i in range(30)), rng.normal(size=(30, 3)))
+        g = build_graph(euclidean_distance_matrix(domain), 4)
+        domain.data[[9, 21]] *= 1e160  # scale after the graph is built
+        first = min(i for i in range(30) if {9, 21} & set(in_neighbors(g, i).tolist()))
+        with pytest.raises(ValidationError, match=rf"^row {first} \(e{first}\): weight problem overflows"):
+            assemble_weight_matrix(g, domain)
+        assert capfd.readouterr().err == ""
 
 
 class TestLockstepMatchesPerRowReference:
@@ -404,7 +434,7 @@ class TestLockstepMatchesPerRowReference:
         base = rng.normal(size=(40, 4))
         graph, domain, W = assembled(np.vstack([base, base[:5]]), 6)
         for i in range(5):
-            assert 40 + i in graph.incoming[i].tolist()
+            assert 40 + i in in_neighbors(graph, i).tolist()
         assert_rows_match_reference(graph, domain, W)
 
     @pytest.mark.parametrize("gather_bytes, state_bytes", [(1, 1), (100_000, 8_000)])
