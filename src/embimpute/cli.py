@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +36,8 @@ from .pipeline import impute_embeddings
 from .weight_solver import write_coordinate_text
 
 
-_SOLVER_COUNTERS = ("lstsq_fallbacks", "uniform_fallbacks", "capped_rows")
+_MANIFEST_FLAGS = ("domain", "embeddings", "out", "delta", "eta", "max_iter", "seed", "init_sigma")
+_WEIGHT_COUNTERS = ("lstsq_fallbacks", "uniform_fallbacks", "capped_rows", "zero_weight_columns")
 
 
 class _UsageError(Exception):
@@ -47,33 +47,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass
-class RunManifest:
-    """Machine-readable record of one impute run, as key=value lines."""
-
-    config: dict = field(default_factory=dict)
-    digests: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    convergence: dict = field(default_factory=dict)
-
-    def lines(self) -> list[str]:
-        out = []
-        for key, value in self.config.items():
-            out.append(f"{key}={value}")
-        for key, value in self.digests.items():
-            out.append(f"{key}_sha256={value}")
-        for key, value in self.timings.items():
-            out.append(f"time_{key}={value:.6f}")
-        for key, value in self.convergence.items():
-            out.append(f"{key}={value}")
-        return out
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self.lines():
-                fh.write(line + "\n")
 
 
 def _sha256(path) -> str:
@@ -98,9 +71,12 @@ def _cmd_impute(args) -> int:
     table = load_embeddings(args.embeddings)
     timings["load"] = time.perf_counter() - start
 
-    progress = sys.stderr if args.progress else None
-    run = impute_embeddings(domain, table, delta=args.delta, config=config, progress=progress)
+    run = impute_embeddings(domain, table, delta=args.delta, config=config)
     timings.update(run.timings)
+    result = run.result
+    if args.progress:
+        for t, rel in enumerate(result.trace, 1):
+            print(f"iter={t} rel_change={rel:.6e}", file=sys.stderr)
 
     start = time.perf_counter()
     save_embeddings(run.table, args.out)
@@ -112,33 +88,23 @@ def _cmd_impute(args) -> int:
         else:
             write_coordinate_text(run.weights, args.dump_weights)
 
-    result = run.result
     if args.manifest:
-        manifest = RunManifest(
-            config={
-                "domain": args.domain,
-                "embeddings": args.embeddings,
-                "out": args.out,
-                "delta": args.delta,
-                "eta": args.eta,
-                "max_iter": args.max_iter,
-                "seed": args.seed,
-                "init_sigma": args.init_sigma,
-            },
-            digests={"domain": _sha256(args.domain), "embeddings": _sha256(args.embeddings)},
-            timings=timings,
-            convergence={
-                "n": run.problem.p + run.problem.q,
-                "p": run.problem.p,
-                "q": run.problem.q,
-                "iterations": result.iterations,
-                "final_relative_change": f"{result.final_relative_change:.17g}",
-                "converged": _bool_text(result.converged),
-                # no weights are solved when nothing is missing
-                **{key: getattr(run.weights, key) if run.weights else 0 for key in _SOLVER_COUNTERS},
-            },
-        )
-        manifest.write(args.manifest)
+        lines = [
+            *(f"{key}={getattr(args, key)}" for key in _MANIFEST_FLAGS),
+            f"domain_sha256={_sha256(args.domain)}",
+            f"embeddings_sha256={_sha256(args.embeddings)}",
+            *(f"time_{key}={value:.6f}" for key, value in timings.items()),
+            f"n={run.problem.p + run.problem.q}",
+            f"p={run.problem.p}",
+            f"q={run.problem.q}",
+            f"iterations={result.iterations}",
+            f"final_relative_change={result.final_relative_change:.17g}",
+            f"converged={_bool_text(result.converged)}",
+            # no weights are solved when nothing is missing
+            *(f"{key}={getattr(run.weights, key) if run.weights else 0}" for key in _WEIGHT_COUNTERS),
+        ]
+        with open(args.manifest, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
 
     print(
         f"imputed {run.problem.q} of {run.problem.p + run.problem.q} entities "
@@ -236,7 +202,7 @@ def _build_parser() -> _Parser:
     impute.add_argument("--init-sigma", type=float, default=0.1)
     impute.add_argument("--manifest", default=None, help="write key=value run record here")
     impute.add_argument("--dump-weights", default=None, help="dump weight matrix as 'i j w' text")
-    impute.add_argument("--progress", action="store_true", help="per-iteration lines on stderr")
+    impute.add_argument("--progress", action="store_true", help="per-sweep trace lines on stderr")
     impute.set_defaults(func=_cmd_impute)
 
     stats = sub.add_parser("graph-stats", help="inspect the neighbor graph")

@@ -2,9 +2,9 @@
 
 Rows for known entities are rewritten to identity so their vectors stay
 frozen; repeated multiplication by the resulting matrix drives the unknown
-block to a fixed point that does not depend on its initialization. A dense
-linear solve of the same fixed point and an eigenvalue report are provided
-for verification and diagnostics.
+block to a fixed point that does not depend on its initialization. A sparse
+LU solve of the same fixed point and an eigenvalue report are provided for
+verification and diagnostics.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, ValidationError
 from .manifold_graph import reached_from_anchors
@@ -21,7 +22,6 @@ from .weight_solver import WeightMatrix
 
 _UNIT_EIGENVALUE_TOL = 1e-6
 _DIAGNOSTIC_SIZE_CAP = 2000
-_CLOSED_FORM_SIZE_CAP = 4096
 
 
 @dataclass
@@ -34,22 +34,29 @@ class ImputationConfig:
     init_sigma: float = 0.1
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValidationError("eta must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ValidationError("eta must be positive and finite")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be at least 1")
-        if self.init_sigma < 0:
-            raise ValidationError("init_sigma must be non-negative")
+        if not 0 <= self.init_sigma < math.inf:
+            raise ValidationError("init_sigma must be non-negative and finite")
 
 
 @dataclass
 class ImputationResult:
-    """Full vector matrix with the known block preserved bit-for-bit."""
+    """Full vector matrix with the known block preserved bit-for-bit.
+
+    ``trace`` holds the relative change after each sweep, so it has
+    ``iterations`` entries and ends with ``final_relative_change``.
+    ``converged`` means that change fell below eta; it bounds the last
+    step, not the distance to the fixed point.
+    """
 
     Y: np.ndarray
     iterations: int
     final_relative_change: float
     converged: bool
+    trace: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,6 @@ def power_iterate(
     weights: WeightMatrix,
     known: np.ndarray,
     config: ImputationConfig | None = None,
-    progress=None,
 ) -> ImputationResult:
     """Diffuse the known vectors into the unknown block.
 
@@ -121,7 +127,8 @@ def power_iterate(
     unknown block starts from seeded Gaussian noise and is multiplied
     forward until the relative L1 change between sweeps drops below
     ``config.eta`` or the iteration cap is reached. A zero-norm iterate
-    counts as infinite change rather than a division error.
+    counts as infinite change rather than a division error. Every sweep's
+    relative change is kept in the result's ``trace``.
 
     Raises ConvergenceError if some unknown row cannot be reached from the
     known block through the weight support, since the fixed point would
@@ -142,8 +149,7 @@ def power_iterate(
     rng = np.random.default_rng(config.seed)
     yq = rng.normal(0.0, config.init_sigma, size=(q, known.shape[1]))
 
-    rel = math.inf
-    iterations = 0
+    trace = []
     converged = False
     for t in range(1, config.max_iter + 1):
         new = anchor_part + free_block @ yq
@@ -153,9 +159,7 @@ def power_iterate(
         den = float(np.abs(yq).sum())
         rel = math.inf if den == 0.0 else num / den
         yq = new
-        iterations = t
-        if progress is not None:
-            progress.write(f"iter={t} rel_change={rel:.6e}\n")
+        trace.append(rel)
         if rel < config.eta:
             converged = True
             break
@@ -163,29 +167,23 @@ def power_iterate(
     Y = np.empty((p + q, known.shape[1]))
     Y[:p] = known
     Y[p:] = yq
-    return ImputationResult(Y, iterations, float(rel), converged)
+    return ImputationResult(Y, len(trace), trace[-1], converged, tuple(trace))
 
 
 def closed_form_solve(weights: WeightMatrix, known: np.ndarray) -> np.ndarray:
-    """Fixed point of the diffusion by dense linear solve.
+    """Fixed point of the diffusion by sparse LU.
 
-    Returns the unknown block directly. Intended as a verification oracle
-    for moderate sizes, not the production path; refuses systems with more
-    than 4096 unknown rows.
+    Solves (I - W_qq) Y_q = W_qp Y_p and returns the unknown block
+    directly. Exact up to rounding, at any size the factor fits in memory.
     """
     known, m, p, q = _fixed_system(weights, known)
     if q == 0:
         return np.zeros((0, known.shape[1]))
-    if q > _CLOSED_FORM_SIZE_CAP:
-        raise ValidationError(
-            f"closed-form solve capped at {_CLOSED_FORM_SIZE_CAP} unknown rows; "
-            "use power_iterate for larger systems"
-        )
-    system = np.eye(q) - m[p:, p:].toarray()
+    system = sparse.eye(q, format="csc") - m[p:, p:].tocsc()
     rhs = m[p:, :p] @ known
     try:
-        solution = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
+        solution = splu(system).solve(rhs)
+    except RuntimeError as exc:
         raise ConvergenceError(
             f"fixed-point system is singular ({exc}); the free block does not contract"
         ) from exc

@@ -173,7 +173,10 @@ def _augment(mst_edges, D: np.ndarray, delta: int) -> NeighborGraph:
 
     # an edge dst <- src is the key dst * n + src, so sorted keys are the
     # CSR order
-    u, v = np.array([e[:2] for e in mst_edges], dtype=np.int64).reshape(-1, 2).T
+    ends = np.array([e[:2] for e in mst_edges], dtype=np.int64).reshape(-1, 2)
+    if ((ends < 0) | (ends >= n)).any():
+        raise ValidationError(f"tree edge endpoints must lie in [0, {n})")
+    u, v = ends.T
     tree = np.unique(np.concatenate([u * n + v, v * n + u]))
     need = delta - np.bincount(tree // n, minlength=n)
     short = np.flatnonzero(need > 0)

@@ -31,7 +31,6 @@ def impute_aligned(
     known: np.ndarray,
     delta: int = 8,
     config: ImputationConfig | None = None,
-    progress=None,
 ) -> tuple[NeighborGraph, WeightMatrix, ImputationResult, dict[str, float]]:
     """Impute the rows of ``domain`` past the ``len(known)`` known ones.
 
@@ -57,7 +56,7 @@ def impute_aligned(
 
     start = time.perf_counter()
     fixed = fix_known_block(weights, len(known))
-    result = power_iterate(fixed, known, config, progress=progress)
+    result = power_iterate(fixed, known, config)
     timings["iterate"] = time.perf_counter() - start
     return graph, weights, result, timings
 
@@ -67,7 +66,6 @@ def impute_embeddings(
     table: EmbeddingTable,
     delta: int = 8,
     config: ImputationConfig | None = None,
-    progress=None,
 ) -> PipelineRun:
     """Recover embedding vectors for domain entities missing from ``table``.
 
@@ -87,7 +85,7 @@ def impute_embeddings(
         result = ImputationResult(problem.known.copy(), 0, 0.0, True)
     else:
         graph, weights, result, stage_times = impute_aligned(
-            problem.domain, problem.known, delta, config, progress
+            problem.domain, problem.known, delta, config
         )
         timings.update(stage_times)
 

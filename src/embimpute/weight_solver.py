@@ -22,7 +22,6 @@ extra memory stays near a megabyte whatever n and d are.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,6 @@ from scipy import sparse
 from .domain_geometry import DomainMatrix
 from .errors import ValidationError
 from .manifold_graph import NeighborGraph
-
-logger = logging.getLogger(__name__)
 
 _DUAL_TOL = 1e-10  # optimality threshold on the reduced gradient
 _FEAS_TOL = 1e-12
@@ -77,6 +74,15 @@ class WeightMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def zero_weight_columns(self) -> int:
+        """Columns with no weight in any row.
+
+        Such vertices do not break the diffusion, but their vectors
+        influence no other row.
+        """
+        return self.n - np.unique(self.matrix.indices).size
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Column indices and weights of row ``i``."""
@@ -259,11 +265,10 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
     """Solve every row problem over the graph's in-neighbors.
 
     Rows of equal in-degree are solved together in blocks (see the module
-    docstring); a row's zero weights are left out of the sparse support.
-    Columns that end up with no weight anywhere are reported as a
-    diagnostic; they do not break the diffusion, only its symmetry of
-    influence. A row whose products overflow is rejected; the error names
-    the first such row.
+    docstring); a row's zero weights are left out of the sparse support,
+    so a vertex may end up with no weight anywhere (see
+    ``WeightMatrix.zero_weight_columns``). A row whose products overflow is
+    rejected; the error names the first such row.
     """
     if graph.n != domain.n:
         raise ValidationError(
@@ -313,18 +318,7 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
     # the graph's layout; WeightMatrix drops the zero weights in place, so
     # the graph's arrays are copied
     matrix = sparse.csr_matrix((values, sources, start), shape=(n, n), copy=True)
-    weights = WeightMatrix(matrix, *counts.tolist())
-
-    empty_cols = np.flatnonzero(np.bincount(weights.matrix.indices, minlength=n) == 0)
-    if empty_cols.size:
-        shown = ", ".join(str(v) for v in empty_cols[:8])
-        logger.warning(
-            "%d vertices carry no weight in any row (e.g. %s); "
-            "their vectors will not influence the imputation",
-            empty_cols.size,
-            shown,
-        )
-    return weights
+    return WeightMatrix(matrix, *counts.tolist())
 
 
 def write_coordinate_text(weights: WeightMatrix, path) -> None:

@@ -98,7 +98,7 @@ class TestImputeCommand:
             "time_load", "time_align", "time_distance", "time_graph", "time_weights",
             "time_iterate", "time_merge", "time_save",
             "n", "p", "q", "iterations", "final_relative_change", "converged",
-            "lstsq_fallbacks", "uniform_fallbacks", "capped_rows",
+            "lstsq_fallbacks", "uniform_fallbacks", "capped_rows", "zero_weight_columns",
         ]
         manifest = dict(line.split("=", 1) for line in manifest_path.read_text().splitlines())
         _, domain, table, _, _ = fixture_files
@@ -106,6 +106,45 @@ class TestImputeCommand:
         assert manifest["lstsq_fallbacks"] == str(weights.lstsq_fallbacks)
         assert manifest["uniform_fallbacks"] == str(weights.uniform_fallbacks)
         assert manifest["capped_rows"] == str(weights.capped_rows)
+        assert manifest["zero_weight_columns"] == str(weights.zero_weight_columns)
+
+    def test_progress_prints_one_line_per_sweep(self, fixture_files, capsys):
+        tmp_path, domain, table, domain_csv, vec_path = fixture_files
+        code = main(
+            [
+                "impute",
+                "--domain", str(domain_csv),
+                "--embeddings", str(vec_path),
+                "--out", str(tmp_path / "out.vec"),
+                "--progress",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        result = impute_embeddings(domain, table).result
+        assert lines[:-1] == [
+            f"iter={t} rel_change={rel:.6e}" for t, rel in enumerate(result.trace, 1)
+        ]
+        assert len(lines) - 1 == result.iterations > 0
+        assert lines[-1].startswith("imputed ")
+
+    @pytest.mark.parametrize("flag", ["--eta", "--init-sigma"])
+    def test_non_finite_config_exits_one(self, fixture_files, flag, capsys):
+        tmp_path, _, _, domain_csv, vec_path = fixture_files
+        code = main(
+            [
+                "impute",
+                "--domain", str(domain_csv),
+                "--embeddings", str(vec_path),
+                "--out", str(tmp_path / "out.vec"),
+                flag, "inf",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "finite" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.vec").exists()
 
     def test_threads_flag_is_gone(self, fixture_files, capsys):
         tmp_path, _, _, domain_csv, vec_path = fixture_files

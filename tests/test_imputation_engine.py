@@ -1,4 +1,4 @@
-import io
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +19,13 @@ from embimpute.manifold_graph import reached_from_anchors
 
 def weight_matrix(rows):
     return WeightMatrix(sparse.csr_matrix(np.asarray(rows, dtype=float)))
+
+
+def dense_fixed_point(fixed: WeightMatrix, known: np.ndarray) -> np.ndarray:
+    """Reference: solve (I - W_qq) Y_q = W_qp Y_p densely."""
+    m = fixed.toarray()
+    p = known.shape[0]
+    return np.linalg.solve(np.eye(m.shape[0] - p) - m[p:, p:], m[p:, :p] @ known)
 
 
 def free_rows_reachable(m: sparse.csr_matrix, p: int) -> bool:
@@ -66,6 +73,13 @@ class TestImputationConfig:
             ImputationConfig(max_iter=0)
         with pytest.raises(ValidationError):
             ImputationConfig(init_sigma=-1.0)
+
+    @pytest.mark.parametrize(
+        "bad", [{"eta": math.inf}, {"init_sigma": math.nan}, {"init_sigma": math.inf}]
+    )
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            ImputationConfig(**bad)
 
 
 class TestFixKnownBlock:
@@ -188,14 +202,15 @@ class TestPowerIterate:
         assert result.final_relative_change == np.inf
         assert not result.Y.any()
 
-    def test_progress_stream(self):
-        W = weight_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
-        known = np.array([[1.0, 0.0], [0.0, 1.0]])
-        stream = io.StringIO()
-        result = power_iterate(W, known, ImputationConfig(eta=1e-12), progress=stream)
-        lines = stream.getvalue().splitlines()
-        assert len(lines) == result.iterations
-        assert all(line.startswith("iter=") and " rel_change=" in line for line in lines)
+    def test_trace_records_every_sweep(self, random_system):
+        sys = random_system(n=30, p=12, d=4, s=3, delta=4, seed=37)
+        converged = power_iterate(sys.fixed, sys.known, ImputationConfig())
+        capped = power_iterate(sys.fixed, sys.known, ImputationConfig(eta=1e-300, max_iter=7))
+        assert converged.converged and converged.trace[-1] < 1e-2 <= min(converged.trace[:-1])
+        assert not capped.converged and capped.iterations == 7
+        for result in (converged, capped):
+            assert len(result.trace) == result.iterations
+            assert result.trace[-1] == result.final_relative_change
 
     def test_hull_containment_after_convergence(self, random_system):
         sys = random_system(n=50, p=20, d=5, s=4, delta=5, seed=38)
@@ -222,15 +237,12 @@ class TestPowerIterate:
 
     def test_geometric_decay_beyond_burn_in(self, random_system):
         sys = random_system(n=60, p=24, d=5, s=6, delta=5, seed=39)
-        stream = io.StringIO()
         result = power_iterate(
-            sys.fixed,
-            sys.known,
-            ImputationConfig(eta=1e-300, max_iter=120),
-            progress=stream,
+            sys.fixed, sys.known, ImputationConfig(eta=1e-300, max_iter=120)
         )
-        rates = [float(line.split("rel_change=")[1]) for line in stream.getvalue().splitlines()]
-        assert len(rates) == 120
+        rates = result.trace
+        assert len(rates) == result.iterations == 120
+        assert rates[-1] == result.final_relative_change
         rho = spectral_diagnostics(sys.weights, 24).free_block_spectral_radius
         fit_window = range(10, 40)
         c = max(rates[t] / rho ** (t + 1) for t in fit_window)
@@ -262,10 +274,35 @@ class TestClosedFormSolve:
         with pytest.raises(ConvergenceError):
             closed_form_solve(W, np.array([[1.0]]))
 
-    def test_size_cap(self):
-        W = WeightMatrix(sparse.eye(5000, format="csr"))
-        with pytest.raises(ValidationError, match="capped"):
-            closed_form_solve(W, np.ones((1, 2)))
+    def test_matches_dense_reference(self, random_system):
+        # the C2 acceptance systems
+        for seed in range(20):
+            sys = random_system(n=100, p=40, d=8, s=16, delta=8, seed=seed)
+            np.testing.assert_allclose(
+                closed_form_solve(sys.fixed, sys.known),
+                dense_fixed_point(sys.fixed, sys.known),
+                rtol=1e-10,
+            )
+
+    def test_beyond_former_dense_size(self):
+        # q = 5000 unknown rows, past the 4096 the dense solve allowed; each
+        # unknown row draws on the row before it, so all are reached, and on
+        # rows up to 20 away, which keeps the LU factor narrow
+        rng = np.random.default_rng(46)
+        p, q = 3, 5000
+        n = p + q
+        near = np.arange(p, n)[:, None] + rng.integers(-20, 21, size=(q, 3))
+        cols = np.column_stack([np.arange(p - 1, n - 1), np.clip(near, 0, n - 1)])
+        vals = rng.random((q, 4)) + 0.1
+        vals /= vals.sum(axis=1, keepdims=True)
+        rows = np.repeat(np.arange(q), 4)
+        free = sparse.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(q, n))
+        W = WeightMatrix(sparse.vstack([sparse.eye(p, n), free]))
+        known = rng.normal(size=(p, 2))
+        solution = closed_form_solve(W, known)
+        m = W.matrix
+        residual = m[p:, :p] @ known + m[p:, p:] @ solution - solution
+        assert np.abs(residual).max() < 1e-12 * np.abs(solution).max()
 
 
 class TestSpectralDiagnostics:

@@ -218,6 +218,12 @@ class TestAugmentToMinDegree:
         with pytest.raises(ValidationError):
             augment_to_min_degree(build_mst(D), D, 3)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_tree_endpoint_out_of_range_rejected(self, bad):
+        D = points([0.0, 1.0, 3.0])
+        with pytest.raises(ValidationError, match=r"endpoints must lie in \[0, 3\)"):
+            augment_to_min_degree([(0, 1, 1.0), (1, bad, 2.0)], D, 1)
+
     def test_no_self_loops(self):
         rng = np.random.default_rng(13)
         D = euclidean_distance_matrix(rng.normal(size=(15, 2)))
