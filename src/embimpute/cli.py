@@ -30,7 +30,7 @@ from .evaluation import (
     sensitivity_sweep,
 )
 from .imputation_engine import ImputationConfig
-from .manifold_graph import build_graph, graph_stats
+from .manifold_graph import _build_unchecked, graph_stats
 from .domain_geometry import euclidean_distance_matrix
 from .pipeline import impute_embeddings
 from .weight_solver import write_coordinate_text
@@ -117,7 +117,7 @@ def _cmd_impute(args) -> int:
 
 def _cmd_graph_stats(args) -> int:
     domain = load_domain_csv(args.domain)
-    graph = build_graph(euclidean_distance_matrix(domain), args.delta)
+    graph = _build_unchecked(euclidean_distance_matrix(domain), args.delta)
     stats = graph_stats(graph)
     for key in ("vertices", "edges", "min_in_degree", "max_in_degree"):
         print(f"{key}={stats[key]}")

@@ -8,12 +8,17 @@ matrix usable as such a feature matrix.
 
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
+
+_BLOCK_BYTES = 1 << 20  # bytes of distances in one row block of the upper triangle
 
 
 @dataclass
@@ -59,12 +64,24 @@ class DomainMatrix:
         return self.data.shape[1]
 
 
+def _finite(block: np.ndarray) -> np.ndarray:
+    # distances are non-negative, so NaN and overflow both reach the maximum
+    if not np.isfinite(block.max()):
+        raise ValidationError("distance matrix contains non-finite values")
+    return block
+
+
 def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distance matrix over entity rows.
 
-    Accepts a DomainMatrix or a bare (n, d) array. The result is symmetric
-    with an exactly zero diagonal; distances are computed in double
-    precision with no squared-distance shortcut in the result.
+    Accepts a DomainMatrix or a bare (n, d) array. The result is finite and
+    symmetric with an exactly zero diagonal, and it has the same bits as
+    ``scipy.spatial.distance.cdist(X, X)``: no squared-distance shortcut.
+    Only the upper triangle is computed, in row blocks of
+    ``cdist(X[i:i + b], X[i:])`` that are mirrored into the lower one; the
+    blocks run on one thread per CPU in the process's affinity mask
+    (``cdist`` releases the GIL), or inline when one block covers the
+    matrix. Distances that overflow raise ``ValidationError``.
     """
     if isinstance(domain, DomainMatrix):
         data = domain.data
@@ -75,9 +92,42 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
         bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1))
         if bad_rows.size:
             raise ValidationError(f"non-finite value in row {int(bad_rows[0])}")
-    if data.shape[0] < 2:
+    n = data.shape[0]
+    if n < 2:
         raise ValidationError("distance matrix needs at least 2 rows")
-    return cdist(data, data)
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    if rows >= n:
+        return _finite(cdist(data, data))
+
+    D = np.empty((n, n))
+    workers = len(os.sched_getaffinity(0))
+    # blocks are written into buffers made by this thread: a block made
+    # and freed in a worker would stay resident in that worker's malloc
+    # arena after the call
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(np.empty(rows * n))
+
+    def fill(lo):
+        m, w = min(rows, n - lo), n - lo
+        buf = buffers.get()
+        try:
+            # cdist gives the same bits in either argument order, and blocks
+            # write disjoint parts of D apart from their own diagonal square
+            block = _finite(cdist(data[lo : lo + m], data[lo:], out=buf[: m * w].reshape(m, w)))
+            D[lo : lo + m, lo:] = block
+            D[lo:, lo : lo + m] = block.T
+        finally:
+            # also after a failed block: a worker that has already started
+            # the next block waits for a buffer
+            buffers.put(buf)
+
+    with ThreadPoolExecutor(workers) as pool:
+        # map re-raises a worker's exception here and cancels the
+        # blocks not yet started
+        for _ in pool.map(fill, range(0, n, rows)):
+            pass
+    return D
 
 
 def correlation_domain_matrix(

@@ -131,9 +131,10 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
             )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table.entries)} {table.dim}\n")
+        # one % operation per line; it gives the bytes of f"{v:.17g}"
+        line = "%s " + " ".join(["%.17g"] * table.dim) + "\n"
         for token, vec in table.entries.items():
-            values = " ".join(f"{v:.17g}" for v in vec)
-            fh.write(f"{token} {values}\n")
+            fh.write(line % (token, *vec.tolist()))
 
 
 def align(domain: DomainMatrix, table: EmbeddingTable) -> AlignedProblem:

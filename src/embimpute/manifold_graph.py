@@ -11,7 +11,9 @@ Under a strict total order the spanning tree is unique, so it is the tree
 Kruskal's algorithm yields when it scans edges in that order. The whole
 stage takes O(n^2) time and allocates nothing n x n beyond ``D`` itself.
 ``build_graph`` validates ``D`` once; ``build_mst`` and
-``augment_to_min_degree`` each validate their own input.
+``augment_to_min_degree`` each validate their own input. The pipeline and
+the CLI hand the output of ``euclidean_distance_matrix``, which is valid by
+construction, to ``_build_unchecked``.
 
 The graph is stored in the CSR layout of ``WeightMatrix``: row i lists the
 sources of the edges into vertex i, ascending. The weight solver and the
@@ -210,13 +212,18 @@ def augment_to_min_degree(mst_edges, D, delta: int) -> NeighborGraph:
     return _augment(mst_edges, _validated_distances(D), delta)
 
 
+def _build_unchecked(D: np.ndarray, delta: int) -> NeighborGraph:
+    # D must be square, finite, non-negative, symmetric and zero on the
+    # diagonal: checked by build_graph, or true by construction
+    return _augment(_mst(D), D, delta)
+
+
 def build_graph(D, delta: int = 8) -> NeighborGraph:
     """Spanning-tree construction followed by minimum-degree augmentation.
 
     ``D`` is validated once, then shared by both steps.
     """
-    D = _validated_distances(D)
-    return _augment(_mst(D), D, delta)
+    return _build_unchecked(_validated_distances(D), delta)
 
 
 def in_neighbors(graph: NeighborGraph, i: int) -> np.ndarray:

@@ -4,15 +4,20 @@ import sys
 import numpy as np
 import pytest
 
+from scipy.spatial.distance import cdist
+
 from embimpute import (
     DomainMatrix,
     EmbeddingTable,
     ImputationConfig,
+    build_graph,
+    graph_stats,
     impute_embeddings,
     load_embeddings,
     save_embeddings,
 )
 from embimpute.cli import main
+from test_domain_geometry import OVERFLOW, overflowing_rows
 
 
 def write_domain_csv(path, domain):
@@ -273,7 +278,33 @@ class TestImputeCommand:
         int(first[0]), int(first[1]), float(first[2])
 
 
+@pytest.mark.parametrize("command", ["impute", "graph-stats"])
+def test_overflowing_distances_are_one_line_error(command, tmp_path, capsys):
+    entities = tuple(f"e{i}" for i in range(6))
+    write_domain_csv(tmp_path / "domain.csv", DomainMatrix(entities, overflowing_rows()))
+    args = [command, "--domain", str(tmp_path / "domain.csv"), "--delta", "2"]
+    if command == "impute":
+        save_embeddings(EmbeddingTable(2, {e: [1.0, 2.0] for e in entities[:3]}), tmp_path / "known.vec")
+        args += ["--embeddings", str(tmp_path / "known.vec"), "--out", str(tmp_path / "out.vec")]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {OVERFLOW}\n"
+
+
 class TestOtherCommands:
+    def test_graph_stats_match_build_graph_on_cdist(self, fixture_files, capsys):
+        _, domain, _, domain_csv, _ = fixture_files
+        code = main(["graph-stats", "--domain", str(domain_csv), "--delta", "5"])
+        out = capsys.readouterr().out
+        stats = graph_stats(build_graph(cdist(domain.data, domain.data), 5))
+        assert code == 0
+        assert out == "".join(
+            f"{key}={str(stats[key]).lower()}\n"
+            for key in ("vertices", "edges", "min_in_degree", "max_in_degree", "connected")
+        )
+
     def test_graph_stats_on_three_points(self, tmp_path, capsys):
         domain = DomainMatrix(("a", "b", "c"), [[0.0], [1.0], [3.0]])
         path = tmp_path / "d.csv"

@@ -1,12 +1,44 @@
+import threading
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from embimpute import (
     DomainMatrix,
+    EmbeddingTable,
     ValidationError,
     correlation_domain_matrix,
+    domain_geometry,
     euclidean_distance_matrix,
+    impute_embeddings,
 )
+from test_manifold_graph import lattice
+
+OVERFLOW = "distance matrix contains non-finite values"
+
+
+def blocks_of(monkeypatch, rows, n):
+    """Shrink the block bound so that an n-row input splits into blocks of
+    ``rows`` rows."""
+    monkeypatch.setattr(domain_geometry, "_BLOCK_BYTES", 8 * n * rows)
+
+
+def overflowing_rows(n=6, d=3):
+    # rows near 1e160: every squared difference overflows to infinity
+    return 1e160 * np.random.default_rng(12).normal(size=(n, d))
+
+
+def overflow_in_block(n, rows, first):
+    """Rows near 0 plus rows ``first`` and ``first + 1`` at +-1e154: only
+    their own pair overflows, (2e154)^2 > 1.8e308, so only the block of
+    row ``first`` meets a non-finite distance."""
+    data = np.random.default_rng(13).normal(size=(n, 3))
+    data[first : first + 2, 0] = [1e154, -1e154]
+    bad = np.argwhere(~np.isfinite(cdist(data, data)))
+    assert sorted(map(tuple, bad.tolist())) == [(first, first + 1), (first + 1, first)]
+    assert first // rows == (first + 1) // rows > 0
+    return data
 
 
 def naive_distance_matrix(data):
@@ -98,6 +130,100 @@ class TestEuclideanDistanceMatrix:
         data[2, 0] = np.inf
         with pytest.raises(ValidationError, match="row 2"):
             euclidean_distance_matrix(data)
+
+
+BLOCKED_INPUTS = {
+    # name: (input, rows per block)
+    "two_rows": (lambda: np.array([[0.0, 1.0], [3.0, -4.0]]), 1),
+    "ragged_last_block": (lambda: np.random.default_rng(14).normal(size=(37, 5)), 5),
+    "one_block_covers_all": (lambda: np.random.default_rng(15).normal(size=(10, 4)), 64),
+    "duplicate_rows": (lambda: np.tile(np.random.default_rng(16).normal(size=(15, 3)), (3, 1)), 4),
+    "lattice_ties": (lambda: lattice(7, 7), 6),
+}
+
+
+class TestBlockedFill:
+    @pytest.mark.parametrize("name", sorted(BLOCKED_INPUTS))
+    def test_bits_equal_cdist(self, name, monkeypatch):
+        make, rows = BLOCKED_INPUTS[name]
+        data = make()
+        blocks_of(monkeypatch, rows, len(data))
+        assert np.array_equal(euclidean_distance_matrix(data), cdist(data, data))
+
+    def test_bits_equal_cdist_at_the_real_block_size(self):
+        data = np.random.default_rng(17).normal(size=(2048, 16))
+        assert 8 * 2048 * 2048 > domain_geometry._BLOCK_BYTES  # several blocks
+        assert np.array_equal(euclidean_distance_matrix(data), cdist(data, data))
+
+    def test_no_worker_outlives_the_call(self, monkeypatch):
+        data = np.random.default_rng(18).normal(size=(40, 3))
+        blocks_of(monkeypatch, 3, 40)
+        before = threading.active_count()
+        euclidean_distance_matrix(data)
+        assert threading.active_count() == before
+        with pytest.raises(ValidationError):
+            euclidean_distance_matrix(overflow_in_block(40, 3, 21))
+        assert threading.active_count() == before
+
+    def test_worker_error_reaches_the_caller_unchanged(self, monkeypatch):
+        data = np.random.default_rng(19).normal(size=(40, 3))
+        blocks_of(monkeypatch, 3, 40)
+        error = ValidationError("raised in a worker")
+        raised_in = []
+
+        def failing_cdist(a, b, **kwargs):
+            if len(b) < 40:  # any block but the first
+                raised_in.append(threading.current_thread())
+                raise error
+            return cdist(a, b, **kwargs)
+
+        monkeypatch.setattr(domain_geometry, "cdist", failing_cdist)
+        with pytest.raises(ValidationError) as info:
+            euclidean_distance_matrix(data)
+        assert info.value is error
+        assert threading.main_thread() not in raised_in
+
+
+    def test_failed_block_on_one_cpu_does_not_hang(self, monkeypatch):
+        # the single worker has started the next block by the time the
+        # failure reaches the caller; that block needs the failed one's buffer
+        monkeypatch.setattr(domain_geometry.os, "sched_getaffinity", lambda pid: {0})
+        blocks_of(monkeypatch, 3, 40)
+        with pytest.raises(ValidationError):
+            euclidean_distance_matrix(overflow_in_block(40, 3, 3))
+
+
+class TestDistanceOverflow:
+    @pytest.mark.parametrize("rows", [None, 2])
+    def test_bare_array(self, rows, monkeypatch):
+        data = overflowing_rows()
+        if rows:
+            blocks_of(monkeypatch, rows, len(data))
+        with pytest.raises(ValidationError) as info:
+            euclidean_distance_matrix(data)
+        assert str(info.value) == OVERFLOW
+
+    def test_domain_matrix(self):
+        domain = DomainMatrix(tuple("abcdef"), overflowing_rows())
+        with pytest.raises(ValidationError) as info:
+            euclidean_distance_matrix(domain)
+        assert str(info.value) == OVERFLOW
+
+    @pytest.mark.parametrize("first", [20, 35])  # a middle block, the ragged last one
+    def test_offending_block_is_not_the_first(self, first, monkeypatch):
+        data = overflow_in_block(37, 5, first)
+        blocks_of(monkeypatch, 5, 37)
+        with pytest.raises(ValidationError) as info:
+            euclidean_distance_matrix(data)
+        assert str(info.value) == OVERFLOW
+
+    def test_impute_embeddings(self):
+        entities = tuple(f"e{i}" for i in range(6))
+        domain = DomainMatrix(entities, overflowing_rows())
+        table = EmbeddingTable(2, {e: [1.0, 2.0] for e in entities[:3]})
+        with pytest.raises(ValidationError) as info:
+            impute_embeddings(domain, table, delta=2)
+        assert str(info.value) == OVERFLOW
 
 
 class TestCorrelationDomainMatrix:

@@ -88,6 +88,22 @@ class TestSaveEmbeddings:
         for tok in table.entries:
             assert loaded.entries[tok].tobytes() == table.entries[tok].tobytes()
 
+    def test_bytes_match_the_per_value_format(self, tmp_path):
+        values = [-0.0, 5e-324, 1e308, 0.1, -1.7976931348623157e308, 1 / 3, 1e16, 2.5e-310]
+        rng = np.random.default_rng(51)
+        entries = {"edge": values, "negated": [-v for v in values]}
+        entries.update((f"tok{i}", rng.normal(size=len(values)) * 10.0 ** rng.integers(-300, 300))
+                       for i in range(20))
+        table = EmbeddingTable(len(values), entries)
+        path = tmp_path / "v.vec"
+        save_embeddings(table, path)
+        expected = f"{len(table)} {table.dim}\n" + "".join(
+            f"{token} " + " ".join(f"{v:.17g}" for v in vec) + "\n"
+            for token, vec in table.entries.items()
+        )
+        assert path.read_bytes() == expected.encode()
+        assert b" -0 " in path.read_bytes() and b" 4.9406564584124654e-324 " in path.read_bytes()
+
     def test_empty_table_writes_header_only(self, tmp_path):
         path = tmp_path / "v.vec"
         save_embeddings(EmbeddingTable(5, {}), path)

@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
+from scipy.spatial.distance import cdist
 
 import embimpute as ei
 from embimpute.pipeline import _STAGES
-from test_manifold_graph import directed_edges
+from test_domain_geometry import blocks_of
+from test_manifold_graph import ORACLE_INPUTS, directed_edges
 
 
 def random_problem(seed, n=40, p=25, d=5, s=6):
@@ -25,6 +28,22 @@ class TestImputeAligned:
         assert result.Y.tobytes() == expected.Y.tobytes()
         assert result.iterations == expected.iterations
         assert list(timings) == ["distance", "graph", "weights", "iterate"]
+
+    @pytest.mark.parametrize("name", ["random_300_d4", "lattice_2d_shuffled", "tripled_rows"])
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_graph_equals_build_graph_on_cdist(self, name, rows, monkeypatch):
+        make, deltas = ORACLE_INPUTS[name]
+        data = make()
+        n, delta = len(data), max(deltas)
+        if rows:
+            blocks_of(monkeypatch, rows, n)
+        domain = ei.DomainMatrix(tuple(f"e{i}" for i in range(n)), data)
+        known = np.random.default_rng(64).normal(size=(n // 2, 3))
+        graph, *_ = ei.impute_aligned(domain, known, delta)
+        expected = ei.build_graph(cdist(data, data), delta)
+        assert np.array_equal(graph.indptr, expected.indptr)
+        assert np.array_equal(graph.indices, expected.indices)
+        assert np.array_equal(graph.distances, expected.distances)
 
     def test_impute_embeddings_is_align_then_impute_aligned(self):
         domain, table = random_problem(61)
