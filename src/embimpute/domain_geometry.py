@@ -79,9 +79,10 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
     ``scipy.spatial.distance.cdist(X, X)``: no squared-distance shortcut.
     Only the upper triangle is computed, in row blocks of
     ``cdist(X[i:i + b], X[i:])`` that are mirrored into the lower one; the
-    blocks run on one thread per CPU in the process's affinity mask
-    (``cdist`` releases the GIL), or inline when one block covers the
-    matrix. Distances that overflow raise ``ValidationError``.
+    blocks run on one thread per CPU in the process's affinity mask (per
+    CPU where the platform has no such mask; ``cdist`` releases the GIL),
+    or inline when one block covers the matrix. Distances that overflow
+    raise ``ValidationError``.
     """
     if isinstance(domain, DomainMatrix):
         data = domain.data
@@ -100,7 +101,11 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
         return _finite(cdist(data, data))
 
     D = np.empty((n, n))
-    workers = len(os.sched_getaffinity(0))
+    # the affinity mask is Linux-only; elsewhere every CPU counts
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
     # blocks are written into buffers made by this thread: a block made
     # and freed in a worker would stay resident in that worker's malloc
     # arena after the call

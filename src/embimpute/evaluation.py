@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +19,11 @@ from scipy.spatial.distance import cdist
 
 from .domain_geometry import DomainMatrix
 from .errors import ValidationError
-from .imputation_engine import ImputationConfig
+from .imputation_engine import ImputationConfig, fix_known_block, power_iterate
 from .pipeline import impute_aligned
 
 _CENTER_SPREAD = 3.0
+_BLOCK_BYTES = 1 << 20  # bytes of distances in one row block of the scored subset
 
 
 @dataclass
@@ -41,6 +43,9 @@ class LabeledEmbeddings:
             raise ValidationError("labels and vectors must have matching length")
         if self.labels.size == 0:
             raise ValidationError("at least one labeled vector is required")
+        bad_rows = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))
+        if bad_rows.size:
+            raise ValidationError(f"non-finite value in vector row {int(bad_rows[0])}")
         if self.labels.min() < 0 or self.labels.max() >= len(self.label_names):
             raise ValidationError("label codes must index into label_names")
 
@@ -86,15 +91,38 @@ class TransferReport:
     converged: bool
 
 
+def _nearest(dists: np.ndarray, r: int) -> np.ndarray:
+    """Per row, the columns of the ``r`` smallest distances in (distance,
+    column) order: the first ``r`` of a stable argsort, without sorting the
+    whole row."""
+    cut = np.partition(dists, r - 1, axis=1)[:, r - 1 : r]
+    picked = dists < cut
+    # then the lowest columns at the cut distance until each row has r
+    rows, cols = np.nonzero(dists == cut)
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    take = rank < (r - np.count_nonzero(picked, axis=1))[rows]
+    picked[rows[take], cols[take]] = True
+    # nonzero lists each row's columns in ascending order, so a stable
+    # sort on distance gives the (distance, column) order
+    picked = np.nonzero(picked)[1].reshape(-1, r)
+    order = np.argsort(np.take_along_axis(dists, picked, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(picked, order, axis=1)
+
+
 def knn_accuracy(data: LabeledEmbeddings, k: int, subset=None) -> float:
     """Leave-one-out k-NN accuracy over ``subset`` (default: all points).
 
     Each point is classified by majority vote of its k nearest other
     points in the full set, by Euclidean distance. Vote ties resolve to
     the label with the closest neighbor, then to the smaller label code;
-    equal distances resolve to the smaller point index.
+    equal distances resolve to the smaller point index. The subset is
+    scored in row blocks of about ``_BLOCK_BYTES`` of distances.
     """
     m = data.vectors.shape[0]
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValidationError(f"k must be an integer, got {k!r}") from None
     if k < 1:
         raise ValidationError("k must be at least 1")
     if k >= m:
@@ -109,24 +137,30 @@ def knn_accuracy(data: LabeledEmbeddings, k: int, subset=None) -> float:
             raise ValidationError("subset index out of range")
 
     n_labels = len(data.label_names)
-    dists = cdist(data.vectors[subset], data.vectors)
+    rows = max(1, _BLOCK_BYTES // (8 * m))
     correct = 0
-    for row, i in zip(dists, subset.tolist()):
-        order = np.argsort(row, kind="stable")
-        neighbors = order[order != i][:k]
+    for lo in range(0, subset.size, rows):
+        points = subset[lo : lo + rows]
+        b = points.size
+        dists = cdist(data.vectors[points], data.vectors)
+        head = _nearest(dists, k + 1)
+        # each row holds its own point once: drop it from the first k + 1
+        # ranks, or drop rank k when a tie at distance 0 ranked it later
+        keep = head != points[:, None]
+        keep[keep.all(axis=1), k] = False
+        neighbors = head[keep].reshape(b, k)
         votes = data.labels[neighbors]
-        counts = np.bincount(votes, minlength=n_labels)
-        best = counts.max()
-        tied = np.flatnonzero(counts == best)
-        if tied.size == 1:
-            predicted = int(tied[0])
-        else:
-            neighbor_dists = row[neighbors]
-            predicted = min(
-                tied.tolist(),
-                key=lambda lab: (neighbor_dists[votes == lab].min(), lab),
-            )
-        correct += predicted == data.labels[i]
+        row = np.arange(b)[:, None]
+        counts = np.bincount((row * n_labels + votes).ravel(), minlength=b * n_labels)
+        counts = counts.reshape(b, n_labels)
+        closest = np.full((b, n_labels), np.inf)
+        np.minimum.at(closest, (row, votes), np.take_along_axis(dists, neighbors, axis=1))
+        # among the labels with the most votes, the first (smallest code)
+        # whose closest neighbor is nearest
+        tied = counts == counts.max(axis=1, keepdims=True)
+        nearest = np.where(tied, closest, np.inf).min(axis=1, keepdims=True)
+        predicted = np.argmax(tied & (closest == nearest), axis=1)
+        correct += int(np.count_nonzero(predicted == data.labels[points]))
     return correct / subset.size
 
 
@@ -165,6 +199,12 @@ def make_transfer_data(spec: SyntheticTransferSpec) -> TransferData:
     return TransferData(DomainMatrix(entities, affinity), semantic, labels, names)
 
 
+def _hidden_accuracy(data: TransferData, vectors: np.ndarray, p: int, k: int) -> float:
+    """k-NN accuracy over the points past the first ``p``."""
+    hidden = np.arange(p, data.labels.size)
+    return knn_accuracy(LabeledEmbeddings(vectors, data.labels, data.label_names), k, hidden)
+
+
 def run_synthetic_transfer(
     spec: SyntheticTransferSpec,
     config: ImputationConfig | None = None,
@@ -187,21 +227,14 @@ def run_synthetic_transfer(
         0.0, data.semantic[:p].std(), size=(q, spec.semantic_dim)
     )
 
-    hidden = np.arange(p, spec.n)
-
-    def score(vectors: np.ndarray) -> float:
-        return knn_accuracy(
-            LabeledEmbeddings(vectors, data.labels, data.label_names), k, hidden
-        )
-
     return TransferReport(
         n=spec.n,
         p=p,
         q=q,
         k=k,
-        imputed_accuracy=score(result.Y),
-        truth_accuracy=score(data.semantic),
-        baseline_accuracy=score(baseline),
+        imputed_accuracy=_hidden_accuracy(data, result.Y, p, k),
+        truth_accuracy=_hidden_accuracy(data, data.semantic, p, k),
+        baseline_accuracy=_hidden_accuracy(data, baseline, p, k),
         iterations=result.iterations,
         converged=result.converged,
     )
@@ -235,7 +268,9 @@ def sensitivity_sweep(
     ``parameter`` is ``"delta"`` or ``"eta"``; returns (value, imputed
     accuracy) pairs in input order. Delta values must be whole numbers
     from 1 to ``spec.n - 1`` and eta values finite and > 0; every value is
-    checked before the first experiment runs.
+    checked before the first experiment runs. A delta sweep runs the whole
+    experiment per value; an eta sweep solves the graph and weights once
+    and re-runs only the diffusion.
     """
     if parameter not in ("delta", "eta"):
         raise ValidationError(f"unknown sweep parameter '{parameter}'")
@@ -246,13 +281,20 @@ def sensitivity_sweep(
     if parameter == "delta" and max(settings) >= spec.n:
         raise ValidationError(f"delta sweep value {max(settings)} needs more than {spec.n} entities")
     config = config or ImputationConfig()
-    table = []
-    for value, setting in zip(values, settings):
-        if parameter == "delta":
-            report = run_synthetic_transfer(spec, config, delta=setting, k=k)
-        else:
-            report = run_synthetic_transfer(
-                spec, dataclasses.replace(config, eta=setting), delta=delta, k=k
-            )
-        table.append((float(value), report.imputed_accuracy))
+    if parameter == "delta":
+        return [
+            (float(value), run_synthetic_transfer(spec, config, setting, k).imputed_accuracy)
+            for value, setting in zip(values, settings)
+        ]
+
+    # eta only moves the diffusion: the graph and weights are solved once
+    data = make_transfer_data(spec)
+    known = data.semantic[: spec.p]
+    first = dataclasses.replace(config, eta=settings[0])
+    _, weights, result, _ = impute_aligned(data.domain, known, delta, first)
+    table = [(float(values[0]), _hidden_accuracy(data, result.Y, spec.p, k))]
+    fixed = fix_known_block(weights, spec.p)
+    for value, eta in zip(values[1:], settings[1:]):
+        result = power_iterate(fixed, known, dataclasses.replace(config, eta=eta))
+        table.append((float(value), _hidden_accuracy(data, result.Y, spec.p, k)))
     return table

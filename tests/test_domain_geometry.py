@@ -192,6 +192,16 @@ class TestBlockedFill:
         with pytest.raises(ValidationError):
             euclidean_distance_matrix(overflow_in_block(40, 3, 3))
 
+    @pytest.mark.parametrize("cpus", [None, 1, 3])
+    def test_platform_without_affinity_mask(self, cpus, monkeypatch):
+        # macOS and Windows have no sched_getaffinity; os.cpu_count() may
+        # also be None there
+        monkeypatch.delattr(domain_geometry.os, "sched_getaffinity")
+        monkeypatch.setattr(domain_geometry.os, "cpu_count", lambda: cpus)
+        data = np.random.default_rng(20).normal(size=(40, 3))
+        blocks_of(monkeypatch, 3, 40)
+        assert np.array_equal(euclidean_distance_matrix(data), cdist(data, data))
+
 
 class TestDistanceOverflow:
     @pytest.mark.parametrize("rows", [None, 2])

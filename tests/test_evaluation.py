@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from embimpute import (
     ImputationConfig,
@@ -47,6 +48,50 @@ def knn_oracle(vectors, labels, k, subset):
             )
         correct += predicted == labels[i]
     return correct / len(subset)
+
+
+def knn_reference(data, k, subset=None):
+    """The per-row loop knn_accuracy replaced: one stable argsort per point."""
+    m = data.vectors.shape[0]
+    subset = np.arange(m) if subset is None else np.asarray(subset, dtype=int)
+    n_labels = len(data.label_names)
+    dists = cdist(data.vectors[subset], data.vectors)
+    correct = 0
+    for row, i in zip(dists, subset.tolist()):
+        order = np.argsort(row, kind="stable")
+        neighbors = order[order != i][:k]
+        votes = data.labels[neighbors]
+        counts = np.bincount(votes, minlength=n_labels)
+        best = counts.max()
+        tied = np.flatnonzero(counts == best)
+        if tied.size == 1:
+            predicted = int(tied[0])
+        else:
+            neighbor_dists = row[neighbors]
+            predicted = min(
+                tied.tolist(),
+                key=lambda lab: (neighbor_dists[votes == lab].min(), lab),
+            )
+        correct += predicted == data.labels[i]
+    return correct / subset.size
+
+
+def tie_heavy_cases(seed, count):
+    """Labeled integer grids with duplicate points, at random k and subsets,
+    k = m - 1 included."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        m = int(rng.integers(4, 40))
+        grid = rng.integers(-1, 2, size=(m, int(rng.integers(1, 4)))).astype(float)
+        vectors = np.vstack([grid, grid[rng.integers(m, size=m // 3)]])
+        m = len(vectors)
+        n_labels = int(rng.integers(2, 5))
+        data = LabeledEmbeddings(
+            vectors, rng.integers(n_labels, size=m), tuple("abcd"[:n_labels])
+        )
+        k = m - 1 if case % 4 == 0 else int(rng.integers(1, m))
+        subset = None if case % 2 else rng.choice(m, size=int(rng.integers(1, m + 1)))
+        yield data, k, subset
 
 
 class TestKnnAccuracy:
@@ -97,6 +142,43 @@ class TestKnnAccuracy:
             LabeledEmbeddings(vectors[perm], labels[perm], ("a", "b", "c")), 3
         )
         assert a == b
+
+    @pytest.mark.parametrize("rows", [None, 1, 3, 7])
+    def test_matches_per_row_reference(self, rows, monkeypatch):
+        # rows=None keeps the real block bound: one block per input
+        for data, k, subset in tie_heavy_cases(66, 200 if rows is None else 60):
+            if rows is not None:
+                m = data.vectors.shape[0]
+                monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * m * rows)
+            assert knn_accuracy(data, k, subset) == knn_reference(data, k, subset)
+
+    def test_nearest_is_a_stable_argsort_prefix(self):
+        rng = np.random.default_rng(71)
+        points = rng.integers(0, 3, size=(40, 2)).astype(float)
+        dists = cdist(points[:15], points)
+        order = np.argsort(dists, axis=1, kind="stable")
+        for r in range(1, 41):
+            assert np.array_equal(evaluation._nearest(dists, r), order[:, :r])
+
+    def test_non_integer_k_rejected(self):
+        data = LabeledEmbeddings(np.eye(4), np.arange(4) % 2, ("a", "b"))
+        for bad in (2.5, 2.0, np.float64(2), "2", None):
+            with pytest.raises(ValidationError, match="k must be an integer"):
+                knn_accuracy(data, bad)
+
+    def test_numpy_integer_k_accepted(self):
+        rng = np.random.default_rng(69)
+        data = LabeledEmbeddings(rng.normal(size=(15, 2)), rng.integers(2, size=15), ("a", "b"))
+        for k in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert knn_accuracy(data, k) == knn_accuracy(data, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vectors_rejected(self, bad):
+        vectors = np.random.default_rng(70).normal(size=(10, 3))
+        vectors[6, 1] = bad
+        vectors[8, 0] = bad
+        with pytest.raises(ValidationError, match=r"^non-finite value in vector row 6$"):
+            LabeledEmbeddings(vectors, np.arange(10) % 2, ("a", "b"))
 
     def test_k_too_large_rejected(self):
         data = LabeledEmbeddings(np.eye(3), np.arange(3), ("a", "b", "c"))
@@ -215,6 +297,35 @@ class TestSensitivitySweep:
             spec, dataclasses.replace(config, eta=1e-3)
         )
         assert table[0][1] == direct.imputed_accuracy
+
+    def test_eta_entries_equal_direct_runs(self):
+        spec = SyntheticTransferSpec(n=90, p=60, noise_sigma=0.5, seed=7)
+        config = ImputationConfig(eta=0.5, seed=4)
+        etas = [1.0, 1e-1, 1e-3, 3e-2, 1e-4]
+        table = sensitivity_sweep("eta", etas, spec, config, delta=5, k=4)
+        assert len({acc for _, acc in table}) == 4  # each entry sees its own eta
+        assert table == [
+            (
+                eta,
+                run_synthetic_transfer(
+                    spec, dataclasses.replace(config, eta=eta), delta=5, k=4
+                ).imputed_accuracy,
+            )
+            for eta in etas
+        ]
+
+    def test_eta_sweep_solves_graph_and_weights_once(self, monkeypatch):
+        calls = []
+        impute_aligned = evaluation.impute_aligned
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return impute_aligned(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "impute_aligned", counting)
+        spec = SyntheticTransferSpec(n=60, p=40, seed=10)
+        sensitivity_sweep("eta", [1e-1, 1e-2, 1e-3], spec, ImputationConfig())
+        assert len(calls) == 1
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValidationError, match="sweep parameter"):
