@@ -268,9 +268,10 @@ def sensitivity_sweep(
     ``parameter`` is ``"delta"`` or ``"eta"``; returns (value, imputed
     accuracy) pairs in input order. Delta values must be whole numbers
     from 1 to ``spec.n - 1`` and eta values finite and > 0; every value is
-    checked before the first experiment runs. A delta sweep runs the whole
-    experiment per value; an eta sweep solves the graph and weights once
-    and re-runs only the diffusion.
+    checked before the first experiment runs. The transfer data is built
+    once; a delta sweep re-runs the imputation per value, an eta sweep
+    solves the graph and weights once and re-runs only the diffusion. Only
+    the imputed vectors are scored.
     """
     if parameter not in ("delta", "eta"):
         raise ValidationError(f"unknown sweep parameter '{parameter}'")
@@ -281,15 +282,16 @@ def sensitivity_sweep(
     if parameter == "delta" and max(settings) >= spec.n:
         raise ValidationError(f"delta sweep value {max(settings)} needs more than {spec.n} entities")
     config = config or ImputationConfig()
-    if parameter == "delta":
-        return [
-            (float(value), run_synthetic_transfer(spec, config, setting, k).imputed_accuracy)
-            for value, setting in zip(values, settings)
-        ]
-
-    # eta only moves the diffusion: the graph and weights are solved once
     data = make_transfer_data(spec)
     known = data.semantic[: spec.p]
+    if parameter == "delta":
+        table = []
+        for value, setting in zip(values, settings):
+            result = impute_aligned(data.domain, known, setting, config)[2]
+            table.append((float(value), _hidden_accuracy(data, result.Y, spec.p, k)))
+        return table
+
+    # eta only moves the diffusion: the graph and weights are solved once
     first = dataclasses.replace(config, eta=settings[0])
     _, weights, result, _ = impute_aligned(data.domain, known, delta, first)
     table = [(float(values[0]), _hidden_accuracy(data, result.Y, spec.p, k))]

@@ -15,9 +15,12 @@ to LAPACK in one stacked ``np.linalg.solve`` call. Grouping by f instead of
 padding every system to size k + 1 means each LAPACK and BLAS call sees
 exactly the operands that a row solved on its own would, so the weights
 are bit-identical to solving the rows one at a time; ``solve_row_weights``
-is that one-row call into the same code. The Gram gather (k·d values per
-row) and the lockstep state (k·k per row) are blocked separately so the
-extra memory stays near a megabyte whatever n and d are.
+is that one-row call into the same code. A singular system makes the
+stacked call raise; one ``np.linalg.slogdet`` pass over the stack, whose
+LU meets the same zero pivot, picks it out and the rest are solved in one
+more stacked call. The Gram gather (k·d values per row, 1 MiB) and the
+lockstep state (k·k per row, 512 KiB) are blocked separately so the extra
+memory stays near 1.5 MiB whatever n and d are.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ _DUAL_TOL = 1e-10  # optimality threshold on the reduced gradient
 _FEAS_TOL = 1e-12
 _ROW_SUM_TOL = 1e-12
 _GATHER_BYTES = 1 << 20  # neighbor vectors gathered per Gram block (k·d per row)
-_STATE_BYTES = 1 << 18  # Gram matrices advanced together (k·k per row)
+_STATE_BYTES = 1 << 19  # Gram matrices advanced together (k·k per row)
 _OVERFLOW = "weight problem overflows: neighbor products are not finite"
 
 
@@ -99,16 +102,27 @@ class WeightMatrix:
 def _stacked_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.linalg.solve`` over a stack, with NaN for each singular system.
 
-    A singular system makes the stacked call raise; halving the stack until
-    it stands alone keeps the other systems batched.
+    A singular system makes the stacked call raise. ``slogdet`` factors
+    the stack with the same LU and gives sign 0 exactly where a pivot is
+    zero, which is where ``solve`` failed; those systems get NaN and the
+    rest are solved in one more stacked call. Each system is factored on
+    its own, so its bits do not depend on the rest of the stack. Should
+    ``slogdet`` find no zero pivot, the stack is halved instead, so the
+    recursion always ends.
     """
     try:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
         if len(A) == 1:
             return np.full(b.shape, np.nan)
+    solvable = np.linalg.slogdet(A)[0] != 0
+    if solvable.all():
         h = len(A) // 2
         return np.concatenate([_stacked_solve(A[:h], b[:h]), _stacked_solve(A[h:], b[h:])])
+    x = np.full(b.shape, np.nan)
+    if solvable.any():
+        x[solvable] = _stacked_solve(A[solvable], b[solvable])
+    return x
 
 
 def _posed(G: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -167,7 +181,7 @@ def _simplex_rows(G: np.ndarray, c: np.ndarray):
         wf = np.zeros((live.size, k))
         mu = np.empty(live.size)
         nfree = free[live].sum(axis=1)
-        for f in np.unique(nfree):
+        for f in np.flatnonzero(np.bincount(nfree)):
             pos = np.flatnonzero(nfree == f)
             rows = live[pos]
             idx = np.nonzero(free[rows])[1].reshape(pos.size, f)
@@ -204,7 +218,10 @@ def _simplex_rows(G: np.ndarray, c: np.ndarray):
         W[at_step, pick] = 0.0
         free[at_step, pick] = False
 
-        live = np.union1d(at[enter], at_step)
+        going = np.zeros(r, dtype=bool)
+        going[at[enter]] = True
+        going[at_step] = True
+        live = np.flatnonzero(going)
     capped = live.size
 
     total = W.sum(axis=1)
@@ -323,8 +340,8 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
 
 def write_coordinate_text(weights: WeightMatrix, path) -> None:
     """Dump the matrix as ``i j w`` lines, row-major, full precision."""
+    m = weights.matrix
+    rows = np.repeat(np.arange(weights.n), np.diff(m.indptr))
+    entries = zip(rows.tolist(), m.indices.tolist(), m.data.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(weights.n):
-            cols, vals = weights.row(i)
-            for j, v in zip(cols.tolist(), vals.tolist()):
-                fh.write(f"{i} {j} {v:.17g}\n")
+        fh.writelines("%d %d %.17g\n" % entry for entry in entries)

@@ -277,6 +277,25 @@ class TestSensitivitySweep:
         direct = run_synthetic_transfer(spec, ImputationConfig(), delta=6)
         assert table == [(6.0, direct.imputed_accuracy)]
 
+    def test_delta_entries_equal_direct_runs(self, monkeypatch):
+        builds = []
+        make = evaluation.make_transfer_data
+
+        def counting(spec):
+            builds.append(spec)
+            return make(spec)
+
+        monkeypatch.setattr(evaluation, "make_transfer_data", counting)
+        spec = SyntheticTransferSpec(n=90, p=60, noise_sigma=0.5, seed=7)
+        config = ImputationConfig(eta=1e-2, seed=4)
+        deltas = [3, 5, 9, 5]
+        table = sensitivity_sweep("delta", deltas, spec, config, k=4)
+        assert len(builds) == 1
+        assert table == [
+            (float(d), run_synthetic_transfer(spec, config, d, 4).imputed_accuracy)
+            for d in deltas
+        ]
+
     def test_delta_robustness(self):
         spec = SyntheticTransferSpec(n=120, p=80, n_labels=4, seed=6)
         table = sensitivity_sweep("delta", [4, 8, 16], spec, ImputationConfig())

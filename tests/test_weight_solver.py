@@ -460,6 +460,90 @@ class TestLockstepMatchesPerRowReference:
             assert np.array_equal(solve_row_weights(x, M), reference_row_weights(x, M))
 
 
+def kkt_matrix(G):
+    f = G.shape[0]
+    A = np.zeros((f + 1, f + 1))
+    A[:f, :f] = G
+    A[:f, f] = 1.0
+    A[f, :f] = 1.0
+    return A
+
+
+def mixed_stack(rng, size, n):
+    """``size`` n × n systems: exactly singular integer matrices, KKT
+    matrices of duplicated neighbor rows, and well-posed matrices."""
+    A = np.empty((size, n, n))
+    for t in range(size):
+        kind = t % 3
+        if kind == 0:
+            M = rng.integers(-3, 4, size=(n, n - 1)).astype(float)
+            A[t] = M @ rng.integers(-3, 4, size=(n - 1, n))  # rank n - 1
+        elif kind == 1:
+            M = rng.normal(size=(n - 1, 4))
+            M[1] = M[0]
+            A[t] = kkt_matrix(M @ M.T)
+        else:
+            A[t] = rng.normal(size=(n, n))
+    return A, rng.normal(size=(size, n, 1))
+
+
+def per_matrix_solve(A, b):
+    """Each system solved on its own; None where ``solve`` raises."""
+    out = []
+    for At, bt in zip(A, b):
+        try:
+            out.append(np.linalg.solve(At, bt))
+        except np.linalg.LinAlgError:
+            out.append(None)
+    return out
+
+
+class TestStackedSolve:
+    def assert_matches_per_matrix(self, A, b):
+        x = weight_solver._stacked_solve(A, b)
+        expected = per_matrix_solve(A, b)
+        assert any(e is None for e in expected) and any(e is not None for e in expected)
+        for t, e in enumerate(expected):
+            if e is None:
+                assert np.isnan(x[t]).all(), t
+            else:
+                assert x[t].tobytes() == e.tobytes(), t
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 9])
+    def test_nan_exactly_where_solve_raises(self, n):
+        self.assert_matches_per_matrix(*mixed_stack(np.random.default_rng(n), 48, n))
+
+    def test_stack_of_only_singular_systems(self):
+        A, b = mixed_stack(np.random.default_rng(40), 12, 4)
+        singular = [e is None for e in per_matrix_solve(A, b)]
+        x = weight_solver._stacked_solve(A[singular], b[singular])
+        assert np.isnan(x).all()
+
+    def test_one_singular_system_costs_two_solves_and_one_slogdet(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        A = rng.normal(size=(64, 6, 6))
+        A[37, 5] = A[37, 2]
+        b = rng.normal(size=(64, 6, 1))
+        calls = {"solve": 0, "slogdet": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(np.linalg, name)):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        x = weight_solver._stacked_solve(A, b)
+        assert calls == {"solve": 2, "slogdet": 1}
+        monkeypatch.undo()
+        assert np.isnan(x[37]).all()
+        for t in set(range(64)) - {37}:
+            assert x[t].tobytes() == np.linalg.solve(A[t], b[t]).tobytes(), t
+
+    def test_halves_the_stack_if_slogdet_finds_no_zero_pivot(self, monkeypatch):
+        A, b = mixed_stack(np.random.default_rng(42), 30, 4)
+        monkeypatch.setattr(np.linalg, "slogdet", lambda A: (np.ones(len(A)), np.zeros(len(A))))
+        self.assert_matches_per_matrix(A, b)
+
+
 class TestFallbackCounters:
     def test_lstsq_fallback_counted(self):
         # rows 1 and 2 coincide, so row 0's KKT system is singular
@@ -531,3 +615,27 @@ class TestWeightMatrixType:
             previous = int(i)
             dense[int(i), int(j)] = float(v)
         assert np.array_equal(dense, W.toarray())
+
+    def test_coordinate_dump_matches_per_row_writer(self, tmp_path):
+        from scipy import sparse
+
+        m = sparse.csr_matrix(
+            (
+                [1.0, 1e-300, 1.0, 5e-324, 1.0, 0.25, 0.75, 1.0 / 3.0, 2.0 / 3.0],
+                [2, 0, 4, 1, 3, 0, 5, 1, 6],
+                [0, 1, 3, 5, 7, 9, 9, 9],
+            ),
+            shape=(7, 7),
+        )
+        W = WeightMatrix(sparse.eye(7, format="csr"))
+        # rows 5 and 6 store nothing: the dump must not lean on row sums
+        object.__setattr__(W, "matrix", m)
+        expected = "".join(
+            f"{i} {j} {v:.17g}\n"
+            for i in range(W.n)
+            for j, v in zip(*(a.tolist() for a in W.row(i)))
+        )
+        path = tmp_path / "w.txt"
+        write_coordinate_text(W, path)
+        assert path.read_bytes() == expected.encode()
+        assert "e-324" in expected and "1e-300" in expected
