@@ -1,8 +1,22 @@
-"""Text-format embedding tables, entity alignment, and CSV ingestion."""
+"""Text-format embedding tables, entity alignment, and CSV ingestion.
+
+Every loader reads its file in one go and decodes it as UTF-8. The value
+files (``.vec`` and entity CSVs) are then parsed in bulk by ``np.loadtxt``,
+numpy's C tokenizer and float reader, which yields the bits ``float()``
+would. The per-cell loop reads the same text only when the bulk parse
+refuses it: CSV quoting, NUL or a lone ``\r`` (csv-module syntax), a field
+numpy's float reader rejects (``1_0``, non-ASCII digits, an empty or
+malformed value), a blank or whitespace-only line, or a file that fails a
+check (field count, empty or duplicate identifier, non-finite vector,
+header row count). The loop then either accepts the rare syntax or raises
+the ``path:line:`` message that names the fault.
+"""
 
 from __future__ import annotations
 
 import csv
+import io
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,51 +81,99 @@ def _parses_as_int(token: str) -> bool:
     return True
 
 
+def _read_text(path) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
+
+
+def _lines(text: str) -> list[str]:
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _bulk_rows(lines: list[str], delimiter):
+    """First field of every line as a string and the rest as a float64
+    matrix, or None if numpy's reader refuses a line or skips one."""
+    if not lines or not lines[0].strip():
+        return None  # numpy warns when no line holds data
+    keys: list[str] = []
+    try:
+        table = np.loadtxt(
+            lines,
+            delimiter=delimiter,
+            comments=None,
+            converters={0: lambda field: keys.append(field.strip()) or 0.0},
+            ndmin=2,
+            encoding="utf-8",
+        )
+    except ValueError:
+        return None
+    if len(keys) != len(lines):
+        return None  # a blank or whitespace-only line was skipped
+    return keys, np.ascontiguousarray(table[:, 1:])
+
+
 def load_embeddings(path) -> EmbeddingTable:
     """Parse a text embedding file: optional ``m s`` header, then
     ``token v1 ... vs`` lines. Dimensions must be consistent throughout."""
-    entries: dict[str, np.ndarray] = {}
+    text = _read_text(path)
+    if not text:
+        raise ValidationError(f"{path}: empty embedding file")
+    if "\r" in text:  # universal newlines, as in text-mode reading
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = _lines(text)
+    parts = lines[0].split()
     dim: int | None = None
     declared_rows: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise ValidationError(f"{path}: empty embedding file")
-        parts = first.split()
-        data_start = 1
-        if len(parts) == 2 and _parses_as_int(parts[0]) and _parses_as_int(parts[1]):
-            declared_rows, dim = int(parts[0]), int(parts[1])
-            if declared_rows < 0 or dim < 1:
-                raise ValidationError(f"{path}:1: invalid header '{first.strip()}'")
-            data_start = 2
-            pending = []
-        else:
-            pending = [(1, parts)]
+    data_start = 1
+    if len(parts) == 2 and _parses_as_int(parts[0]) and _parses_as_int(parts[1]):
+        declared_rows, dim = int(parts[0]), int(parts[1])
+        if declared_rows < 0 or dim < 1:
+            raise ValidationError(f"{path}:1: invalid header '{lines[0].strip()}'")
+        lines, data_start = lines[1:], 2
 
-        for lineno, line in enumerate(fh, start=data_start + len(pending)):
-            pending.append((lineno, line.split()))
+    rows = _bulk_rows(lines, None)
+    if rows is not None:
+        tokens, values = rows
+        entries = dict(zip(tokens, values))
+        if (
+            values.shape[1] > 0
+            and dim in (None, values.shape[1])
+            and declared_rows in (None, len(tokens))
+            and len(entries) == len(tokens)
+            and np.isfinite(values).all()
+        ):
+            return EmbeddingTable(values.shape[1], entries)
 
-        for lineno, parts in pending:
-            if not parts:
-                raise ValidationError(f"{path}:{lineno}: blank line in embedding file")
-            token, raw = parts[0], parts[1:]
-            if dim is None:
-                dim = len(raw)
-                if dim == 0:
-                    raise ValidationError(f"{path}:{lineno}: no values after token")
-            if len(raw) != dim:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {dim} values, found {len(raw)}"
-                )
-            try:
-                vec = np.array([float(v) for v in raw])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: malformed float value") from None
-            if not np.isfinite(vec).all():
-                raise ValidationError(f"{path}:{lineno}: non-finite embedding value")
-            if token in entries:
-                raise ValidationError(f"{path}:{lineno}: duplicate token '{token}'")
-            entries[token] = vec
+    entries = {}
+    for lineno, line in enumerate(lines, start=data_start):
+        parts = line.split()
+        if not parts:
+            raise ValidationError(f"{path}:{lineno}: blank line in embedding file")
+        token, raw = parts[0], parts[1:]
+        if dim is None:
+            dim = len(raw)
+            if dim == 0:
+                raise ValidationError(f"{path}:{lineno}: no values after token")
+        if len(raw) != dim:
+            raise ValidationError(
+                f"{path}:{lineno}: expected {dim} values, found {len(raw)}"
+            )
+        try:
+            vec = np.array([float(v) for v in raw])
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: malformed float value") from None
+        if not np.isfinite(vec).all():
+            raise ValidationError(f"{path}:{lineno}: non-finite embedding value")
+        if token in entries:
+            raise ValidationError(f"{path}:{lineno}: duplicate token '{token}'")
+        entries[token] = vec
 
     if declared_rows is not None and declared_rows != len(entries):
         raise ValidationError(
@@ -174,31 +236,54 @@ def merge_imputed(table: EmbeddingTable, problem: AlignedProblem, result) -> Emb
     return EmbeddingTable(table.dim, entries)
 
 
-def _parses_as_float(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
+# the comma before an exactly-empty CSV cell
+_EMPTY_CELL = re.compile(r",(?=[,\r\n]|\Z)")
+
+
+def _is_header(fields: list[str]) -> bool:
+    """A CSV header row has a non-empty, non-numeric second field."""
+    second = fields[1].strip()
+    if not second:
         return False
-    return True
+    try:
+        float(second)
+    except ValueError:
+        return True
+    return False
 
 
 def _read_entity_csv(path, allow_missing: bool):
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    text = _read_text(path)
+    first, _, rest = text.partition("\n")
+    first = first.removesuffix("\r")
+    fields = first.split(",")
+    # quoting, NUL and a lone \r follow the csv module's rules; below the
+    # first line numpy reads \r\n as csv does and refuses a lone \r
+    if len(fields) >= 2 and '"' not in text and "\x00" not in text and "\r" not in first:
+        body = rest if _is_header(fields) else text
+        if allow_missing:
+            body = _EMPTY_CELL.sub(",nan", body)
+        rows = _bulk_rows(_lines(body), ",")
+        if rows is not None:
+            entities, values = rows
+            if "" not in entities and len(set(entities)) == len(entities):
+                return entities, values
+
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     if not rows:
         raise ValidationError(f"{path}: empty CSV file")
     start = 0
     first = rows[0]
     if len(first) < 2:
         raise ValidationError(f"{path}: need an identifier plus at least one value column")
-    second = first[1].strip()
-    if second and not _parses_as_float(second):
-        start = 1  # header row
+    if _is_header(first):
+        start = 1
         if len(rows) == 1:
             raise ValidationError(f"{path}: no data rows after header")
 
     width = len(rows[start])
     entities: list[str] = []
+    seen: set[str] = set()
     values: list[list[float]] = []
     for rowno, row in enumerate(rows[start:], start=start + 1):
         if len(row) != width:
@@ -222,6 +307,9 @@ def _read_entity_csv(path, allow_missing: bool):
                 raise ValidationError(
                     f"{path}:{rowno}: malformed float in column {col}"
                 ) from None
+        if entity in seen:
+            raise ValidationError(f"{path}:{rowno}: duplicate entity '{entity}'")
+        seen.add(entity)
         entities.append(entity)
         values.append(parsed)
     return entities, np.array(values, dtype=float)
@@ -241,8 +329,7 @@ def load_returns_csv(path) -> tuple[list[str], np.ndarray]:
 
 def load_labels_csv(path) -> dict[str, str]:
     """Label CSV with an ``entity,label`` header row."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    rows = [row for row in csv.reader(io.StringIO(_read_text(path), newline="")) if row]
     if len(rows) < 2:
         raise ValidationError(f"{path}: expected a header row plus data rows")
     labels: dict[str, str] = {}

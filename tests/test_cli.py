@@ -381,3 +381,28 @@ class TestOtherCommands:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
         assert "subcommand" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["impute", "graph-stats", "eval-knn-embeddings", "eval-knn-labels"])
+def test_non_utf8_input_is_one_line_error(command, fixture_files, capsys):
+    tmp_path, _, _, domain_csv, vec_path = fixture_files
+    labels = tmp_path / "labels.csv"
+    labels.write_text("entity,label\ne000,x\n")
+    bad = tmp_path / "bad.txt"
+    if command == "eval-knn-labels":
+        bad.write_bytes(b"entity,label\ne000,caf\xe9\n")
+        args = ["eval", "knn", "--embeddings", str(vec_path), "--labels", str(bad), "--k", "1"]
+    elif command == "eval-knn-embeddings":
+        bad.write_bytes(vec_path.read_bytes().replace(b"e000", b"\xe9000"))
+        args = ["eval", "knn", "--embeddings", str(bad), "--labels", str(labels), "--k", "1"]
+    else:
+        bad.write_bytes(domain_csv.read_bytes().replace(b"e000", b"\xe9000"))
+        args = [command, "--domain", str(bad)]
+        if command == "impute":
+            args += ["--embeddings", str(vec_path), "--out", str(tmp_path / "out.vec")]
+    offset = bad.read_bytes().index(0xE9)
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: not valid UTF-8 (byte {offset})\n"

@@ -68,6 +68,19 @@ class TestLoadEmbeddings:
         with pytest.raises(ValidationError, match="empty"):
             load_embeddings(path)
 
+    def test_blank_line_is_an_error(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("alpha 1 2\n\nbeta 3 4\n")
+        with pytest.raises(ValidationError, match=":2: blank line"):
+            load_embeddings(path)
+
+    def test_crlf_and_unicode_whitespace(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_bytes("2 2\r\nalpha\u30001\xa02\r\n#beta 1_0 -0\r\n".encode())
+        table = load_embeddings(path)
+        assert table.tokens() == ["alpha", "#beta"]
+        assert table.entries["#beta"].tobytes() == np.array([10.0, -0.0]).tobytes()
+
     def test_numeric_looking_first_data_line(self, tmp_path):
         # two integer fields are read as a header, so dimensions come from it
         path = tmp_path / "v.vec"
@@ -253,3 +266,46 @@ class TestCsvLoaders:
         path.write_text("aaa,1.0,2.0\nbbb,3.0\n")
         with pytest.raises(ValidationError, match="expected 3 fields"):
             load_domain_csv(path)
+
+    @pytest.mark.parametrize("loader", [load_domain_csv, load_returns_csv])
+    def test_duplicate_entity_names_its_row(self, loader, tmp_path):
+        # the returns loader used to keep both rows
+        path = tmp_path / "d.csv"
+        path.write_text("entity,f1,f2\naaa,1.0,2.0\nbbb,3.0,4.0\naaa,5.0,6.0\nbbb,6.0,7.0\n")
+        with pytest.raises(ValidationError) as info:
+            loader(path)
+        assert str(info.value) == f"{path}:4: duplicate entity 'aaa'"
+
+    def test_quoted_fields_and_crlf_are_read(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'entity,f1,f2\r\n"a,b",1.5,"2"\r\n\r\nccc, 3 ,4e0\r\n')
+        dm = load_domain_csv(path)
+        assert dm.entities == ("a,b", "ccc")
+        assert dm.data.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+
+    def test_float_spellings_beyond_numpys_reader(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("aaa,1_0,\u0661\u0662, \nbbb,,-inf,Infinity\n")
+        entities, values = load_returns_csv(path)
+        assert entities == ["aaa", "bbb"]
+        assert values[0, :2].tolist() == [10.0, 12.0] and np.isnan(values[0, 2])
+        assert np.isnan(values[1, 0]) and values[1, 1:].tolist() == [-np.inf, np.inf]
+
+
+class TestNonUtf8Input:
+    CONTENT = {
+        load_domain_csv: b"entity,f1\naaa,1.0\nb\xe9b,2.0\n",
+        load_returns_csv: b"entity,f1\naaa,1.0\nb\xe9b,2.0\n",
+        load_embeddings: b"2 1\naaa 1.0\nb\xe9b 2.0\n",
+        load_labels_csv: b"entity,label\naaa,x\nb\xe9b,y\n",
+    }
+
+    @pytest.mark.parametrize("loader", list(CONTENT), ids=lambda f: f.__name__)
+    def test_one_line_error_names_the_byte(self, loader, tmp_path):
+        path = tmp_path / "in.txt"
+        content = self.CONTENT[loader]
+        path.write_bytes(content)
+        with pytest.raises(ValidationError) as info:
+            loader(path)
+        offset = content.index(0xE9)
+        assert str(info.value) == f"{path}: not valid UTF-8 (byte {offset})"
