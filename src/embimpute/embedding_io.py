@@ -252,6 +252,16 @@ def _is_header(fields: list[str]) -> bool:
     return False
 
 
+def _csv_rows(path, text: str) -> list[tuple[int, list[str]]]:
+    """Non-empty CSV records, each with the file line it ends on; a fault
+    the csv module raises becomes a ``path:line:`` error."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _read_entity_csv(path, allow_missing: bool):
     text = _read_text(path)
     first, _, rest = text.partition("\n")
@@ -269,11 +279,11 @@ def _read_entity_csv(path, allow_missing: bool):
             if "" not in entities and len(set(entities)) == len(entities):
                 return entities, values
 
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    rows = _csv_rows(path, text)
     if not rows:
         raise ValidationError(f"{path}: empty CSV file")
     start = 0
-    first = rows[0]
+    first = rows[0][1]
     if len(first) < 2:
         raise ValidationError(f"{path}: need an identifier plus at least one value column")
     if _is_header(first):
@@ -281,11 +291,11 @@ def _read_entity_csv(path, allow_missing: bool):
         if len(rows) == 1:
             raise ValidationError(f"{path}: no data rows after header")
 
-    width = len(rows[start])
+    width = len(rows[start][1])
     entities: list[str] = []
     seen: set[str] = set()
     values: list[list[float]] = []
-    for rowno, row in enumerate(rows[start:], start=start + 1):
+    for rowno, row in rows[start:]:
         if len(row) != width:
             raise ValidationError(
                 f"{path}:{rowno}: expected {width} fields, found {len(row)}"
@@ -329,11 +339,11 @@ def load_returns_csv(path) -> tuple[list[str], np.ndarray]:
 
 def load_labels_csv(path) -> dict[str, str]:
     """Label CSV with an ``entity,label`` header row."""
-    rows = [row for row in csv.reader(io.StringIO(_read_text(path), newline="")) if row]
+    rows = _csv_rows(path, _read_text(path))
     if len(rows) < 2:
         raise ValidationError(f"{path}: expected a header row plus data rows")
     labels: dict[str, str] = {}
-    for rowno, row in enumerate(rows[1:], start=2):
+    for rowno, row in rows[1:]:
         if len(row) != 2:
             raise ValidationError(f"{path}:{rowno}: expected 'entity,label'")
         entity, label = row[0].strip(), row[1].strip()

@@ -5,6 +5,17 @@ vector from its in-neighbors' vectors under a standard simplex constraint
 (non-negative weights summing to one), via an active-set method. Stacking
 the rows yields a sparse row-stochastic matrix supported on graph in-edges.
 
+Each row starts at its best vertex, the e_j of least objective
+G_jj/2 - c_j, with only j free, and grows its support the way Lawson and
+Hanson's NNLS and Wolfe's minimum-norm-point method do: a coordinate
+enters while its reduced gradient is below -1e-10 times the row's largest
+diagonal entry of G, so the path does not depend on the domain's scale.
+Optimal supports are small (a few of k), so this takes few sweeps on
+small systems, and a support grown this way stays affinely independent,
+so its KKT systems are not singular in exact arithmetic. The weights are
+an optimum, but where k exceeds the affine rank of the neighbors' vectors
+the optimum need not be unique; they are the one this path reaches.
+
 Rows are solved in lockstep. ``assemble_weight_matrix`` takes the rows of
 one in-degree k at a time, forms their Gram matrices G = M Mᵀ and targets
 c = M x in blocks of rows, and advances every row of a block through the
@@ -34,8 +45,8 @@ from .domain_geometry import DomainMatrix
 from .errors import ValidationError
 from .manifold_graph import NeighborGraph
 
-_DUAL_TOL = 1e-10  # optimality threshold on the reduced gradient
-_FEAS_TOL = 1e-12
+_DUAL_TOL = 1e-10  # reduced-gradient threshold, relative to the row's max diag(G)
+_FEAS_TOL = 1e-12  # absolute: weights lie in [0, 1] whatever the scale
 _ROW_SUM_TOL = 1e-12
 _GATHER_BYTES = 1 << 20  # neighbor vectors gathered per Gram block (k·d per row)
 _STATE_BYTES = 1 << 19  # Gram matrices advanced together (k·k per row)
@@ -159,18 +170,24 @@ def _simplex_rows(G: np.ndarray, c: np.ndarray):
     """Active-set solve of min wᵀGw/2 - cᵀw over the standard simplex for
     every stacked row problem at once, normalized to sum one.
 
-    ``G`` is (r, k, k) and ``c`` is (r, k). Each row starts from the
-    uniform point; each sweep either drops the first coordinate blocked at
-    zero or frees the most negative reduced gradient, for at most 3k
-    sweeps. Equal candidates resolve to the smaller index. Returns the
-    (r, k) weights and the counts of rows that needed ``lstsq``, fell back
-    to uniform weights, and hit the sweep cap.
+    ``G`` is (r, k, k) and ``c`` is (r, k). Each row starts at its best
+    vertex with one coordinate free; each sweep either drops the first
+    coordinate blocked at zero or frees the most negative reduced
+    gradient, for at most 3k sweeps. Equal candidates resolve to the
+    smaller index. Returns the (r, k) weights and the counts of rows that
+    needed ``lstsq``, fell back to uniform weights, and hit the sweep cap.
     """
     r, k = c.shape
-    W = np.full((r, k), 1.0 / k)
     if k == 1:
-        return W, (0, 0, 0)
-    free = np.ones((r, k), dtype=bool)
+        return np.ones((r, 1)), (0, 0, 0)
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    # the vertex e_j of least objective G_jj/2 - c_j, smaller j on ties
+    best = np.argmin(diag / 2 - c, axis=1)
+    W = np.zeros((r, k))
+    W[np.arange(r), best] = 1.0
+    free = W > 0.0
+    # the reduced gradient scales with G, so its threshold does too
+    dual_tol = _DUAL_TOL * diag.max(axis=1)
     used_lstsq = np.zeros(r, dtype=bool)
     live = np.arange(r)
     for _ in range(3 * k):
@@ -201,7 +218,7 @@ def _simplex_rows(G: np.ndarray, c: np.ndarray):
         grad = (G @ W[:, :, None])[at, :, 0] - c[at]
         lam = np.where(fr[feasible], np.inf, grad + mu[feasible][:, None])
         j = np.argmin(lam, axis=1)
-        enter = lam[np.arange(at.size), j] < -_DUAL_TOL
+        enter = lam[np.arange(at.size), j] < -dual_tol[at]
         free[at[enter], j[enter]] = True
 
         # infeasible: partial step to the first coordinate that hits zero

@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 
@@ -406,3 +407,14 @@ def test_non_utf8_input_is_one_line_error(command, fixture_files, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: {bad}: not valid UTF-8 (byte {offset})\n"
+
+
+def test_csv_module_fault_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "domain.csv"
+    path.write_text('entity,f1\naaa,1.0\nbbb,"' + "1" * 200_000 + '"\nccc,2.0\n')
+    code = main(["graph-stats", "--domain", str(path), "--delta", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    limit = csv.field_size_limit()
+    assert captured.err == f"error: {path}:3: field larger than field limit ({limit})\n"

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,24 @@ class TestCsvLoaders:
         with pytest.raises(ValidationError) as info:
             loader(path)
         assert str(info.value) == f"{path}:4: duplicate entity 'aaa'"
+
+    @pytest.mark.parametrize("loader", [load_domain_csv, load_returns_csv, load_labels_csv])
+    def test_rows_are_named_by_file_line(self, loader, tmp_path):
+        # the blank first line counts: the repeated entity is on line 5
+        path = tmp_path / "d.csv"
+        path.write_text("\nentity,f1\naaa,1.0\nbbb,2.0\naaa,3.0\n")
+        with pytest.raises(ValidationError) as info:
+            loader(path)
+        assert str(info.value) == f"{path}:5: duplicate entity 'aaa'"
+
+    @pytest.mark.parametrize("loader", [load_domain_csv, load_returns_csv, load_labels_csv])
+    def test_csv_module_fault_is_one_line_error(self, loader, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('entity,f1\naaa,1.0\nbbb,"' + "1" * 200_000 + '"\n')
+        with pytest.raises(ValidationError) as info:
+            loader(path)
+        limit = csv.field_size_limit()
+        assert str(info.value) == f"{path}:3: field larger than field limit ({limit})"
 
     def test_quoted_fields_and_crlf_are_read(self, tmp_path):
         path = tmp_path / "d.csv"
