@@ -430,9 +430,19 @@ class TestLockstepMatchesPerRowReference:
         w = solve_row_weights(x, M)
         assert np.flatnonzero(w).tolist() == [0, 4]
         assert np.array_equal(w, reference_row_weights(x, M))
-        # two coordinates that reach zero in one step drop the first; no
-        # input was found where that choice changes the weights on this
-        # path, so the lattice and random cases above cover it by identity
+        # two coordinates reach zero at the same step: the first one drops
+        M = np.array([[0.0, -2], [-1, -3], [-1, 2], [-2, -2]])
+        w = solve_row_weights(np.array([-1.0, 1]), M)
+        assert np.flatnonzero(w).tolist() == [1, 2]
+        assert np.array_equal(w, reference_row_weights(np.array([-1.0, 1]), M))
+        # a drop tie whose choice shows in the weights: dropping the first
+        # gives (17/28, 11/28) on neighbors 2 and 5, dropping the last
+        # reaches the same support one rounding off in both weights
+        M = np.array([[2.0, -2, 0], [0, -1, -1], [2, 0, -1], [0, 1, 0], [2, 0, -2], [-1, 1, 1]])
+        x = np.array([1.0, 0.5, 0])
+        w = solve_row_weights(x, M)
+        assert np.flatnonzero(w).tolist() == [2, 5]
+        assert np.array_equal(w, reference_row_weights(x, M))
 
     def test_single_neighbor_rows(self):
         rng = np.random.default_rng(32)
@@ -600,14 +610,56 @@ class TestStackedSolve:
 
 
 class TestFallbackCounters:
-    def test_lstsq_fallback_counted(self, capfd):
+    def test_singular_kkt_systems_go_to_lstsq(self):
+        # rows 1 and 3 have G = 0 on both free coordinates, so the first
+        # two rows of their KKT matrix are equal and its LU meets an exact
+        # zero pivot whatever the LAPACK build; rows 0 and 2 are well posed
+        G = np.array([[[2.0, 1, 0], [1, 3, 0], [0, 0, 1]], np.zeros((3, 3))] * 2)
+        c = np.array([[1.0, -1, 0], [1, 2, 0], [0.5, 0, 0], [-1, 0, 3]])
+        rows = np.arange(4)
+        sol, retry = weight_solver._kkt_solutions(G, c, rows, np.tile([0, 1], (4, 1)))
+        assert retry.tolist() == [1, 3]
+        for t in rows:
+            A = kkt_matrix(G[t, :2, :2])
+            b = np.append(c[t, :2], 1.0)
+            expected = np.linalg.lstsq(A, b, rcond=None)[0] if t in (1, 3) else np.linalg.solve(A, b)
+            assert sol[t].tobytes() == expected.tobytes(), t
+
+    def test_lstsq_fallback_counted(self, monkeypatch):
+        # every stacked solve reports the row's system as singular, in each
+        # of its sweeps: each system then goes to lstsq and the row counts once
+        rng = np.random.default_rng(2)
+        M = rng.normal(size=(6, 3))
+        G, c = (M @ M.T)[None], (M @ rng.normal(size=3))[None]
+        expected, counts = weight_solver._simplex_rows(G, c)
+        assert counts == (0, 0, 0)
+        monkeypatch.setattr(weight_solver, "_stacked_solve", lambda A, b: np.full(b.shape, np.nan))
+        W, counts = weight_solver._simplex_rows(G, c)
+        assert counts == (1, 0, 0)
+        assert np.flatnonzero(W[0]).tolist() == np.flatnonzero(expected[0]).tolist()
+        assert np.allclose(W, expected, rtol=0.0, atol=1e-12)
+
+    def test_lstsq_fallback_matches_per_row_reference(self, capfd, monkeypatch):
         # a domain near the largest scale the solver accepts: the Gram
-        # entries reach 2.5e307 and the LU of one row's three-coordinate KKT
-        # system overflows, so that row is solved by lstsq
+        # entries reach 2.5e307, and where LAPACK's LU of a KKT system
+        # overflows (one row here with OpenBLAS under numpy 2.x) that row
+        # is solved by lstsq. Whether it overflows depends on the build, so
+        # the count is held to the per-row reference's on the same build.
         X = 5e153 * np.random.default_rng(1).normal(size=(8, 2))
         graph, domain, W = assembled(X, 4)
-        assert (W.lstsq_fallbacks, W.uniform_fallbacks, W.capped_rows) == (1, 0, 0)
+        assert (W.uniform_fallbacks, W.capped_rows) == (0, 0)
         assert_rows_match_reference(graph, domain, W)
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+        rows_with_lstsq = 0
+        for i in range(graph.n):
+            before = len(calls)
+            srcs = in_neighbors(graph, i)
+            reference_row_weights(domain.data[i], domain.data[srcs])
+            rows_with_lstsq += len(calls) > before
+        monkeypatch.undo()
+        assert W.lstsq_fallbacks == rows_with_lstsq
         assert capfd.readouterr().err == ""
 
     def test_uniform_fallback_counted(self):
