@@ -13,7 +13,6 @@ from .domain_geometry import (
 )
 from .manifold_graph import (
     NeighborGraph,
-    assert_anchor_reachability,
     augment_to_min_degree,
     build_graph,
     build_mst,
@@ -77,7 +76,6 @@ __all__ = [
     "WeightMatrix",
     "align",
     "assemble_weight_matrix",
-    "assert_anchor_reachability",
     "augment_to_min_degree",
     "build_graph",
     "build_mst",

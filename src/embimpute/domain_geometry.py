@@ -71,6 +71,68 @@ def _finite(block: np.ndarray) -> np.ndarray:
     return block
 
 
+def _run_blocks(work, starts, size: int) -> None:
+    """Call ``work(lo, buf)`` for every block start ``lo`` in ``starts``.
+
+    The blocks run on one thread per CPU in the process's affinity mask
+    (per CPU where the platform has no such mask; never more threads than
+    blocks), or inline when there is one block. ``buf`` is a float64 scratch array of ``size`` entries that
+    no other block uses meanwhile. A block's exception is raised here, and
+    the blocks not yet started are cancelled.
+    """
+    starts = list(starts)
+    if len(starts) < 2:
+        for lo in starts:
+            work(lo, np.empty(size))
+        return
+    # the affinity mask is Linux-only; elsewhere every CPU counts
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    workers = min(workers, len(starts))
+    # buffers made by this thread: a block made and freed in a worker
+    # would stay resident in that worker's malloc arena after the call
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(np.empty(size))
+
+    def run(lo):
+        buf = buffers.get()
+        try:
+            work(lo, buf)
+        finally:
+            # also after a failed block: a worker that has already started
+            # the next block waits for a buffer
+            buffers.put(buf)
+
+    with ThreadPoolExecutor(workers) as pool:
+        # map re-raises a worker's exception here and cancels the blocks
+        # not yet started
+        for _ in pool.map(run, starts):
+            pass
+
+
+def _nearest_columns(block: np.ndarray, r: int, buf: np.ndarray) -> np.ndarray:
+    """Per row of ``block``, the columns of its ``r`` smallest values in
+    (value, column) order: the first ``r`` of a stable argsort, without
+    sorting whole rows. ``buf`` is float64 scratch of at least
+    ``block.size`` entries; ``block`` is left as it is."""
+    m, w = block.shape
+    part = buf[: m * w].reshape(m, w)
+    np.copyto(part, block)
+    part.partition(r - 1, axis=1)
+    # every column at or under a row's r-th smallest value, ties at it
+    # included, in row-major order
+    flat = np.flatnonzero(block <= part[:, r - 1 : r])
+    rows, cols = np.divmod(flat, w)
+    # sorted by row, then value; the sort is stable, so equal values keep
+    # ascending columns, and each row's entries stay where they were
+    cols = cols[np.lexsort((np.take(block, flat), rows))]
+    first = np.searchsorted(rows, np.arange(m))
+    return cols[first[:, None] + np.arange(r)]
+
+
 def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distance matrix over entity rows.
 
@@ -79,10 +141,9 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
     ``scipy.spatial.distance.cdist(X, X)``: no squared-distance shortcut.
     Only the upper triangle is computed, in row blocks of
     ``cdist(X[i:i + b], X[i:])`` that are mirrored into the lower one; the
-    blocks run on one thread per CPU in the process's affinity mask (per
-    CPU where the platform has no such mask; ``cdist`` releases the GIL),
-    or inline when one block covers the matrix. Distances that overflow
-    raise ``ValidationError``.
+    blocks run on ``_run_blocks``'s threads (``cdist`` releases the GIL),
+    or as one inline ``cdist`` when one block covers the matrix. Distances
+    that overflow raise ``ValidationError``.
     """
     if isinstance(domain, DomainMatrix):
         data = domain.data
@@ -101,37 +162,16 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
         return _finite(cdist(data, data))
 
     D = np.empty((n, n))
-    # the affinity mask is Linux-only; elsewhere every CPU counts
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    # blocks are written into buffers made by this thread: a block made
-    # and freed in a worker would stay resident in that worker's malloc
-    # arena after the call
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put(np.empty(rows * n))
 
-    def fill(lo):
+    def fill(lo, buf):
         m, w = min(rows, n - lo), n - lo
-        buf = buffers.get()
-        try:
-            # cdist gives the same bits in either argument order, and blocks
-            # write disjoint parts of D apart from their own diagonal square
-            block = _finite(cdist(data[lo : lo + m], data[lo:], out=buf[: m * w].reshape(m, w)))
-            D[lo : lo + m, lo:] = block
-            D[lo:, lo : lo + m] = block.T
-        finally:
-            # also after a failed block: a worker that has already started
-            # the next block waits for a buffer
-            buffers.put(buf)
+        # cdist gives the same bits in either argument order, and blocks
+        # write disjoint parts of D apart from their own diagonal square
+        block = _finite(cdist(data[lo : lo + m], data[lo:], out=buf[: m * w].reshape(m, w)))
+        D[lo : lo + m, lo:] = block
+        D[lo:, lo : lo + m] = block.T
 
-    with ThreadPoolExecutor(workers) as pool:
-        # map re-raises a worker's exception here and cancels the
-        # blocks not yet started
-        for _ in pool.map(fill, range(0, n, rows)):
-            pass
+    _run_blocks(fill, range(0, n, rows), rows * n)
     return D
 
 

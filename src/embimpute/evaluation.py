@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .domain_geometry import DomainMatrix
+from .domain_geometry import DomainMatrix, _nearest_columns
 from .errors import ValidationError
 from .imputation_engine import ImputationConfig, fix_known_block, power_iterate
 from .pipeline import impute_aligned
@@ -91,24 +91,6 @@ class TransferReport:
     converged: bool
 
 
-def _nearest(dists: np.ndarray, r: int) -> np.ndarray:
-    """Per row, the columns of the ``r`` smallest distances in (distance,
-    column) order: the first ``r`` of a stable argsort, without sorting the
-    whole row."""
-    cut = np.partition(dists, r - 1, axis=1)[:, r - 1 : r]
-    picked = dists < cut
-    # then the lowest columns at the cut distance until each row has r
-    rows, cols = np.nonzero(dists == cut)
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    take = rank < (r - np.count_nonzero(picked, axis=1))[rows]
-    picked[rows[take], cols[take]] = True
-    # nonzero lists each row's columns in ascending order, so a stable
-    # sort on distance gives the (distance, column) order
-    picked = np.nonzero(picked)[1].reshape(-1, r)
-    order = np.argsort(np.take_along_axis(dists, picked, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(picked, order, axis=1)
-
-
 def knn_accuracy(data: LabeledEmbeddings, k: int, subset=None) -> float:
     """Leave-one-out k-NN accuracy over ``subset`` (default: all points).
 
@@ -138,12 +120,13 @@ def knn_accuracy(data: LabeledEmbeddings, k: int, subset=None) -> float:
 
     n_labels = len(data.label_names)
     rows = max(1, _BLOCK_BYTES // (8 * m))
+    buf = np.empty(min(rows, subset.size) * m)
     correct = 0
     for lo in range(0, subset.size, rows):
         points = subset[lo : lo + rows]
         b = points.size
         dists = cdist(data.vectors[points], data.vectors)
-        head = _nearest(dists, k + 1)
+        head = _nearest_columns(dists, k + 1, buf)
         # each row holds its own point once: drop it from the first k + 1
         # ranks, or drop rank k when a tie at distance 0 ranked it later
         keep = head != points[:, None]

@@ -8,8 +8,18 @@ always by smaller vertex index so identical inputs yield identical graphs.
 The tree comes from a dense Prim over the rows of ``D`` that compares
 edges by the strict total order (weight, smaller index, larger index).
 Under a strict total order the spanning tree is unique, so it is the tree
-Kruskal's algorithm yields when it scans edges in that order. The whole
-stage takes O(n^2) time and allocates nothing n x n beyond ``D`` itself.
+Kruskal's algorithm yields when it scans edges in that order. Tree
+vertices hold NaN as their best weight, so the comparisons of a Prim step
+skip them without a mask.
+
+The augmentation needs, for each vertex below the minimum degree, the
+delta + 1 nearest columns of its row by (distance, index). One blocked
+cut gives them: each 1 MiB row block of ``D`` that holds such a vertex
+is copied into a per-worker buffer and partitioned in place, and the
+columns at or under each row's cut value are sorted by (row, distance)
+with a stable sort. The blocks run on the distance stage's threads. The
+whole stage takes O(n^2) time and allocates nothing n x n beyond ``D``
+itself.
 ``build_graph`` validates ``D`` once; ``build_mst`` and
 ``augment_to_min_degree`` each validate their own input. The pipeline and
 the CLI hand the output of ``euclidean_distance_matrix``, which is valid by
@@ -28,6 +38,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from .domain_geometry import _BLOCK_BYTES, _nearest_columns, _run_blocks
 from .errors import ValidationError
 
 # side of the square tiles the symmetry check compares
@@ -111,29 +122,27 @@ def _mst(D: np.ndarray) -> list[tuple[int, int, float]]:
     if n < 2:
         raise ValidationError("spanning tree needs at least 2 vertices")
     # best_w[v] / best_u[v]: least edge from the tree to v under the order;
-    # tree vertices hold an infinite weight so they are never picked again
-    outside = np.ones(n, dtype=bool)
-    outside[0] = False
+    # tree vertices hold NaN, which fails every comparison and which fmin
+    # skips, so they are never picked or updated again
     best_w = D[0].copy()
-    best_w[0] = np.inf
+    best_w[0] = np.nan
     best_u = np.zeros(n, dtype=np.int64)
     src = np.empty(n - 1, dtype=np.int64)
     dst = np.empty(n - 1, dtype=np.int64)
     for step in range(n - 1):
-        cand = np.flatnonzero(best_w == best_w.min())
+        cand = (best_w == np.fmin.reduce(best_w)).nonzero()[0]
         if cand.size > 1:
             lo = np.minimum(best_u[cand], cand)
             hi = np.maximum(best_u[cand], cand)
             cand = cand[np.lexsort((hi, lo))]
         v = cand[0]
         src[step], dst[step] = best_u[v], v
-        outside[v] = False
-        best_w[v] = np.inf
+        best_w[v] = np.nan
 
         row = D[v]
-        take = (row < best_w) & outside
+        take = row < best_w
         # an equal weight replaces the stored edge only if (v, t) is smaller
-        tie = np.flatnonzero(row == best_w)
+        tie = (row == best_w).nonzero()[0]
         if tie.size:
             lo_old = np.minimum(best_u[tie], tie)
             hi_old = np.maximum(best_u[tie], tie)
@@ -184,14 +193,17 @@ def _augment(mst_edges, D: np.ndarray, delta: int) -> NeighborGraph:
     short = np.flatnonzero(need > 0)
 
     # at most 1 + (tree degree) of the delta + 1 nearest columns are i or a
-    # tree neighbor, so they still hold the need sources; keeping every
-    # column up to that distance keeps all columns tied at it, and the
-    # stable sort resolves equal distances to the smaller vertex index
-    nearest = np.empty((short.size, delta + 1), dtype=np.int64)
-    for t, i in enumerate(short.tolist()):
-        row = D[i]
-        cols = np.flatnonzero(row <= np.partition(row, delta)[delta])
-        nearest[t] = cols[np.argsort(row[cols], kind="stable")[: delta + 1]]
+    # tree neighbor, so they still hold the need sources; the cut keeps
+    # equal distances in ascending column order. It runs over row blocks
+    # of D that hold a short row, so delta = 1 costs no pass.
+    nearest = np.empty((n, delta + 1), dtype=np.int64)
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+
+    def cut(lo, buf):
+        nearest[lo : lo + rows] = _nearest_columns(D[lo : lo + rows], delta + 1, buf)
+
+    _run_blocks(cut, (np.unique(short // rows) * rows).tolist(), rows * n)
+    nearest = nearest[short]
     added = short[:, None] * n + nearest
     fresh = (nearest != short[:, None]) & ~np.isin(added, tree)
     added = added[fresh & (np.cumsum(fresh, axis=1) <= need[short, None])]
@@ -251,19 +263,6 @@ def _adjacency(graph: NeighborGraph) -> sparse.csr_matrix:
         (np.ones(graph.indices.size), graph.indices, graph.indptr),
         shape=(graph.n, graph.n),
     )
-
-
-def assert_anchor_reachability(graph: NeighborGraph, n_known: int) -> bool:
-    """True iff every unknown vertex is reachable from the known block.
-
-    Vertices 0..n_known-1 are the anchors; reachability follows directed
-    edges (an edge j -> i lets information flow from j to i).
-    """
-    if n_known == 0:
-        raise ValidationError("at least one anchor is required")
-    if not 0 < n_known <= graph.n:
-        raise ValidationError(f"anchor count {n_known} out of range for n={graph.n}")
-    return reached_from_anchors(_adjacency(graph), n_known)
 
 
 def is_connected(graph: NeighborGraph) -> bool:

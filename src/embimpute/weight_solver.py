@@ -27,11 +27,10 @@ padding every system to size k + 1 means each LAPACK and BLAS call sees
 exactly the operands that a row solved on its own would, so the weights
 are bit-identical to solving the rows one at a time; ``solve_row_weights``
 is that one-row call into the same code. A singular system makes the
-stacked call raise; one ``np.linalg.slogdet`` pass over the stack, whose
-LU meets the same zero pivot, picks it out and the rest are solved in one
-more stacked call. The Gram gather (k·d values per row, 1 MiB) and the
-lockstep state (k·k per row, 512 KiB) are blocked separately so the extra
-memory stays near 1.5 MiB whatever n and d are.
+stacked call raise; the group's systems are then solved one at a time,
+and each singular one goes to ``lstsq``. The Gram gather (k·d values per
+row, 1 MiB) and the lockstep state (k·k per row, 1 MiB) are blocked
+separately so the extra memory stays near 2 MiB whatever n and d are.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ _DUAL_TOL = 1e-10  # reduced-gradient threshold, relative to the row's max diag(
 _FEAS_TOL = 1e-12  # absolute: weights lie in [0, 1] whatever the scale
 _ROW_SUM_TOL = 1e-12
 _GATHER_BYTES = 1 << 20  # neighbor vectors gathered per Gram block (k·d per row)
-_STATE_BYTES = 1 << 19  # Gram matrices advanced together (k·k per row)
+_STATE_BYTES = 1 << 20  # Gram matrices advanced together (k·k per row)
 _OVERFLOW = "weight problem overflows: neighbor products are not finite"
 
 
@@ -113,26 +112,20 @@ class WeightMatrix:
 def _stacked_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.linalg.solve`` over a stack, with NaN for each singular system.
 
-    A singular system makes the stacked call raise. ``slogdet`` factors
-    the stack with the same LU and gives sign 0 exactly where a pivot is
-    zero, which is where ``solve`` failed; those systems get NaN and the
-    rest are solved in one more stacked call. Each system is factored on
-    its own, so its bits do not depend on the rest of the stack. Should
-    ``slogdet`` find no zero pivot, the stack is halved instead, so the
-    recursion always ends.
+    A singular system makes the stacked call raise; the systems are then
+    solved one at a time. Each system is factored on its own either way,
+    so its bits do not depend on the rest of the stack.
     """
     try:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.full(b.shape, np.nan)
-    solvable = np.linalg.slogdet(A)[0] != 0
-    if solvable.all():
-        h = len(A) // 2
-        return np.concatenate([_stacked_solve(A[:h], b[:h]), _stacked_solve(A[h:], b[h:])])
+        pass
     x = np.full(b.shape, np.nan)
-    if solvable.any():
-        x[solvable] = _stacked_solve(A[solvable], b[solvable])
+    for t in range(len(A)):
+        try:
+            x[t] = np.linalg.solve(A[t], b[t])
+        except np.linalg.LinAlgError:
+            pass
     return x
 
 

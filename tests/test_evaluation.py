@@ -22,7 +22,7 @@ from embimpute import (
     run_synthetic_transfer,
     sensitivity_sweep,
 )
-from embimpute import evaluation
+from embimpute import domain_geometry, evaluation
 
 
 def knn_oracle(vectors, labels, k, subset):
@@ -152,13 +152,27 @@ class TestKnnAccuracy:
                 monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * m * rows)
             assert knn_accuracy(data, k, subset) == knn_reference(data, k, subset)
 
+    def test_values_pinned_on_exact_ties(self):
+        # the values knn_accuracy gave before its column cut moved to
+        # domain_geometry, on tie-heavy grids and on a 30 x 30 lattice
+        # with 200 repeated points that spans ten row blocks
+        got = [knn_accuracy(data, k, subset) for data, k, subset in tie_heavy_cases(92, 12)]
+        assert got == [0.0, 1 / 18, 15 / 34, 7 / 12, 0.0, 0.5, 11 / 16, 4 / 11, 1.0, 5 / 19, 0.0, 0.5]
+        points = np.array([(a, b) for a in range(30) for b in range(30)], dtype=float)
+        labels = np.random.default_rng(93).integers(3, size=900)
+        data = LabeledEmbeddings(
+            np.vstack([points, points[:200]]), np.concatenate([labels, labels[:200]]), ("a", "b", "c")
+        )
+        assert [knn_accuracy(data, k) for k in (1, 4, 9)] == [639 / 1100, 527 / 1100, 412 / 1100]
+
     def test_nearest_is_a_stable_argsort_prefix(self):
         rng = np.random.default_rng(71)
         points = rng.integers(0, 3, size=(40, 2)).astype(float)
         dists = cdist(points[:15], points)
         order = np.argsort(dists, axis=1, kind="stable")
+        buf = np.empty(dists.size)
         for r in range(1, 41):
-            assert np.array_equal(evaluation._nearest(dists, r), order[:, :r])
+            assert np.array_equal(domain_geometry._nearest_columns(dists, r, buf), order[:, :r])
 
     def test_non_integer_k_rejected(self):
         data = LabeledEmbeddings(np.eye(4), np.arange(4) % 2, ("a", "b"))

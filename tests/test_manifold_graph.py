@@ -5,12 +5,12 @@ from math import fsum
 import networkx as nx
 import numpy as np
 import pytest
+from scipy import sparse
 
-from embimpute import manifold_graph
+from embimpute import domain_geometry, manifold_graph
 from embimpute import (
     NeighborGraph,
     ValidationError,
-    assert_anchor_reachability,
     augment_to_min_degree,
     build_graph,
     build_mst,
@@ -126,6 +126,16 @@ ORACLE_INPUTS = {
     "tripled_rows": (
         lambda: np.tile(np.random.default_rng(20).normal(size=(40, 3)), (3, 1)),
         (2, 4, 8),
+    ),
+    # the next two span two 1 MiB row blocks of D: 400 rows, and 363 rows
+    # of which the second block holds two
+    "lattice_2d_shuffled_20": (
+        lambda: np.random.default_rng(24).permutation(lattice(20, 20)),
+        (1, 4, 8),
+    ),
+    "tripled_rows_363": (
+        lambda: np.tile(np.random.default_rng(25).normal(size=(121, 3)), (3, 1)),
+        (1, 4, 8),
     ),
     "two_points": (lambda: np.array([[0.0, 0.0], [1.0, 2.0]]), (1,)),
     "ring_ties_at_threshold": (ring_around_centre, (4, 8)),
@@ -254,17 +264,26 @@ class TestGraphQueries:
             )
 
 
+def reached(graph, n_known):
+    """``reached_from_anchors`` on the graph's CSR arrays, as the diffusion
+    calls it on the weight matrix."""
+    sources = sparse.csr_matrix(
+        (np.ones(graph.indices.size), graph.indices, graph.indptr), shape=(graph.n, graph.n)
+    )
+    return manifold_graph.reached_from_anchors(sources, n_known)
+
+
 class TestAnchorReachability:
     def test_constructed_graphs_always_reachable(self):
         rng = np.random.default_rng(15)
         D = euclidean_distance_matrix(rng.normal(size=(30, 3)))
         g = build_graph(D, 4)
         for p in (1, 3, 29):
-            assert assert_anchor_reachability(g, p)
+            assert reached(g, p)
 
     def test_handbuilt_disconnected_graph(self):
         g = NeighborGraph(4, 1, [0, 1, 2, 3, 4], [1, 0, 3, 2], np.ones(4))
-        assert not assert_anchor_reachability(g, 2)
+        assert not reached(g, 2)
         assert not is_connected(g)
 
     def test_matches_bfs_oracle(self):
@@ -274,16 +293,10 @@ class TestAnchorReachability:
         nxg = nx.DiGraph()
         nxg.add_nodes_from(range(50))
         nxg.add_edges_from(directed_edges(g))
-        reached = set()
+        reachable = set()
         for a in range(5):
-            reached |= nx.descendants(nxg, a) | {a}
-        assert assert_anchor_reachability(g, 5) == (reached >= set(range(5, 50)))
-
-    def test_zero_anchors_rejected(self):
-        D = points([0.0, 1.0])
-        g = build_graph(D, 1)
-        with pytest.raises(ValidationError):
-            assert_anchor_reachability(g, 0)
+            reachable |= nx.descendants(nxg, a) | {a}
+        assert reached(g, 5) == (reachable >= set(range(5, 50)))
 
 
 class TestGraphLayout:
@@ -376,8 +389,16 @@ class TestGraphInvariants:
 
 
 class TestReferenceOracle:
+    def test_two_inputs_span_several_row_blocks(self):
+        for name in ("lattice_2d_shuffled_20", "tripled_rows_363"):
+            n = len(ORACLE_INPUTS[name][0]())
+            assert 8 * n * n > domain_geometry._BLOCK_BYTES, name
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
     @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
-    def test_graph_equals_kruskal_and_full_sort(self, name):
+    def test_graph_equals_kruskal_and_full_sort(self, name, cpus, monkeypatch):
+        # one worker, and two: row blocks of D are cut on one thread per CPU
+        monkeypatch.setattr(domain_geometry.os, "sched_getaffinity", lambda pid: cpus)
         make, deltas = ORACLE_INPUTS[name]
         D = euclidean_distance_matrix(make())
         mst = build_mst(D)

@@ -89,7 +89,6 @@ def test_public_names():
         "WeightMatrix",
         "align",
         "assemble_weight_matrix",
-        "assert_anchor_reachability",
         "augment_to_min_degree",
         "build_graph",
         "build_mst",
