@@ -5,20 +5,27 @@ vector from its in-neighbors' vectors under a standard simplex constraint
 (non-negative weights summing to one), via an active-set method. Stacking
 the rows yields a sparse row-stochastic matrix supported on graph in-edges.
 
-Each row starts at its best vertex, the e_j of least objective
-G_jj/2 - c_j, with only j free, and grows its support the way Lawson and
-Hanson's NNLS and Wolfe's minimum-norm-point method do: a coordinate
-enters while its reduced gradient is below -1e-10 times the row's largest
-diagonal entry of G, so the path does not depend on the domain's scale.
-Optimal supports are small (a few of k), so this takes few sweeps on
+A row's problem is posed on the neighbors' offsets from the target: with
+M − x the matrix of rows m_j − x and G = (M − x)(M − x)ᵀ, the residual
+of weights w summing to one is ‖(M − x)ᵀw‖², so the solver minimizes
+wᵀGw/2 over the simplex. G does not change when the domain is shifted
+or rotated, and it is better conditioned than M Mᵀ when the neighbors lie
+far from the origin. Each row starts at its best vertex, the e_j of
+least G_jj (its nearest neighbor), with only j free, and grows its
+support the way Lawson and Hanson's NNLS and Wolfe's minimum-norm-point
+method do: a coordinate enters while its reduced gradient is below
+-1e-10 times the row's largest diagonal entry of G, so the path depends
+neither on the domain's scale nor on its offset. Before its solves each
+row's G is scaled by the power of two that puts that entry in [1/2, 1),
+which keeps every KKT system far from overflow. Optimal supports are small (a few of k), so this takes few sweeps on
 small systems, and a support grown this way stays affinely independent,
 so its KKT systems are not singular in exact arithmetic. The weights are
 an optimum, but where k exceeds the affine rank of the neighbors' vectors
 the optimum need not be unique; they are the one this path reaches.
 
 Rows are solved in lockstep. ``assemble_weight_matrix`` takes the rows of
-one in-degree k at a time, forms their Gram matrices G = M Mᵀ and targets
-c = M x in blocks of rows, and advances every row of a block through the
+one in-degree k at a time, forms their Gram matrices G in blocks of rows,
+and advances every row of a block through the
 same active-set sweep: at most 3k sweeps, each one KKT solve per row
 followed by a masked step. Within a sweep the rows are grouped by the
 size f of their free set, and each group's (f + 1) × (f + 1) KKT systems go
@@ -129,12 +136,12 @@ def _stacked_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _posed(G: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Which stacked rows have a finite Gram matrix and finite targets."""
-    return np.isfinite(G).all(axis=(1, 2)) & np.isfinite(c).all(axis=1)
+def _posed(G: np.ndarray) -> np.ndarray:
+    """Which stacked rows have a finite Gram matrix."""
+    return np.isfinite(G).all(axis=(1, 2))
 
 
-def _kkt_solutions(G, c, rows, free_idx):
+def _kkt_solutions(G, rows, free_idx):
     """Solve the equality-constrained KKT system of every listed row.
 
     Row ``rows[t]`` keeps ``free_idx[t]`` (f coordinates, ascending) free and
@@ -149,8 +156,7 @@ def _kkt_solutions(G, c, rows, free_idx):
     A[:, :f, :f] = G[rows[:, None, None], free_idx[:, :, None], free_idx[:, None, :]]
     A[:, :f, f] = 1.0
     A[:, f, :f] = 1.0
-    b = np.empty((g, f + 1, 1))
-    b[:, :f, 0] = c[rows[:, None], free_idx]
+    b = np.zeros((g, f + 1, 1))
     b[:, f, 0] = 1.0
     sol = _stacked_solve(A, b)[:, :, 0]
     retry = np.flatnonzero(~np.isfinite(sol).all(axis=1))
@@ -159,23 +165,27 @@ def _kkt_solutions(G, c, rows, free_idx):
     return sol, retry
 
 
-def _simplex_rows(G: np.ndarray, c: np.ndarray):
-    """Active-set solve of min wᵀGw/2 - cᵀw over the standard simplex for
-    every stacked row problem at once, normalized to sum one.
+def _simplex_rows(G: np.ndarray):
+    """Active-set solve of min wᵀGw/2 over the standard simplex for every
+    stacked row problem at once, normalized to sum one.
 
-    ``G`` is (r, k, k) and ``c`` is (r, k). Each row starts at its best
+    ``G`` is (r, k, k). Each row starts at its best
     vertex with one coordinate free; each sweep either drops the first
     coordinate blocked at zero or frees the most negative reduced
     gradient, for at most 3k sweeps. Equal candidates resolve to the
     smaller index. Returns the (r, k) weights and the counts of rows that
     needed ``lstsq``, fell back to uniform weights, and hit the sweep cap.
     """
-    r, k = c.shape
+    r, k = G.shape[:2]
     if k == 1:
         return np.ones((r, 1)), (0, 0, 0)
+    # each row scaled by a power of two to a largest diagonal entry in
+    # [1/2, 1): the weights do not depend on it, and the KKT solves stay
+    # far from overflow whatever the domain's scale
+    G = np.ldexp(G, -np.frexp(np.diagonal(G, axis1=1, axis2=2).max(axis=1))[1][:, None, None])
     diag = np.diagonal(G, axis1=1, axis2=2)
-    # the vertex e_j of least objective G_jj/2 - c_j, smaller j on ties
-    best = np.argmin(diag / 2 - c, axis=1)
+    # the vertex e_j of least objective G_jj/2, smaller j on ties
+    best = np.argmin(diag, axis=1)
     W = np.zeros((r, k))
     W[np.arange(r), best] = 1.0
     free = W > 0.0
@@ -195,7 +205,7 @@ def _simplex_rows(G: np.ndarray, c: np.ndarray):
             pos = np.flatnonzero(nfree == f)
             rows = live[pos]
             idx = np.nonzero(free[rows])[1].reshape(pos.size, f)
-            sol, retry = _kkt_solutions(G, c, rows, idx)
+            sol, retry = _kkt_solutions(G, rows, idx)
             used_lstsq[rows[retry]] = True
             wf[pos[:, None], idx] = sol[:, :f]
             mu[pos] = sol[:, f]
@@ -208,7 +218,7 @@ def _simplex_rows(G: np.ndarray, c: np.ndarray):
         W[at] = np.clip(wf[feasible], 0.0, None)
         # G @ w over the whole block reads G in place instead of copying
         # the rows taken; only those rows' products are used
-        grad = (G @ W[:, :, None])[at, :, 0] - c[at]
+        grad = (G @ W[:, :, None])[at, :, 0]
         lam = np.where(fr[feasible], np.inf, grad + mu[feasible][:, None])
         j = np.argmin(lam, axis=1)
         enter = lam[np.arange(at.size), j] < -dual_tol[at]
@@ -249,7 +259,7 @@ def solve_row_weights(x: np.ndarray, neighbor_matrix: np.ndarray) -> np.ndarray:
     result is non-negative, sums to one, and no feasible reweighting can
     lower the reconstruction residual. Falls back to uniform weights only
     if the solver yields an unusable (non-finite or zero-sum) vector. A
-    problem whose Gram matrix or target products overflow is rejected.
+    problem whose offsets m_j − x or their products overflow is rejected.
     """
     x = np.asarray(x, dtype=float)
     M = np.asarray(neighbor_matrix, dtype=float)
@@ -267,10 +277,11 @@ def solve_row_weights(x: np.ndarray, neighbor_matrix: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all() or not np.isfinite(M).all():
         raise ValidationError("non-finite value in weight problem")
     with np.errstate(over="ignore", invalid="ignore"):
-        G, c = (M @ M.T)[None], (M @ x)[None]
-    if not _posed(G, c)[0]:
+        offsets = M - x
+        G = (offsets @ offsets.T)[None]
+    if not _posed(G)[0]:
         raise ValidationError(_OVERFLOW)
-    W, _ = _simplex_rows(G, c)
+    W, _ = _simplex_rows(G)
     return W[0]
 
 
@@ -323,19 +334,18 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
             slots = slots_k[lo : lo + state_rows]
             rows = rows_k[lo : lo + state_rows]
             G = np.empty((rows.size, k, k))
-            c = np.empty((rows.size, k))
             with np.errstate(over="ignore", invalid="ignore"):
                 for a in range(0, rows.size, gather_rows):
                     part = slice(a, a + gather_rows)
                     M = X[sources[slots[part]]]
+                    M -= X[rows[part], None, :]
                     np.matmul(M, M.transpose(0, 2, 1), out=G[part])
-                    np.matmul(M, X[rows[part], :, None], out=c[part, :, None])
             del M  # free the gathered vectors before the block solves
-            posed = _posed(G, c)
+            posed = _posed(G)
             if not posed.all():
                 overflow = min(overflow, int(rows[~posed][0]))
                 continue
-            W, block_counts = _simplex_rows(G, c)
+            W, block_counts = _simplex_rows(G)
             values[slots] = W
             counts += block_counts
 

@@ -27,14 +27,13 @@ _FEAS_TOL = 1e-12
 # --- per-row reference: the active-set loop, one row and one solve at a time --
 
 
-def _kkt_solve(G, c, free_idx):
+def _kkt_solve(G, free_idx):
     f = free_idx.size
     A = np.zeros((f + 1, f + 1))
     A[:f, :f] = G[np.ix_(free_idx, free_idx)]
     A[:f, f] = 1.0
     A[f, :f] = 1.0
-    b = np.empty(f + 1)
-    b[:f] = c[free_idx]
+    b = np.zeros(f + 1)
     b[f] = 1.0
     try:
         sol = np.linalg.solve(A, b)
@@ -45,16 +44,15 @@ def _kkt_solve(G, c, free_idx):
     return sol[:f], sol[f]
 
 
-def _active_set(G, c, w, free, dual_tol):
-    k = c.size
+def _active_set(G, w, free, dual_tol):
+    k = w.size
     for _ in range(3 * k):
         idx = np.flatnonzero(free)
-        wf, mu = _kkt_solve(G, c, idx)
+        wf, mu = _kkt_solve(G, idx)
         if wf.min(initial=0.0) >= -_FEAS_TOL:
             w = np.zeros(k)
             w[idx] = np.clip(wf, 0.0, None)
-            grad = G @ w - c
-            lam = grad + mu
+            lam = G @ w + mu
             zero_idx = np.flatnonzero(~free)
             if zero_idx.size:
                 j = zero_idx[np.argmin(lam[zero_idx])]
@@ -75,27 +73,38 @@ def _active_set(G, c, w, free, dual_tol):
     return w
 
 
-def _simplex_lsq(G, c):
-    """The solver's path: start at the best vertex with only it free; the
-    dual tolerance is relative to the largest diagonal entry of G."""
+def _scaled(G):
+    """G times the power of two that puts its largest diagonal entry in
+    [1/2, 1), as the solver scales each row."""
+    return np.ldexp(G, -np.frexp(np.diag(G).max())[1])
+
+
+def _simplex_lsq(G):
+    """The solver's path on wᵀGw/2: start at the best vertex (least G_jj)
+    with only it free; the dual tolerance is relative to the largest
+    diagonal entry of G."""
+    G = _scaled(G)
     diag = np.diag(G)
-    w = np.zeros(c.size)
-    w[np.argmin(diag / 2 - c)] = 1.0
-    return _active_set(G, c, w, w > 0.0, _DUAL_TOL * diag.max())
+    w = np.zeros(diag.size)
+    w[np.argmin(diag)] = 1.0
+    return _active_set(G, w, w > 0.0, _DUAL_TOL * diag.max())
 
 
-def _uniform_start_lsq(G, c):
+def _uniform_start_lsq(G):
     """Oracle for the optimum only: the same loop started at the uniform
     point with every coordinate free and an absolute dual tolerance."""
-    k = c.size
-    return _active_set(G, c, np.full(k, 1.0 / k), np.ones(k, dtype=bool), _DUAL_TOL)
+    k = G.shape[0]
+    return _active_set(_scaled(G), np.full(k, 1.0 / k), np.ones(k, dtype=bool), _DUAL_TOL)
 
 
 def reference_row_weights(x, M, simplex_lsq=_simplex_lsq):
+    """The solver's row problem: the Gram matrix of the neighbors' offsets
+    from the target."""
     k = M.shape[0]
     if k == 1:
         return np.ones(1)
-    w = simplex_lsq(M @ M.T, M @ x)
+    offsets = M - x
+    w = simplex_lsq(offsets @ offsets.T)
     total = w.sum()
     if not np.isfinite(total) or total <= 0.0:
         return np.full(k, 1.0 / k)
@@ -435,13 +444,14 @@ class TestLockstepMatchesPerRowReference:
         w = solve_row_weights(np.array([-1.0, 1]), M)
         assert np.flatnonzero(w).tolist() == [1, 2]
         assert np.array_equal(w, reference_row_weights(np.array([-1.0, 1]), M))
-        # a drop tie whose choice shows in the weights: dropping the first
-        # gives (17/28, 11/28) on neighbors 2 and 5, dropping the last
-        # reaches the same support one rounding off in both weights
-        M = np.array([[2.0, -2, 0], [0, -1, -1], [2, 0, -1], [0, 1, 0], [2, 0, -2], [-1, 1, 1]])
-        x = np.array([1.0, 0.5, 0])
+        # a drop tie whose choice shows in the support: dropping the first
+        # gives (13/34, 21/34) on neighbors 0 and 1, dropping the last
+        # leaves a weight of about 7e-20 on neighbor 2 as well
+        M = np.array([[-1.0, 3, -2], [-1, -2, 1], [1, -2, 1], [1, -1, 0], [1, -3, 0], [-2, 1, -1]])
+        x = np.array([-1.0, 0, 0])
         w = solve_row_weights(x, M)
-        assert np.flatnonzero(w).tolist() == [2, 5]
+        assert np.flatnonzero(w).tolist() == [0, 1]
+        assert np.allclose(w[:2], [13 / 34, 21 / 34], rtol=0.0, atol=1e-15)
         assert np.array_equal(w, reference_row_weights(x, M))
 
     def test_single_neighbor_rows(self):
@@ -592,17 +602,17 @@ class TestStackedSolve:
         # every LU meets an exact zero pivot whatever the LAPACK build.
         # The other rows are well-posed Gram problems in the same stack.
         rng = np.random.default_rng(43)
-        G, c = np.empty((4, 2, 2)), np.empty((4, 2))
+        G = np.empty((4, 2, 2))
         for t in range(4):
             if t in singular:
-                G[t], c[t] = -np.ones((2, 2)), 0.0
+                G[t] = -np.ones((2, 2))
             else:
-                M = rng.normal(size=(2, 3))
-                G[t], c[t] = M @ M.T, M @ rng.normal(size=3)
-        W, counts = weight_solver._simplex_rows(G, c)
+                offsets = rng.normal(size=(2, 3))
+                G[t] = offsets @ offsets.T
+        W, counts = weight_solver._simplex_rows(G)
         assert counts == (len(singular), 0, 0)
         for t in range(4):
-            w = _simplex_lsq(G[t], c[t])
+            w = _simplex_lsq(G[t])
             assert W[t].tobytes() == (w / w.sum()).tobytes(), t
         assert np.allclose(W[singular], 0.5, rtol=0.0, atol=1e-12)
 
@@ -613,13 +623,12 @@ class TestFallbackCounters:
         # two rows of their KKT matrix are equal and its LU meets an exact
         # zero pivot whatever the LAPACK build; rows 0 and 2 are well posed
         G = np.array([[[2.0, 1, 0], [1, 3, 0], [0, 0, 1]], np.zeros((3, 3))] * 2)
-        c = np.array([[1.0, -1, 0], [1, 2, 0], [0.5, 0, 0], [-1, 0, 3]])
         rows = np.arange(4)
-        sol, retry = weight_solver._kkt_solutions(G, c, rows, np.tile([0, 1], (4, 1)))
+        sol, retry = weight_solver._kkt_solutions(G, rows, np.tile([0, 1], (4, 1)))
         assert retry.tolist() == [1, 3]
         for t in rows:
             A = kkt_matrix(G[t, :2, :2])
-            b = np.append(c[t, :2], 1.0)
+            b = np.array([0.0, 0.0, 1.0])
             expected = np.linalg.lstsq(A, b, rcond=None)[0] if t in (1, 3) else np.linalg.solve(A, b)
             assert sol[t].tobytes() == expected.tobytes(), t
 
@@ -627,64 +636,73 @@ class TestFallbackCounters:
         # every stacked solve reports the row's system as singular, in each
         # of its sweeps: each system then goes to lstsq and the row counts once
         rng = np.random.default_rng(2)
-        M = rng.normal(size=(6, 3))
-        G, c = (M @ M.T)[None], (M @ rng.normal(size=3))[None]
-        expected, counts = weight_solver._simplex_rows(G, c)
+        offsets = rng.normal(size=(6, 3)) - rng.normal(size=3)
+        G = (offsets @ offsets.T)[None]
+        expected, counts = weight_solver._simplex_rows(G)
         assert counts == (0, 0, 0)
         monkeypatch.setattr(weight_solver, "_stacked_solve", lambda A, b: np.full(b.shape, np.nan))
-        W, counts = weight_solver._simplex_rows(G, c)
+        W, counts = weight_solver._simplex_rows(G)
         assert counts == (1, 0, 0)
         assert np.flatnonzero(W[0]).tolist() == np.flatnonzero(expected[0]).tolist()
         assert np.allclose(W, expected, rtol=0.0, atol=1e-12)
 
-    def test_lstsq_fallback_matches_per_row_reference(self, capfd, monkeypatch):
-        # a domain near the largest scale the solver accepts: the Gram
-        # entries reach 2.5e307, and where LAPACK's LU of a KKT system
-        # overflows (one row here with OpenBLAS under numpy 2.x) that row
-        # is solved by lstsq. Whether it overflows depends on the build, so
-        # the count is held to the per-row reference's on the same build.
+    def test_largest_scale_needs_no_fallback(self, capfd):
+        # a domain near the largest scale the distance stage accepts: the
+        # squared distances in G reach 9e307. Each row's G is scaled by a
+        # power of two before its KKT solves, so no LU overflows and no row
+        # needs lstsq, whatever the LAPACK build
         X = 5e153 * np.random.default_rng(1).normal(size=(8, 2))
         graph, domain, W = assembled(X, 4)
-        assert (W.uniform_fallbacks, W.capped_rows) == (0, 0)
+        assert (W.lstsq_fallbacks, W.uniform_fallbacks, W.capped_rows) == (0, 0, 0)
         assert_rows_match_reference(graph, domain, W)
-        calls = []
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
-        rows_with_lstsq = 0
-        for i in range(graph.n):
-            before = len(calls)
-            srcs = in_neighbors(graph, i)
-            reference_row_weights(domain.data[i], domain.data[srcs])
-            rows_with_lstsq += len(calls) > before
-        monkeypatch.undo()
-        assert W.lstsq_fallbacks == rows_with_lstsq
         assert capfd.readouterr().err == ""
 
-    def test_uniform_fallback_counted(self):
-        # a target at 1e140 next to neighbors at 1e116: c exceeds G by 1e23,
-        # the KKT solve cancels the weight to zero and the row sums to zero
-        X = np.array([
-            [-3.3560803332769042e140, -5.426894624359061e139, 4.942150948314312e140],
-            [-3.39531008698164e116, -3.50530218612727e116, -3.2944995746108044e116],
-            [2.8390511348310316e116, 2.9444772495280114e116, 9.621285502204014e116],
-            [9.284215804413864e116, 1.3320930804934343e117, 8.063630567820633e116],
-        ])
-        with np.errstate(all="ignore"):
-            graph, domain, W = assembled(X, 3)
-        assert (W.lstsq_fallbacks, W.uniform_fallbacks, W.capped_rows) == (0, 1, 0)
-        assert np.array_equal(W.row(0)[1], np.full(3, 1.0 / 3.0))
-        with np.errstate(all="ignore"):
-            assert_rows_match_reference(graph, domain, W)
+    def test_uniform_fallback_counted(self, monkeypatch):
+        # a solve that returns zero weights and a zero multiplier: the row
+        # takes them, nothing enters, and its weights sum to zero
+        offsets = np.random.default_rng(3).normal(size=(5, 3))
+        G = (offsets @ offsets.T)[None]
+        monkeypatch.setattr(weight_solver, "_stacked_solve", lambda A, b: np.zeros(b.shape))
+        W, counts = weight_solver._simplex_rows(G)
+        assert counts == (0, 1, 0)
+        assert np.array_equal(W, np.full((1, 5), 0.2))
 
     def test_capped_rows_counted(self):
-        # row norms spread over 1e-16 .. 1e19: row 0 (norm 1e14) has three
-        # neighbors below 1e-8 and one at 1e17, its two-coordinate KKT
-        # solve loses every digit, and the active set cycles to the cap
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(8, 2)) * 10.0 ** rng.integers(-20, 21, size=(8, 1))
+        # row 1 sits 2.2e11 from its neighbors 2, 4 and 5, which lie within
+        # 1.3e3 of each other: their offsets agree to 6e-9, and the active
+        # set cycles among them to the cap. The weights it keeps still meet
+        # the KKT conditions to 1e-9 of the largest Gram entry.
+        X = np.array([
+            [-59064729053.04867, -127835314529.31041],
+            [-222578258445.13235, 32614276257.873882],
+            [289.80016348355514, 1222.2096467533988],
+            [1153769429155935.8, -142305343369880.75],
+            [0.0007912771250696313, 0.0004090277669274618],
+            [-0.00010294273379515029, 0.001396296309702924],
+        ])
         graph, domain, W = assembled(X, 4)
         assert (W.lstsq_fallbacks, W.uniform_fallbacks, W.capped_rows) == (0, 0, 1)
         assert_rows_match_reference(graph, domain, W)
+        srcs = in_neighbors(graph, 1)
+        offsets = X[srcs] - X[1]
+        G = offsets @ offsets.T
+        assert kkt_violation(G, np.zeros(4), W.toarray()[1, srcs]) <= 1e-8 * np.abs(G).max()
+
+    @pytest.mark.parametrize("offset", [1e2, 1e4, 1e5, 1e6])
+    def test_shifted_domain_gives_the_same_supports(self, offset):
+        # the row problems are posed on the neighbors' offsets from the
+        # target, so a common shift moves neither the path nor the dual
+        # tolerance; posed on the vectors themselves, this input's mean
+        # support fell from 3.825 to 3.315 at 1e4 and 1.0 at 1e5
+        base = np.random.default_rng(0).normal(size=(200, 4))
+        graph, _, unit = assembled(base, 8)
+        shifted_graph, _, W = assembled(base + offset, 8)
+        assert np.array_equal(shifted_graph.indices, graph.indices)
+        assert (W.lstsq_fallbacks, W.uniform_fallbacks, W.capped_rows) == (0, 0, 0)
+        assert W.matrix.nnz == unit.matrix.nnz == 765
+        assert np.array_equal(W.matrix.indices, unit.matrix.indices)
+        # the shift itself rounds the inputs by up to 1.2e-10
+        assert np.abs(W.matrix.data - unit.matrix.data).max() < 1e-8
 
     @pytest.mark.parametrize("scale", [1e-100, 1e-8, 1.0, 1e8, 1e19, 1e100])
     def test_scaled_domain_gives_the_same_supports(self, scale):
