@@ -75,10 +75,10 @@ def _run_blocks(work, starts, size: int) -> None:
     """Call ``work(lo, buf)`` for every block start ``lo`` in ``starts``.
 
     The blocks run on one thread per CPU in the process's affinity mask
-    (per CPU where the platform has no such mask; never more threads than
-    blocks), or inline when there is one block. ``buf`` is a float64 scratch array of ``size`` entries that
-    no other block uses meanwhile. A block's exception is raised here, and
-    the blocks not yet started are cancelled.
+    (per CPU where the platform has none; at most one per block), or
+    inline when there is one block. ``buf`` is float64 scratch of ``size``
+    entries that no other block uses meanwhile. A block's exception is
+    raised here, and the blocks not yet started are cancelled.
     """
     starts = list(starts)
     if len(starts) < 2:
@@ -86,11 +86,8 @@ def _run_blocks(work, starts, size: int) -> None:
             work(lo, np.empty(size))
         return
     # the affinity mask is Linux-only; elsewhere every CPU counts
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    workers = min(workers, len(starts))
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    workers = min(len(mask) if mask else os.cpu_count() or 1, len(starts))
     # buffers made by this thread: a block made and freed in a worker
     # would stay resident in that worker's malloc arena after the call
     buffers = queue.SimpleQueue()

@@ -8,18 +8,12 @@ always by smaller vertex index so identical inputs yield identical graphs.
 The tree comes from a dense Prim over the rows of ``D`` that compares
 edges by the strict total order (weight, smaller index, larger index).
 Under a strict total order the spanning tree is unique, so it is the tree
-Kruskal's algorithm yields when it scans edges in that order. Tree
-vertices hold NaN as their best weight, so the comparisons of a Prim step
-skip them without a mask.
-
-The augmentation needs, for each vertex below the minimum degree, the
-delta + 1 nearest columns of its row by (distance, index). One blocked
-cut gives them: each 1 MiB row block of ``D`` that holds such a vertex
-is copied into a per-worker buffer and partitioned in place, and the
-columns at or under each row's cut value are sorted by (row, distance)
-with a stable sort. The blocks run on the distance stage's threads. The
-whole stage takes O(n^2) time and allocates nothing n x n beyond ``D``
-itself.
+Kruskal's algorithm yields when it scans edges in that order. The
+augmentation takes each short vertex's delta + 1 nearest columns by
+(distance, index) from one blocked cut (``_nearest_columns``) over the
+1 MiB row blocks of ``D`` that hold such a vertex, on the distance
+stage's threads. The whole stage takes O(n^2) time and allocates nothing
+n x n beyond ``D`` itself.
 ``build_graph`` validates ``D`` once; ``build_mst`` and
 ``augment_to_min_degree`` each validate their own input. The pipeline and
 the CLI hand the output of ``euclidean_distance_matrix``, which is valid by

@@ -1,43 +1,42 @@
 """Per-row reconstruction weights on graph in-edges.
 
 Each row solves a least-squares reconstruction of the entity's feature
-vector from its in-neighbors' vectors under a standard simplex constraint
-(non-negative weights summing to one), via an active-set method. Stacking
-the rows yields a sparse row-stochastic matrix supported on graph in-edges.
+vector from its in-neighbors' vectors under a standard simplex
+constraint (non-negative weights summing to one), via an active-set
+method. Stacking the rows yields a sparse row-stochastic matrix
+supported on graph in-edges.
 
-A row's problem is posed on the neighbors' offsets from the target: with
-M − x the matrix of rows m_j − x and G = (M − x)(M − x)ᵀ, the residual
-of weights w summing to one is ‖(M − x)ᵀw‖², so the solver minimizes
-wᵀGw/2 over the simplex. G does not change when the domain is shifted
-or rotated, and it is better conditioned than M Mᵀ when the neighbors lie
-far from the origin. Each row starts at its best vertex, the e_j of
-least G_jj (its nearest neighbor), with only j free, and grows its
-support the way Lawson and Hanson's NNLS and Wolfe's minimum-norm-point
-method do: a coordinate enters while its reduced gradient is below
--1e-10 times the row's largest diagonal entry of G, so the path depends
-neither on the domain's scale nor on its offset. Before its solves each
-row's G is scaled by the power of two that puts that entry in [1/2, 1),
-which keeps every KKT system far from overflow. Optimal supports are small (a few of k), so this takes few sweeps on
-small systems, and a support grown this way stays affinely independent,
-so its KKT systems are not singular in exact arithmetic. The weights are
-an optimum, but where k exceeds the affine rank of the neighbors' vectors
-the optimum need not be unique; they are the one this path reaches.
+A row's problem is posed on the neighbors' offsets m_j − x from the
+target: for weights summing to one the residual is wᵀGw with
+G = (M − x)(M − x)ᵀ, which no common shift of the domain changes. Each
+row starts at its best vertex, the e_j of least G_jj, with only j free,
+and grows its support the way Lawson and Hanson's NNLS and Wolfe's
+minimum-norm-point method do: a coordinate enters while its reduced
+gradient is below -1e-10 times the row's largest diagonal entry of G, so
+the path depends neither on the domain's scale nor on its offset. Each
+row's G is first scaled by the power of two that puts that entry in
+[1/2, 1), so no KKT solve overflows. Optimal supports are small (a few
+of k), so this takes few sweeps on small systems, and a support grown
+this way stays affinely independent, so its KKT systems are not singular
+in exact arithmetic. The weights are an optimum, but where k exceeds the
+affine rank of the neighbors' vectors the optimum need not be unique;
+they are the one this path reaches.
 
-Rows are solved in lockstep. ``assemble_weight_matrix`` takes the rows of
-one in-degree k at a time, forms their Gram matrices G in blocks of rows,
-and advances every row of a block through the
-same active-set sweep: at most 3k sweeps, each one KKT solve per row
-followed by a masked step. Within a sweep the rows are grouped by the
-size f of their free set, and each group's (f + 1) × (f + 1) KKT systems go
-to LAPACK in one stacked ``np.linalg.solve`` call. Grouping by f instead of
-padding every system to size k + 1 means each LAPACK and BLAS call sees
-exactly the operands that a row solved on its own would, so the weights
-are bit-identical to solving the rows one at a time; ``solve_row_weights``
+Rows are solved in lockstep. ``assemble_weight_matrix`` takes the rows
+of one in-degree k at a time, forms their Gram matrices in blocks of
+rows, and advances every row of a block through the same active-set
+sweep: at most 3k sweeps, each one KKT solve per row followed by a
+masked step. Within a sweep the rows are grouped by the size f of their
+free set, and each group's (f + 1) × (f + 1) KKT systems go to LAPACK in
+one stacked ``np.linalg.solve`` call. Grouping by f instead of padding
+every system to size k + 1 means each LAPACK and BLAS call sees exactly
+the operands that a row solved on its own would, so the weights are
+bit-identical to solving the rows one at a time; ``solve_row_weights``
 is that one-row call into the same code. A singular system makes the
 stacked call raise; the group's systems are then solved one at a time,
 and each singular one goes to ``lstsq``. The Gram gather (k·d values per
-row, 1 MiB) and the lockstep state (k·k per row, 1 MiB) are blocked
-separately so the extra memory stays near 2 MiB whatever n and d are.
+row, 1 MiB) and the lockstep state (k·k per row, 512 KiB) are blocked
+separately so the extra memory stays near 1.5 MiB whatever n and d are.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ _DUAL_TOL = 1e-10  # reduced-gradient threshold, relative to the row's max diag(
 _FEAS_TOL = 1e-12  # absolute: weights lie in [0, 1] whatever the scale
 _ROW_SUM_TOL = 1e-12
 _GATHER_BYTES = 1 << 20  # neighbor vectors gathered per Gram block (k·d per row)
-_STATE_BYTES = 1 << 20  # Gram matrices advanced together (k·k per row)
+_STATE_BYTES = 1 << 19  # Gram matrices advanced together (k·k per row)
 _OVERFLOW = "weight problem overflows: neighbor products are not finite"
 
 
@@ -169,7 +168,7 @@ def _simplex_rows(G: np.ndarray):
     """Active-set solve of min wᵀGw/2 over the standard simplex for every
     stacked row problem at once, normalized to sum one.
 
-    ``G`` is (r, k, k). Each row starts at its best
+    ``G`` is (r, k, k) and is scaled in place. Each row starts at its best
     vertex with one coordinate free; each sweep either drops the first
     coordinate blocked at zero or frees the most negative reduced
     gradient, for at most 3k sweeps. Equal candidates resolve to the
@@ -179,10 +178,8 @@ def _simplex_rows(G: np.ndarray):
     r, k = G.shape[:2]
     if k == 1:
         return np.ones((r, 1)), (0, 0, 0)
-    # each row scaled by a power of two to a largest diagonal entry in
-    # [1/2, 1): the weights do not depend on it, and the KKT solves stay
-    # far from overflow whatever the domain's scale
-    G = np.ldexp(G, -np.frexp(np.diagonal(G, axis1=1, axis2=2).max(axis=1))[1][:, None, None])
+    # exact scaling to a largest diagonal entry in [1/2, 1)
+    np.ldexp(G, -np.frexp(np.diagonal(G, axis1=1, axis2=2).max(axis=1))[1][:, None, None], out=G)
     diag = np.diagonal(G, axis1=1, axis2=2)
     # the vertex e_j of least objective G_jj/2, smaller j on ties
     best = np.argmin(diag, axis=1)

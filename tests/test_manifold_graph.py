@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import sys
 from math import fsum
 
 import networkx as nx
@@ -411,6 +412,23 @@ class TestReferenceOracle:
                 assert np.array_equal(graph.indptr, indptr)
                 assert np.array_equal(graph.indices, np.concatenate(incoming))
                 assert np.array_equal(graph.distances, np.concatenate(in_weights))
+
+    def test_many_blocks_on_more_workers_than_cores(self, monkeypatch):
+        # 3-row blocks of a tie-heavy lattice on 8 workers with a short
+        # switch interval: a block written to the wrong rows, or not at
+        # all, changes the graph
+        D = euclidean_distance_matrix(np.random.default_rng(26).permutation(lattice(10, 12)))
+        monkeypatch.setattr(domain_geometry.os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(manifold_graph, "_BLOCK_BYTES", 8 * 120 * 3)
+        expected = reference_augment(reference_kruskal(D), D, 8)[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            graphs = [build_graph(D, 8) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for graph in graphs:
+            assert np.array_equal(graph.indices, np.concatenate(expected))
 
     def test_ring_centre_ties_resolve_to_smaller_indices(self):
         D = euclidean_distance_matrix(ring_around_centre())

@@ -609,7 +609,7 @@ class TestStackedSolve:
             else:
                 offsets = rng.normal(size=(2, 3))
                 G[t] = offsets @ offsets.T
-        W, counts = weight_solver._simplex_rows(G)
+        W, counts = weight_solver._simplex_rows(G.copy())
         assert counts == (len(singular), 0, 0)
         for t in range(4):
             w = _simplex_lsq(G[t])
@@ -638,7 +638,7 @@ class TestFallbackCounters:
         rng = np.random.default_rng(2)
         offsets = rng.normal(size=(6, 3)) - rng.normal(size=3)
         G = (offsets @ offsets.T)[None]
-        expected, counts = weight_solver._simplex_rows(G)
+        expected, counts = weight_solver._simplex_rows(G.copy())
         assert counts == (0, 0, 0)
         monkeypatch.setattr(weight_solver, "_stacked_solve", lambda A, b: np.full(b.shape, np.nan))
         W, counts = weight_solver._simplex_rows(G)
