@@ -178,9 +178,9 @@ def _simplex_rows(G: np.ndarray):
     r, k = G.shape[:2]
     if k == 1:
         return np.ones((r, 1)), (0, 0, 0)
+    diag = np.diagonal(G, axis1=1, axis2=2)  # a view, so it is scaled too
     # exact scaling to a largest diagonal entry in [1/2, 1)
-    np.ldexp(G, -np.frexp(np.diagonal(G, axis1=1, axis2=2).max(axis=1))[1][:, None, None], out=G)
-    diag = np.diagonal(G, axis1=1, axis2=2)
+    np.ldexp(G, -np.frexp(diag.max(axis=1))[1][:, None, None], out=G)
     # the vertex e_j of least objective G_jj/2, smaller j on ties
     best = np.argmin(diag, axis=1)
     W = np.zeros((r, k))

@@ -173,6 +173,7 @@ class TestKnnAccuracy:
         buf = np.empty(dists.size)
         for r in range(1, 41):
             assert np.array_equal(domain_geometry._nearest_columns(dists, r, buf), order[:, :r])
+        assert np.array_equal(dists, cdist(points[:15], points))  # left as it was
 
     def test_non_integer_k_rejected(self):
         data = LabeledEmbeddings(np.eye(4), np.arange(4) % 2, ("a", "b"))
