@@ -86,8 +86,8 @@ def _run_blocks(work, starts, size: int) -> None:
             work(lo, np.empty(size))
         return
     # the affinity mask is Linux-only; elsewhere every CPU counts
-    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    workers = min(len(mask) if mask else os.cpu_count() or 1, len(starts))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(starts))
     # buffers made by this thread: a block made and freed in a worker
     # would stay resident in that worker's malloc arena after the call
     buffers = queue.SimpleQueue()
