@@ -18,7 +18,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
 
-_BLOCK_BYTES = 1 << 20  # bytes of distances in one row block of the upper triangle
+_BLOCK_BYTES = 1 << 20  # bytes of distances in one row block; the graph and k-NN cuts share it
 
 
 @dataclass

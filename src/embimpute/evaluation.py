@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .domain_geometry import DomainMatrix, _nearest_columns
+from .domain_geometry import _BLOCK_BYTES, DomainMatrix, _nearest_columns
 from .errors import ValidationError
-from .imputation_engine import ImputationConfig, fix_known_block, power_iterate
+from .imputation_engine import ImputationConfig, _check_integer, power_iterate
 from .pipeline import impute_aligned
 
 _CENTER_SPREAD = 3.0
-_BLOCK_BYTES = 1 << 20  # bytes of distances in one row block of the scored subset
 
 
 @dataclass
@@ -76,6 +75,7 @@ class SyntheticTransferSpec:
             raise ValidationError("need at least 2 labels")
         if self.noise_sigma < 0:
             raise ValidationError("noise_sigma must be non-negative")
+        _check_integer(self.seed, "seed", 0)
 
 
 @dataclass
@@ -278,8 +278,7 @@ def sensitivity_sweep(
     first = dataclasses.replace(config, eta=settings[0])
     _, weights, result, _ = impute_aligned(data.domain, known, delta, first)
     table = [(float(values[0]), _hidden_accuracy(data, result.Y, spec.p, k))]
-    fixed = fix_known_block(weights, spec.p)
     for value, eta in zip(values[1:], settings[1:]):
-        result = power_iterate(fixed, known, dataclasses.replace(config, eta=eta))
+        result = power_iterate(weights, known, dataclasses.replace(config, eta=eta))
         table.append((float(value), _hidden_accuracy(data, result.Y, spec.p, k)))
     return table

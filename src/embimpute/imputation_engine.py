@@ -1,7 +1,8 @@
 """Anchored diffusion that fills in unknown embedding rows.
 
-Rows for known entities are rewritten to identity so their vectors stay
-frozen; repeated multiplication by the resulting matrix drives the unknown
+The vectors of the known entities stay frozen: the diffusion reads only
+the weight rows of the unknown entities, so the rows of the known ones
+never matter. Repeated multiplication by those rows drives the unknown
 block to a fixed point that does not depend on its initialization. A sparse
 LU solve of the same fixed point and an eigenvalue report are provided for
 verification and diagnostics.
@@ -10,6 +11,7 @@ verification and diagnostics.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,16 @@ _UNIT_EIGENVALUE_TOL = 1e-6
 _DIAGNOSTIC_SIZE_CAP = 2000
 
 
+def _check_integer(value, name: str, low: int) -> None:
+    """Raise ValidationError unless ``value`` is an integer of at least ``low``."""
+    try:
+        ok = operator.index(value) >= low
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass
 class ImputationConfig:
     """Knobs for the diffusion: stopping threshold, cap, and seeded init."""
@@ -36,8 +48,8 @@ class ImputationConfig:
     def __post_init__(self):
         if not 0 < self.eta < math.inf:
             raise ValidationError("eta must be positive and finite")
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be at least 1")
+        _check_integer(self.max_iter, "max_iter", 1)
+        _check_integer(self.seed, "seed", 0)
         if not 0 <= self.init_sigma < math.inf:
             raise ValidationError("init_sigma must be non-negative and finite")
 
@@ -77,21 +89,13 @@ def fix_known_block(weights: WeightMatrix, n_known: int) -> WeightMatrix:
     """Replace the first ``n_known`` rows with identity rows.
 
     The remaining rows are unchanged, so the result is still row-stochastic
-    while the known block no longer reacts to anything.
+    while the known block no longer reacts to anything. The solvers do not
+    need it, as they never read the known rows; the spectral report does.
     """
     _check_range(n_known, weights.n)
     top = sparse.eye(n_known, weights.n, format="csr")
     bottom = weights.matrix[n_known:, :]
     return WeightMatrix(sparse.vstack([top, bottom], format="csr"))
-
-
-def _has_identity_block(m: sparse.csr_matrix, p: int) -> bool:
-    head = m[:p, :]
-    return (
-        head.nnz == p
-        and np.array_equal(head.indices, np.arange(p))
-        and bool((head.data == 1.0).all())
-    )
 
 
 def _validated_known(known: np.ndarray) -> np.ndarray:
@@ -104,16 +108,11 @@ def _validated_known(known: np.ndarray) -> np.ndarray:
 
 
 def _fixed_system(weights: WeightMatrix, known: np.ndarray):
-    """Validated (known, matrix, p, q) of a system whose known block is fixed."""
+    """Validated (known, matrix, p, q) of a system whose first p rows are known."""
     known = _validated_known(known)
     p = known.shape[0]
     _check_range(p, weights.n)
-    m = weights.matrix
-    if not _has_identity_block(m, p):
-        raise ValidationError(
-            "weight rows for known entities must be identity; call fix_known_block first"
-        )
-    return known, m, p, weights.n - p
+    return known, weights.matrix, p, weights.n - p
 
 
 def power_iterate(
@@ -123,12 +122,13 @@ def power_iterate(
 ) -> ImputationResult:
     """Diffuse the known vectors into the unknown block.
 
-    ``weights`` must already have its known block fixed to identity. The
-    unknown block starts from seeded Gaussian noise and is multiplied
-    forward until the relative L1 change between sweeps drops below
-    ``config.eta`` or the iteration cap is reached. A zero-norm iterate
-    counts as infinite change rather than a division error. Every sweep's
-    relative change is kept in the result's ``trace``.
+    The first ``len(known)`` rows are the known entities; their weight
+    rows are never read, so raw and ``fix_known_block`` weights give the
+    same result. The unknown block starts from seeded Gaussian noise and
+    is multiplied forward until the relative L1 change between sweeps
+    drops below ``config.eta`` or the iteration cap is reached. A
+    zero-norm iterate counts as infinite change rather than a division
+    error. Every sweep's relative change is kept in the result's ``trace``.
 
     Raises ConvergenceError if some unknown row cannot be reached from the
     known block through the weight support, since the fixed point would
@@ -174,7 +174,9 @@ def closed_form_solve(weights: WeightMatrix, known: np.ndarray) -> np.ndarray:
     """Fixed point of the diffusion by sparse LU.
 
     Solves (I - W_qq) Y_q = W_qp Y_p and returns the unknown block
-    directly. Exact up to rounding, at any size the factor fits in memory.
+    directly. Like ``power_iterate`` it never reads the weight rows of the
+    ``len(known)`` known entities. Exact up to rounding, at any size the
+    factor fits in memory.
     """
     known, m, p, q = _fixed_system(weights, known)
     if q == 0:
@@ -210,10 +212,7 @@ def spectral_diagnostics(weights: WeightMatrix, n_known: int) -> SpectralReport:
     dense = weights.matrix.toarray()
     radius = float(np.abs(np.linalg.eigvals(dense)).max())
 
-    fixed = dense.copy()
-    fixed[:n_known, :] = 0.0
-    fixed[np.arange(n_known), np.arange(n_known)] = 1.0
-    eig_fixed = np.linalg.eigvals(fixed)
+    eig_fixed = np.linalg.eigvals(fix_known_block(weights, n_known).toarray())
     unit_count = int((np.abs(eig_fixed - 1.0) < _UNIT_EIGENVALUE_TOL).sum())
 
     q = n - n_known

@@ -9,7 +9,7 @@ import numpy as np
 
 from .domain_geometry import DomainMatrix, euclidean_distance_matrix
 from .embedding_io import AlignedProblem, EmbeddingTable, align, merge_imputed
-from .imputation_engine import ImputationConfig, ImputationResult, fix_known_block, power_iterate
+from .imputation_engine import ImputationConfig, ImputationResult, power_iterate
 from .manifold_graph import NeighborGraph, _build_unchecked
 from .weight_solver import WeightMatrix, assemble_weight_matrix
 
@@ -36,8 +36,8 @@ def impute_aligned(
 
     The first rows of ``domain`` must be the entities whose vectors are
     ``known``, in the same order. Builds the minimum-degree neighbor graph
-    over affinity distances, solves the reconstruction weights, freezes the
-    known block, and diffuses. Returns the graph, the weights, the result
+    over affinity distances, solves the reconstruction weights, and diffuses
+    from the frozen known vectors. Returns the graph, the weights, the result
     and the ``distance``, ``graph``, ``weights`` and ``iterate`` timings.
     """
     timings = {}
@@ -57,8 +57,7 @@ def impute_aligned(
     timings["weights"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    fixed = fix_known_block(weights, len(known))
-    result = power_iterate(fixed, known, config)
+    result = power_iterate(weights, known, config)
     timings["iterate"] = time.perf_counter() - start
     return graph, weights, result, timings
 

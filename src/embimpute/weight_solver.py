@@ -176,8 +176,6 @@ def _simplex_rows(G: np.ndarray):
     needed ``lstsq``, fell back to uniform weights, and hit the sweep cap.
     """
     r, k = G.shape[:2]
-    if k == 1:
-        return np.ones((r, 1)), (0, 0, 0)
     diag = np.diagonal(G, axis1=1, axis2=2)  # a view, so it is scaled too
     # exact scaling to a largest diagonal entry in [1/2, 1)
     np.ldexp(G, -np.frexp(diag.max(axis=1))[1][:, None, None], out=G)

@@ -134,8 +134,15 @@ class TestImputeCommand:
         assert len(lines) - 1 == result.iterations > 0
         assert lines[-1].startswith("imputed ")
 
-    @pytest.mark.parametrize("flag", ["--eta", "--init-sigma"])
-    def test_non_finite_config_exits_one(self, fixture_files, flag, capsys):
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--eta", "inf", "finite", id="--eta"),
+            pytest.param("--init-sigma", "inf", "finite", id="--init-sigma"),
+            pytest.param("--seed", "-1", "seed must be an integer >= 0", id="--seed"),
+        ],
+    )
+    def test_non_finite_config_exits_one(self, fixture_files, flag, value, message, capsys):
         tmp_path, _, _, domain_csv, vec_path = fixture_files
         code = main(
             [
@@ -143,12 +150,12 @@ class TestImputeCommand:
                 "--domain", str(domain_csv),
                 "--embeddings", str(vec_path),
                 "--out", str(tmp_path / "out.vec"),
-                flag, "inf",
+                flag, value,
             ]
         )
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error:") and "finite" in err
+        assert err.startswith("error:") and message in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out.vec").exists()
 
@@ -383,6 +390,13 @@ class TestOtherCommands:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_synth_negative_seed_is_one_line_error(self, capsys):
+        code = main(["synth", "--n", "60", "--p", "40", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
 
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1

@@ -207,6 +207,9 @@ class TestSyntheticTransfer:
             SyntheticTransferSpec(n=10, p=10)
         with pytest.raises(ValidationError):
             SyntheticTransferSpec(manifold_dim=20, affinity_dim=4, semantic_dim=4)
+        for bad in (-1, 2.5, None):
+            with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+                SyntheticTransferSpec(seed=bad)
 
     def test_clean_transfer_close_to_truth(self):
         spec = SyntheticTransferSpec(n=120, p=80, n_labels=4, noise_sigma=0.0, seed=1)

@@ -73,6 +73,15 @@ class TestImputationConfig:
             ImputationConfig(max_iter=0)
         with pytest.raises(ValidationError):
             ImputationConfig(init_sigma=-1.0)
+        for bad in (
+            {"max_iter": 2.5}, {"max_iter": "10"}, {"seed": -1}, {"seed": 1.5}, {"seed": None}
+        ):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                ImputationConfig(**bad)
+
+    def test_accepts_numpy_integers(self):
+        config = ImputationConfig(max_iter=np.int64(3), seed=np.uint32(7))
+        assert (config.max_iter, config.seed) == (3, 7)
 
     @pytest.mark.parametrize(
         "bad", [{"eta": math.inf}, {"init_sigma": math.nan}, {"init_sigma": math.inf}]
@@ -178,11 +187,6 @@ class TestPowerIterate:
         result = power_iterate(W, known, ImputationConfig(eta=1e-12))
         assert result.converged
         assert np.array_equal(result.Y, np.repeat(known, 5, axis=0))
-
-    def test_requires_fixed_block(self, random_system):
-        sys = random_system(n=10, p=4, d=3, s=2, delta=3, seed=36)
-        with pytest.raises(ValidationError, match="identity"):
-            power_iterate(sys.weights, sys.known, ImputationConfig())
 
     def test_iteration_cap_reported(self, random_system):
         sys = random_system(n=20, p=5, d=4, s=3, delta=3, seed=37)
@@ -303,6 +307,40 @@ class TestClosedFormSolve:
         m = W.matrix
         residual = m[p:, :p] @ known + m[p:, p:] @ solution - solution
         assert np.abs(residual).max() < 1e-12 * np.abs(solution).max()
+
+
+class TestKnownRowsNotRead:
+    """The weight rows of the known entities never enter a solve."""
+
+    def test_raw_and_fixed_weights_agree(self, random_system):
+        # the C2 acceptance systems
+        for seed in range(20):
+            sys = random_system(n=100, p=40, d=8, s=16, delta=8, seed=seed)
+            raw = power_iterate(sys.weights, sys.known, ImputationConfig())
+            fixed = power_iterate(sys.fixed, sys.known, ImputationConfig())
+            assert np.array_equal(raw.Y, fixed.Y)
+            assert raw.trace == fixed.trace
+            assert np.array_equal(
+                closed_form_solve(sys.weights, sys.known),
+                closed_form_solve(sys.fixed, sys.known),
+            )
+
+    def test_known_rows_changed_change_nothing(self, random_system):
+        sys = random_system(n=60, p=25, d=5, s=4, delta=5, seed=36)
+        free = sys.weights.matrix[25:, :]
+        dense = np.random.default_rng(36).random((25, 60))
+        dense /= dense.sum(axis=1, keepdims=True)
+        # each known row drawing on one unknown row only
+        onto_free = sparse.csr_matrix((np.ones(25), (np.arange(25), np.arange(25, 50))), (25, 60))
+        config = ImputationConfig(eta=1e-6)
+        expected = power_iterate(sys.weights, sys.known, config)
+        expected_solution = closed_form_solve(sys.weights, sys.known)
+        for head in (sparse.csr_matrix(dense), onto_free):
+            W = WeightMatrix(sparse.vstack([head, free], format="csr"))
+            result = power_iterate(W, sys.known, config)
+            assert np.array_equal(result.Y, expected.Y)
+            assert result.trace == expected.trace
+            assert np.array_equal(closed_form_solve(W, sys.known), expected_solution)
 
 
 class TestSpectralDiagnostics:
