@@ -18,8 +18,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .domain_geometry import _BLOCK_BYTES, DomainMatrix, _nearest_columns
-from .errors import ValidationError
-from .imputation_engine import ImputationConfig, _check_integer, power_iterate
+from .errors import ValidationError, _check_integer
+from .imputation_engine import ImputationConfig, power_iterate
 from .pipeline import impute_aligned
 
 _CENTER_SPREAD = 3.0
@@ -63,6 +63,8 @@ class SyntheticTransferSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "p", "manifold_dim", "affinity_dim", "semantic_dim", "n_labels"):
+            _check_integer(getattr(self, name), name, 1)
         if not 1 <= self.p < self.n:
             raise ValidationError("need 1 <= p < n")
         if self.manifold_dim < 1 or self.manifold_dim > min(
@@ -73,8 +75,8 @@ class SyntheticTransferSpec:
             )
         if self.n_labels < 2:
             raise ValidationError("need at least 2 labels")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValidationError("noise_sigma must be non-negative and finite")
         _check_integer(self.seed, "seed", 0)
 
 

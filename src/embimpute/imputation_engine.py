@@ -4,36 +4,26 @@ The vectors of the known entities stay frozen: the diffusion reads only
 the weight rows of the unknown entities, so the rows of the known ones
 never matter. Repeated multiplication by those rows drives the unknown
 block to a fixed point that does not depend on its initialization. A sparse
-LU solve of the same fixed point and an eigenvalue report are provided for
-verification and diagnostics.
+LU solve of the same fixed point and an eigenvalue report, which reads only
+the free block of the weights, are provided for verification and
+diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _check_integer
 from .manifold_graph import reached_from_anchors
 from .weight_solver import WeightMatrix
 
 _UNIT_EIGENVALUE_TOL = 1e-6
 _DIAGNOSTIC_SIZE_CAP = 2000
-
-
-def _check_integer(value, name: str, low: int) -> None:
-    """Raise ValidationError unless ``value`` is an integer of at least ``low``."""
-    try:
-        ok = operator.index(value) >= low
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -89,8 +79,9 @@ def fix_known_block(weights: WeightMatrix, n_known: int) -> WeightMatrix:
     """Replace the first ``n_known`` rows with identity rows.
 
     The remaining rows are unchanged, so the result is still row-stochastic
-    while the known block no longer reacts to anything. The solvers do not
-    need it, as they never read the known rows; the spectral report does.
+    while the known block no longer reacts to anything. Nothing in the
+    package needs it: the solvers never read the known rows, and the
+    spectral report reads the free block alone.
     """
     _check_range(n_known, weights.n)
     top = sparse.eye(n_known, weights.n, format="csr")
@@ -195,12 +186,17 @@ def closed_form_solve(weights: WeightMatrix, known: np.ndarray) -> np.ndarray:
 
 
 def spectral_diagnostics(weights: WeightMatrix, n_known: int) -> SpectralReport:
-    """Dense eigenvalue report for moderate-size systems.
+    """Eigenvalue report for moderate-size systems, from the free block alone.
 
-    Reports the spectral radius of the raw matrix, how many eigenvalues sit
-    at one after fixing the known block (expected: exactly ``n_known``),
-    and the spectral radius of the free-block submatrix (expected below
-    one, which is what guarantees initialization-independent convergence).
+    With the known block fixed the matrix is [[I, 0], [W_qp, W_qq]], block
+    lower-triangular, so its eigenvalues are ``n_known`` ones and those of
+    W_qq. One dense eigensolve of the q x q free block W_qq gives its
+    spectral radius (expected below one, which is what guarantees
+    initialization-independent convergence) and the unit eigenvalue count
+    (expected: exactly ``n_known``). The raw matrix's spectral radius is
+    its largest row sum: for a non-negative matrix it lies between the
+    smallest and largest row sum, and ``WeightMatrix`` holds every row sum
+    within 1e-12 of one.
     """
     n = weights.n
     if n > _DIAGNOSTIC_SIZE_CAP:
@@ -209,17 +205,9 @@ def spectral_diagnostics(weights: WeightMatrix, n_known: int) -> SpectralReport:
             "this is a diagnostic, not a production path"
         )
     _check_range(n_known, n)
-    dense = weights.matrix.toarray()
-    radius = float(np.abs(np.linalg.eigvals(dense)).max())
-
-    eig_fixed = np.linalg.eigvals(fix_known_block(weights, n_known).toarray())
-    unit_count = int((np.abs(eig_fixed - 1.0) < _UNIT_EIGENVALUE_TOL).sum())
-
-    q = n - n_known
-    if q:
-        free_radius = float(
-            np.abs(np.linalg.eigvals(dense[n_known:, n_known:])).max()
-        )
-    else:
-        free_radius = 0.0
+    m = weights.matrix
+    radius = float(m.sum(axis=1).max())
+    eig = np.linalg.eigvals(m[n_known:, n_known:].toarray())
+    unit_count = n_known + int((np.abs(eig - 1.0) < _UNIT_EIGENVALUE_TOL).sum())
+    free_radius = float(np.abs(eig).max(initial=0.0))
     return SpectralReport(n, n_known, radius, unit_count, free_radius)

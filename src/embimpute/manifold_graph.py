@@ -8,20 +8,22 @@ always by smaller vertex index so identical inputs yield identical graphs.
 The tree comes from a dense Prim over the rows of ``D`` that compares
 edges by the strict total order (weight, smaller index, larger index).
 Under a strict total order the spanning tree is unique, so it is the tree
-Kruskal's algorithm yields when it scans edges in that order. The
-augmentation takes each short vertex's delta + 1 nearest columns by
-(distance, index) from one blocked cut (``_nearest_columns``) over the
-1 MiB row blocks of ``D`` that hold such a vertex, on the distance
-stage's threads. The whole stage takes O(n^2) time and allocates nothing
-n x n beyond ``D`` itself.
+Kruskal's algorithm yields when it scans edges in that order. Inside the
+package the tree passes as two endpoint arrays; only ``build_mst`` sorts
+it and reads its weights into tuples. The augmentation takes each short
+vertex's delta + 1 nearest columns by (distance, index) from one blocked
+cut (``_nearest_columns``) over the 1 MiB row blocks of ``D`` that hold
+such a vertex, on the distance stage's threads. The whole stage takes
+O(n^2) time and allocates nothing n x n beyond ``D`` itself.
 ``build_graph`` validates ``D`` once; ``build_mst`` and
 ``augment_to_min_degree`` each validate their own input. The pipeline and
 the CLI hand the output of ``euclidean_distance_matrix``, which is valid by
 construction, to ``_build_unchecked``.
 
 The graph is stored in the CSR layout of ``WeightMatrix``: row i lists the
-sources of the edges into vertex i, ascending. The weight solver and the
-csgraph reachability checks read these arrays as they are.
+sources of the edges into vertex i, ascending. It holds only this
+support, which is all the weight solver and the csgraph reachability
+checks read; edge lengths stay in ``D``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .domain_geometry import _BLOCK_BYTES, _nearest_columns, _run_blocks
-from .errors import ValidationError
+from .errors import ValidationError, _check_integer
 
 # side of the square tiles the symmetry check compares
 _SYMMETRY_TILE = 256
@@ -63,25 +65,21 @@ def _validated_distances(D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Directed weighted graph in CSR layout, like ``WeightMatrix``.
+    """Directed graph in CSR layout, like ``WeightMatrix``.
 
     ``indices[indptr[i]:indptr[i + 1]]`` are the sources of the edges into
-    vertex i, strictly ascending, and ``distances`` holds the matching edge
-    lengths. The arrays are stored as int64 / float64; a malformed layout
-    raises ``ValidationError``.
+    vertex i, strictly ascending. The arrays are stored as int64; a
+    malformed layout raises ``ValidationError``.
     """
 
     n: int
-    delta: int
     indptr: np.ndarray
     indices: np.ndarray
-    distances: np.ndarray
 
     def __post_init__(self):
         n = self.n
         indptr = np.asarray(self.indptr, dtype=np.int64)
         indices = np.asarray(self.indices, dtype=np.int64)
-        distances = np.asarray(self.distances, dtype=np.float64)
         if (
             indices.ndim != 1
             or indptr.shape != (n + 1,)
@@ -98,11 +96,8 @@ class NeighborGraph:
             raise ValidationError(f"graph sources must lie in [0, {n}) and differ from their row")
         if ((np.diff(indices) <= 0) & (owner[1:] == owner[:-1])).any():
             raise ValidationError("graph sources must be strictly ascending within each row")
-        if distances.shape != indices.shape or not np.isfinite(distances).all() or (distances < 0).any():
-            raise ValidationError("graph distances must be finite, non-negative and one per source")
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "distances", distances)
 
     def in_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -111,7 +106,8 @@ class NeighborGraph:
         return self.indices.size
 
 
-def _mst(D: np.ndarray) -> list[tuple[int, int, float]]:
+def _mst(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (src, dst) of the n - 1 tree edges, in the order they join."""
     n = D.shape[0]
     if n < 2:
         raise ValidationError("spanning tree needs at least 2 vertices")
@@ -145,12 +141,7 @@ def _mst(D: np.ndarray) -> list[tuple[int, int, float]]:
             take[tie] = (lo_new < lo_old) | ((lo_new == lo_old) & (hi_new < hi_old))
         np.copyto(best_w, row, where=take)
         best_u[take] = v
-
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    w = D[lo, hi]
-    order = np.lexsort((hi, lo, w))
-    return list(zip(lo[order].tolist(), hi[order].tolist(), w[order].tolist()))
+    return src, dst
 
 
 def build_mst(D) -> list[tuple[int, int, float]]:
@@ -163,13 +154,19 @@ def build_mst(D) -> list[tuple[int, int, float]]:
     edges as (u, v, weight) tuples with u < v, sorted by the same order;
     the graph constructor materializes each as two directed edges.
     """
-    return _mst(_validated_distances(D))
+    D = _validated_distances(D)
+    src, dst = _mst(D)
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    w = D[lo, hi]
+    order = np.lexsort((hi, lo, w))
+    return list(zip(lo[order].tolist(), hi[order].tolist(), w[order].tolist()))
 
 
-def _augment(mst_edges, D: np.ndarray, delta: int) -> NeighborGraph:
+def _augment(u: np.ndarray, v: np.ndarray, D: np.ndarray, delta: int) -> NeighborGraph:
+    # u[e] and v[e] are the endpoints of tree edge e, in [0, n)
     n = D.shape[0]
-    if delta < 1:
-        raise ValidationError("minimum degree must be at least 1")
+    _check_integer(delta, "minimum degree", 1)
     if delta >= n:
         raise ValidationError(
             f"minimum degree {delta} needs {delta} distinct neighbors; "
@@ -178,10 +175,6 @@ def _augment(mst_edges, D: np.ndarray, delta: int) -> NeighborGraph:
 
     # an edge dst <- src is the key dst * n + src, so sorted keys are the
     # CSR order
-    ends = np.array([e[:2] for e in mst_edges], dtype=np.int64).reshape(-1, 2)
-    if ((ends < 0) | (ends >= n)).any():
-        raise ValidationError(f"tree edge endpoints must lie in [0, {n})")
-    u, v = ends.T
     tree = np.unique(np.concatenate([u * n + v, v * n + u]))
     need = delta - np.bincount(tree // n, minlength=n)
     short = np.flatnonzero(need > 0)
@@ -204,7 +197,7 @@ def _augment(mst_edges, D: np.ndarray, delta: int) -> NeighborGraph:
 
     dst, src = np.divmod(np.union1d(tree, added), n)
     indptr = np.searchsorted(dst, np.arange(n + 1))
-    return NeighborGraph(n, delta, indptr, src, D[dst, src])
+    return NeighborGraph(n, indptr, src)
 
 
 def augment_to_min_degree(mst_edges, D, delta: int) -> NeighborGraph:
@@ -215,13 +208,18 @@ def augment_to_min_degree(mst_edges, D, delta: int) -> NeighborGraph:
     has no edge into it yet (self excluded); these extra edges stay
     one-directional. Vertices already at ``delta`` or above are untouched.
     """
-    return _augment(mst_edges, _validated_distances(D), delta)
+    D = _validated_distances(D)
+    n = D.shape[0]
+    ends = np.array([e[:2] for e in mst_edges], dtype=np.int64).reshape(-1, 2)
+    if ((ends < 0) | (ends >= n)).any():
+        raise ValidationError(f"tree edge endpoints must lie in [0, {n})")
+    return _augment(ends[:, 0], ends[:, 1], D, delta)
 
 
 def _build_unchecked(D: np.ndarray, delta: int) -> NeighborGraph:
     # D must be square, finite, non-negative, symmetric and zero on the
     # diagonal: checked by build_graph, or true by construction
-    return _augment(_mst(D), D, delta)
+    return _augment(*_mst(D), D, delta)
 
 
 def build_graph(D, delta: int = 8) -> NeighborGraph:
@@ -234,7 +232,8 @@ def build_graph(D, delta: int = 8) -> NeighborGraph:
 
 def in_neighbors(graph: NeighborGraph, i: int) -> np.ndarray:
     """Sorted source vertices of edges into vertex ``i``."""
-    if not 0 <= i < graph.n:
+    _check_integer(i, "vertex index", 0)
+    if i >= graph.n:
         raise ValidationError(f"vertex index {i} out of range for n={graph.n}")
     return graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
 

@@ -79,6 +79,9 @@ class WeightMatrix:
             raise ValidationError("weight matrix must be square")
         m.sort_indices()
         m.eliminate_zeros()
+        # a NaN fails both comparisons below, so it is caught first
+        if not np.isfinite(m.data).all():
+            raise ValidationError("weight matrix entries must be finite")
         if m.nnz and m.data.min() < 0:
             raise ValidationError("weight matrix entries must be non-negative")
         sums = np.asarray(m.sum(axis=1)).ravel()

@@ -391,12 +391,21 @@ class TestOtherCommands:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
-    def test_synth_negative_seed_is_one_line_error(self, capsys):
-        code = main(["synth", "--n", "60", "--p", "40", "--seed", "-1"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--seed", "-1", "seed must be an integer >= 0, got -1", id="--seed"),
+            pytest.param(
+                "--noise-sigma", "nan", "noise_sigma must be non-negative and finite", id="--noise-sigma"
+            ),
+        ],
+    )
+    def test_synth_bad_spec_is_one_line_error(self, flag, value, message, capsys):
+        code = main(["synth", "--n", "60", "--p", "40", flag, value])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+        assert captured.err == f"error: {message}\n"
 
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1

@@ -211,6 +211,24 @@ class TestSyntheticTransfer:
             with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
                 SyntheticTransferSpec(seed=bad)
 
+    @pytest.mark.parametrize(
+        "field", ["n", "p", "manifold_dim", "affinity_dim", "semantic_dim", "n_labels"]
+    )
+    @pytest.mark.parametrize("bad", [0.5, "4", None])
+    def test_spec_size_fields_must_be_integers(self, field, bad):
+        value = getattr(SyntheticTransferSpec(), field) + bad if isinstance(bad, float) else bad
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer >= 1"):
+            SyntheticTransferSpec(**{field: value})
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = SyntheticTransferSpec(n=np.int64(60), p=np.int32(40), n_labels=np.int64(3))
+        assert make_transfer_data(spec).semantic.shape == (60, spec.semantic_dim)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_spec_noise_sigma_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValidationError, match="noise_sigma must be non-negative and finite"):
+            SyntheticTransferSpec(noise_sigma=bad)
+
     def test_clean_transfer_close_to_truth(self):
         spec = SyntheticTransferSpec(n=120, p=80, n_labels=4, noise_sigma=0.0, seed=1)
         report = run_synthetic_transfer(spec, ImputationConfig(), delta=6, k=5)

@@ -14,6 +14,7 @@ from embimpute import (
     power_iterate,
     spectral_diagnostics,
 )
+from embimpute import imputation_engine
 from embimpute.manifold_graph import reached_from_anchors
 
 
@@ -362,6 +363,33 @@ class TestSpectralDiagnostics:
         report = spectral_diagnostics(sys.weights, 10)
         assert report.free_block_spectral_radius == 0.0
         assert report.unit_eigenvalue_count == 10
+
+    @pytest.mark.parametrize(
+        "n, p, seed", [(50, 20, 41), (40, 16, 42), (60, 24, 44), (120, 48, 46), (10, 10, 45)]
+    )
+    def test_matches_dense_reference_from_the_free_block(self, random_system, monkeypatch, n, p, seed):
+        sys = random_system(n=n, p=p, d=5, s=3, delta=5 if n > 10 else 3, seed=seed)
+        dense = sys.weights.toarray()
+        fixed_eigs = np.linalg.eigvals(fix_known_block(sys.weights, p).toarray())
+        expected_unit = int((np.abs(fixed_eigs - 1.0) < 1e-6).sum())
+        expected_free = float(np.abs(np.linalg.eigvals(dense[p:, p:])).max()) if p < n else 0.0
+        expected_radius = float(np.abs(np.linalg.eigvals(dense)).max())
+
+        # no n x n array and no fixed matrix: the report reads W_qq alone
+        shapes = []
+        to_array = type(sys.weights.matrix).toarray
+
+        def recording(self, *args, **kwargs):
+            shapes.append(self.shape)
+            return to_array(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(sys.weights.matrix), "toarray", recording)
+        monkeypatch.setattr(imputation_engine, "fix_known_block", None)
+        report = spectral_diagnostics(sys.weights, p)
+        assert (n, n) not in shapes
+        assert report.unit_eigenvalue_count == expected_unit == p
+        assert report.free_block_spectral_radius == expected_free
+        assert abs(report.spectral_radius - expected_radius) < 1e-12
 
     def test_size_cap(self):
         W = WeightMatrix(sparse.eye(2001, format="csr"))

@@ -97,8 +97,7 @@ def reference_augment(mst_edges, D, delta):
             if j != i and j not in in_sets[i]:
                 in_sets[i].add(j)
                 need -= 1
-    incoming = [np.array(sorted(s), dtype=np.int64) for s in in_sets]
-    return incoming, [D[i, srcs] for i, srcs in enumerate(incoming)]
+    return [np.array(sorted(s), dtype=np.int64) for s in in_sets]
 
 
 def ring_around_centre():
@@ -224,6 +223,18 @@ class TestAugmentToMinDegree:
             )
             assert added == {j for _, j in candidates[:need]}
 
+    @pytest.mark.parametrize("bad", [2.5, "3", None, 0])
+    def test_delta_must_be_an_integer_at_least_one(self, bad):
+        D = points([0.0, 1.0, 3.0, 7.0])
+        for build in (lambda: build_graph(D, bad), lambda: augment_to_min_degree(build_mst(D), D, bad)):
+            with pytest.raises(ValidationError, match="minimum degree must be an integer >= 1") as info:
+                build()
+            assert "\n" not in str(info.value)
+
+    def test_numpy_integer_delta_accepted(self):
+        D = points([0.0, 1.0, 3.0, 7.0])
+        assert directed_edges(build_graph(D, np.int64(2))) == directed_edges(build_graph(D, 2))
+
     def test_delta_at_vertex_count_rejected(self):
         D = points([0.0, 1.0, 3.0])
         with pytest.raises(ValidationError):
@@ -247,12 +258,15 @@ class TestGraphQueries:
         D = points([0.0, 1.0, 2.5])
         g = augment_to_min_degree(build_mst(D), D, 1)
         assert in_neighbors(g, 1).tolist() == [0, 2]
+        assert in_neighbors(g, np.int64(1)).tolist() == [0, 2]
 
-    def test_in_neighbors_invalid_index(self):
+    @pytest.mark.parametrize("bad", [7, 2, -1, 1.5, "1", None])
+    def test_in_neighbors_invalid_index(self, bad):
         D = points([0.0, 1.0])
         g = build_graph(D, 1)
-        with pytest.raises(ValidationError):
-            in_neighbors(g, 7)
+        with pytest.raises(ValidationError, match="vertex index") as info:
+            in_neighbors(g, bad)
+        assert "\n" not in str(info.value)
 
     def test_in_neighbors_matches_edge_scan(self):
         rng = np.random.default_rng(14)
@@ -283,7 +297,7 @@ class TestAnchorReachability:
             assert reached(g, p)
 
     def test_handbuilt_disconnected_graph(self):
-        g = NeighborGraph(4, 1, [0, 1, 2, 3, 4], [1, 0, 3, 2], np.ones(4))
+        g = NeighborGraph(4, [0, 1, 2, 3, 4], [1, 0, 3, 2])
         assert not reached(g, 2)
         assert not is_connected(g)
 
@@ -304,12 +318,11 @@ class TestGraphLayout:
     """``NeighborGraph`` checks its CSR arrays; each rule has its own test."""
 
     # 4 vertices, edges into 0 from 1; into 1 from 0 and 2; into 3 from 2
-    INDPTR, INDICES, DISTANCES = [0, 1, 3, 3, 4], [1, 0, 2, 2], [1.0, 1.0, 2.0, 3.0]
+    INDPTR, INDICES = [0, 1, 3, 3, 4], [1, 0, 2, 2]
 
-    def test_valid_layout_is_stored_as_int64_and_float64(self):
-        g = NeighborGraph(4, 1, self.INDPTR, np.array(self.INDICES, dtype=np.int32), self.DISTANCES)
+    def test_valid_layout_is_stored_as_int64(self):
+        g = NeighborGraph(4, self.INDPTR, np.array(self.INDICES, dtype=np.int32))
         assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
-        assert g.distances.dtype == np.float64
         assert in_neighbors(g, 1).tolist() == [0, 2]
         assert in_neighbors(g, 2).tolist() == []
 
@@ -319,7 +332,7 @@ class TestGraphLayout:
     )
     def test_indptr_must_run_from_zero_to_the_source_count(self, indptr):
         with pytest.raises(ValidationError, match="indptr"):
-            NeighborGraph(4, 1, indptr, self.INDICES, self.DISTANCES)
+            NeighborGraph(4, indptr, self.INDICES)
 
     @pytest.mark.parametrize("bad", [7, 4, -1, 1])
     def test_sources_must_be_other_vertices(self, bad):
@@ -327,22 +340,14 @@ class TestGraphLayout:
         # interpreter; -1 silently read as unreachable; 1 is row 1 itself
         indices = [1, 0, bad, 2]
         with pytest.raises(ValidationError, match=r"sources must lie in \[0, 4\)"):
-            NeighborGraph(4, 1, self.INDPTR, indices, self.DISTANCES)
+            NeighborGraph(4, self.INDPTR, indices)
 
     @pytest.mark.parametrize("indices", [[1, 2, 0, 2], [1, 2, 2, 2]])
     def test_sources_must_ascend_strictly_within_a_row(self, indices):
         with pytest.raises(ValidationError, match="strictly ascending"):
-            NeighborGraph(4, 1, self.INDPTR, indices, self.DISTANCES)
+            NeighborGraph(4, self.INDPTR, indices)
         # a drop between rows is allowed
-        NeighborGraph(4, 1, self.INDPTR, [2, 0, 2, 0], self.DISTANCES)
-
-    @pytest.mark.parametrize(
-        "distances",
-        [[1.0, 1.0, 2.0], [[1.0, 1.0, 2.0, 3.0]], [1.0, np.nan, 2.0, 3.0], [1.0, 1.0, np.inf, 3.0], [1.0, 1.0, 2.0, -3.0]],
-    )
-    def test_distances_must_be_finite_non_negative_and_one_per_source(self, distances):
-        with pytest.raises(ValidationError, match="distances"):
-            NeighborGraph(4, 1, self.INDPTR, self.INDICES, distances)
+        NeighborGraph(4, self.INDPTR, [2, 0, 2, 0])
 
     def test_counters_read_by_the_benchmark_tracer(self):
         g = build_graph(euclidean_distance_matrix(np.random.default_rng(23).normal(size=(40, 3))), 5)
@@ -406,12 +411,11 @@ class TestReferenceOracle:
         reference_mst = reference_kruskal(D)
         assert mst == reference_mst
         for delta in deltas:
-            incoming, in_weights = reference_augment(reference_mst, D, delta)
+            incoming = reference_augment(reference_mst, D, delta)
             indptr = np.cumsum([0] + [a.size for a in incoming])
             for graph in (build_graph(D, delta), augment_to_min_degree(mst, D, delta)):
                 assert np.array_equal(graph.indptr, indptr)
                 assert np.array_equal(graph.indices, np.concatenate(incoming))
-                assert np.array_equal(graph.distances, np.concatenate(in_weights))
 
     def test_many_blocks_on_more_workers_than_cores(self, monkeypatch):
         # 3-row blocks of a tie-heavy lattice on 8 workers with a short
@@ -420,7 +424,7 @@ class TestReferenceOracle:
         D = euclidean_distance_matrix(np.random.default_rng(26).permutation(lattice(10, 12)))
         monkeypatch.setattr(domain_geometry.os, "sched_getaffinity", lambda pid: set(range(8)))
         monkeypatch.setattr(manifold_graph, "_BLOCK_BYTES", 8 * 120 * 3)
-        expected = reference_augment(reference_kruskal(D), D, 8)[0]
+        expected = reference_augment(reference_kruskal(D), D, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -5,7 +5,7 @@ from scipy.spatial.distance import cdist
 import embimpute as ei
 from embimpute.pipeline import _STAGES
 from test_domain_geometry import blocks_of
-from test_manifold_graph import ORACLE_INPUTS, directed_edges
+from test_manifold_graph import ORACLE_INPUTS, directed_edges, lattice
 
 
 def random_problem(seed, n=40, p=25, d=5, s=6):
@@ -43,7 +43,6 @@ class TestImputeAligned:
         expected = ei.build_graph(cdist(data, data), delta)
         assert np.array_equal(graph.indptr, expected.indptr)
         assert np.array_equal(graph.indices, expected.indices)
-        assert np.array_equal(graph.distances, expected.distances)
 
     def test_impute_embeddings_is_align_then_impute_aligned(self):
         domain, table = random_problem(61)
@@ -69,6 +68,72 @@ class TestImputeEmbeddings:
         assert list(run.timings) == list(_STAGES)
         assert run.graph is None and run.weights is None
         assert all(run.timings[k] == 0.0 for k in ("distance", "graph", "weights", "iterate"))
+
+    @pytest.mark.parametrize("delta", [2.5, "3", None])
+    def test_non_integer_delta_is_one_line_error(self, delta):
+        domain, table = random_problem(64)
+        with pytest.raises(ei.ValidationError, match="minimum degree must be an integer") as info:
+            ei.impute_embeddings(domain, table, delta=delta)
+        assert "\n" not in str(info.value)
+
+
+def _random_rows(seed, n, d, scale=1.0):
+    return scale * np.random.default_rng(seed).normal(size=(n, d))
+
+
+# (rows, known count p, delta); the known entities are the first p rows
+DEGENERATE_INPUTS = {
+    "one_feature": (lambda: _random_rows(70, 30, 1), 15, 8),
+    "one_known": (lambda: _random_rows(71, 30, 3), 1, 8),
+    "rows_tripled": (lambda: np.tile(_random_rows(72, 10, 3), (3, 1)), 15, 8),
+    "all_rows_identical": (lambda: np.ones((20, 3)), 10, 8),
+    "all_tie_grid_6x6": (lambda: lattice(6, 6), 18, 8),
+    "collinear": (lambda: np.linspace(0.0, 1.0, 25)[:, None] * [1.0, -2.0, 0.5], 12, 8),
+    "scale_1e-150": (lambda: _random_rows(73, 30, 3, 1e-150), 15, 8),
+    "scale_1e150": (lambda: _random_rows(73, 30, 3, 1e150), 15, 8),
+    "two_entities": (lambda: np.array([[0.0, 1.0], [2.0, -1.0]]), 1, 1),
+}
+
+
+def _degenerate_problem(rows, p, seed=74):
+    entities = tuple(f"e{i:03d}" for i in range(len(rows)))
+    rng = np.random.default_rng(seed)
+    table = ei.EmbeddingTable(4, {e: rng.normal(size=4) for e in entities[:p]})
+    return ei.DomainMatrix(entities, rows), table
+
+
+class TestDegenerateInputs:
+    """Inputs at the edges of the method, run end to end."""
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_INPUTS))
+    def test_converges_with_no_fallback(self, name):
+        make, p, delta = DEGENERATE_INPUTS[name]
+        domain, table = _degenerate_problem(make(), p)
+        run = ei.impute_embeddings(domain, table, delta=delta)
+        assert run.result.converged
+        assert all(np.isfinite(v).all() for v in run.table.entries.values())
+        assert len(run.table) == domain.n
+        for token, vector in table.entries.items():
+            assert run.table.entries[token].tobytes() == vector.tobytes()
+        w = run.weights
+        assert (w.lstsq_fallbacks, w.uniform_fallbacks, w.capped_rows) == (0, 0, 0)
+
+    def test_overflowing_distances_are_one_line_error(self):
+        domain, table = _degenerate_problem(_random_rows(73, 30, 3, 1e154), 15)
+        with pytest.raises(ei.ValidationError, match="non-finite") as info:
+            ei.impute_embeddings(domain, table)
+        assert "\n" not in str(info.value)
+
+    def test_interior_lone_anchor_is_unreachable(self):
+        # with every other entity as a neighbor, each grid point on the
+        # boundary is rebuilt from boundary points, so no weight chain
+        # reaches the one known entity at interior point (2, 2)
+        rows = lattice(6, 6)
+        rows[[0, 14]] = rows[[14, 0]]
+        domain, table = _degenerate_problem(rows, 1)
+        with pytest.raises(ei.ConvergenceError, match="unreachable") as info:
+            ei.impute_embeddings(domain, table, delta=domain.n - 1)
+        assert "\n" not in str(info.value)
 
 
 def test_public_names():

@@ -354,7 +354,7 @@ class TestAssembleWeightMatrix:
         g = build_graph(euclidean_distance_matrix(domain), 1)
         # g with the edges into b left out
         keep = np.r_[g.indptr[0] : g.indptr[1], g.indptr[2] : g.indptr[3]]
-        empty = NeighborGraph(3, 1, [0, 1, 1, 2], g.indices[keep], g.distances[keep])
+        empty = NeighborGraph(3, [0, 1, 1, 2], g.indices[keep])
         domain.data[2, 0] = np.nan
         with pytest.raises(ValidationError, match=r"^row 1 \(b\): at least one neighbor"):
             assemble_weight_matrix(empty, domain)
@@ -733,6 +733,23 @@ class TestWeightMatrixType:
         m = sparse.csr_matrix(np.array([[1.5, -0.5], [0.5, 0.5]]))
         with pytest.raises(ValidationError, match="non-negative"):
             WeightMatrix(m)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param([[np.nan, 1.0], [0.5, 0.5]], id="nan"),
+            pytest.param([[np.nan, -1.0], [0.5, 0.5]], id="nan-and-negative"),
+            pytest.param([[np.inf, 1.0], [0.5, 0.5]], id="inf"),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, rows):
+        # a NaN fails both the sign and the row-sum comparison, so it used
+        # to switch off both checks
+        from scipy import sparse
+
+        with pytest.raises(ValidationError, match="entries must be finite") as info:
+            WeightMatrix(sparse.csr_matrix(np.array(rows)))
+        assert "\n" not in str(info.value)
 
     def test_rejects_bad_row_sum(self):
         from scipy import sparse
