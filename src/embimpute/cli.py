@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _check_integer
 from .embedding_io import (
     load_domain_csv,
     load_embeddings,
@@ -117,6 +117,7 @@ def _cmd_impute(args) -> int:
 
 def _cmd_graph_stats(args) -> int:
     domain = load_domain_csv(args.domain)
+    _check_integer(args.delta, "minimum degree", 1, domain.n - 1)  # before the O(n^2) stages
     graph = _build_unchecked(euclidean_distance_matrix(domain), args.delta)
     stats = graph_stats(graph)
     for key in ("vertices", "edges", "min_in_degree", "max_in_degree"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_real
 
 _BLOCK_BYTES = 1 << 20  # bytes of distances in one row block; the graph and k-NN cuts share it
 
@@ -195,6 +195,7 @@ def correlation_domain_matrix(
         )
     if R.shape[1] < 2:
         raise ValidationError("correlation needs at least 2 observations per entity")
+    _check_real(max_missing_fraction, "max_missing_fraction")
     if not 0.0 <= max_missing_fraction <= 1.0:
         raise ValidationError("max_missing_fraction must lie in [0, 1]")
     if np.isinf(R).any():

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer check."""
+"""Exception types shared across the package, and the argument type checks."""
 
+import numbers
 import operator
 
 
@@ -11,11 +12,21 @@ class ConvergenceError(RuntimeError):
     """The diffusion's convergence guarantees cannot hold for the given system."""
 
 
-def _check_integer(value, name: str, low: int) -> None:
-    """Raise ValidationError unless ``value`` is an integer of at least ``low``."""
+def _check_integer(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int; raise ValidationError unless it is an integer
+    in [low, high], or at least ``low`` when ``high`` is None."""
     try:
-        ok = operator.index(value) >= low
+        number = operator.index(value)
     except TypeError:
-        ok = False
-    if not ok:
+        number = None
+    if number is None or number < low:
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    if high is not None and number > high:
+        raise ValidationError(f"{name} must be an integer in [{low}, {high}], got {number}")
+    return number
+
+
+def _check_real(value, name: str) -> None:
+    """Raise ValidationError unless ``value`` is a real number (NaN included)."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")

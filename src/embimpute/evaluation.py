@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .domain_geometry import _BLOCK_BYTES, DomainMatrix, _nearest_columns
-from .errors import ValidationError, _check_integer
+from .errors import ValidationError, _check_integer, _check_real
 from .imputation_engine import ImputationConfig, power_iterate
 from .pipeline import impute_aligned
 
@@ -63,8 +62,9 @@ class SyntheticTransferSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # stored as ints, so arithmetic on them cannot wrap in a small numpy type
         for name in ("n", "p", "manifold_dim", "affinity_dim", "semantic_dim", "n_labels"):
-            _check_integer(getattr(self, name), name, 1)
+            setattr(self, name, _check_integer(getattr(self, name), name, 1))
         if not 1 <= self.p < self.n:
             raise ValidationError("need 1 <= p < n")
         if self.manifold_dim < 1 or self.manifold_dim > min(
@@ -75,9 +75,10 @@ class SyntheticTransferSpec:
             )
         if self.n_labels < 2:
             raise ValidationError("need at least 2 labels")
+        _check_real(self.noise_sigma, "noise_sigma")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValidationError("noise_sigma must be non-negative and finite")
-        _check_integer(self.seed, "seed", 0)
+        self.seed = _check_integer(self.seed, "seed", 0)
 
 
 @dataclass
@@ -103,14 +104,7 @@ def knn_accuracy(data: LabeledEmbeddings, k: int, subset=None) -> float:
     scored in row blocks of about ``_BLOCK_BYTES`` of distances.
     """
     m = data.vectors.shape[0]
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValidationError(f"k must be an integer, got {k!r}") from None
-    if k < 1:
-        raise ValidationError("k must be at least 1")
-    if k >= m:
-        raise ValidationError(f"k={k} requires at least k+1 points, have {m}")
+    k = _check_integer(k, "k", 1, m - 1)  # each point needs k others
     if subset is None:
         subset = np.arange(m)
     else:

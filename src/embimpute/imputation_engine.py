@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import ConvergenceError, ValidationError, _check_integer
+from .errors import ConvergenceError, ValidationError, _check_integer, _check_real
 from .manifold_graph import reached_from_anchors
 from .weight_solver import WeightMatrix
 
@@ -36,10 +36,13 @@ class ImputationConfig:
     init_sigma: float = 0.1
 
     def __post_init__(self):
+        _check_real(self.eta, "eta")
         if not 0 < self.eta < math.inf:
             raise ValidationError("eta must be positive and finite")
-        _check_integer(self.max_iter, "max_iter", 1)
-        _check_integer(self.seed, "seed", 0)
+        # stored as ints, so max_iter + 1 cannot wrap in a small numpy type
+        self.max_iter = _check_integer(self.max_iter, "max_iter", 1)
+        self.seed = _check_integer(self.seed, "seed", 0)
+        _check_real(self.init_sigma, "init_sigma")
         if not 0 <= self.init_sigma < math.inf:
             raise ValidationError("init_sigma must be non-negative and finite")
 
@@ -70,11 +73,6 @@ class SpectralReport:
     free_block_spectral_radius: float
 
 
-def _check_range(n_known: int, n: int) -> None:
-    if not 0 < n_known <= n:
-        raise ValidationError(f"known-row count {n_known} out of range for n={n}")
-
-
 def fix_known_block(weights: WeightMatrix, n_known: int) -> WeightMatrix:
     """Replace the first ``n_known`` rows with identity rows.
 
@@ -83,7 +81,7 @@ def fix_known_block(weights: WeightMatrix, n_known: int) -> WeightMatrix:
     package needs it: the solvers never read the known rows, and the
     spectral report reads the free block alone.
     """
-    _check_range(n_known, weights.n)
+    n_known = _check_integer(n_known, "known-row count", 1, weights.n)
     top = sparse.eye(n_known, weights.n, format="csr")
     bottom = weights.matrix[n_known:, :]
     return WeightMatrix(sparse.vstack([top, bottom], format="csr"))
@@ -102,7 +100,7 @@ def _fixed_system(weights: WeightMatrix, known: np.ndarray):
     """Validated (known, matrix, p, q) of a system whose first p rows are known."""
     known = _validated_known(known)
     p = known.shape[0]
-    _check_range(p, weights.n)
+    _check_integer(p, "known-row count", 1, weights.n)
     return known, weights.matrix, p, weights.n - p
 
 
@@ -204,7 +202,7 @@ def spectral_diagnostics(weights: WeightMatrix, n_known: int) -> SpectralReport:
             f"spectral diagnostics capped at n={_DIAGNOSTIC_SIZE_CAP}; "
             "this is a diagnostic, not a production path"
         )
-    _check_range(n_known, n)
+    n_known = _check_integer(n_known, "known-row count", 1, n)
     m = weights.matrix
     radius = float(m.sum(axis=1).max())
     eig = np.linalg.eigvals(m[n_known:, n_known:].toarray())

@@ -18,7 +18,8 @@ O(n^2) time and allocates nothing n x n beyond ``D`` itself.
 ``build_graph`` validates ``D`` once; ``build_mst`` and
 ``augment_to_min_degree`` each validate their own input. The pipeline and
 the CLI hand the output of ``euclidean_distance_matrix``, which is valid by
-construction, to ``_build_unchecked``.
+construction, to ``_build_unchecked``. ``delta`` is checked before Prim
+runs, and the pipeline and the CLI check it before the distance stage.
 
 The graph is stored in the CSR layout of ``WeightMatrix``: row i lists the
 sources of the edges into vertex i, ascending. It holds only this
@@ -164,14 +165,9 @@ def build_mst(D) -> list[tuple[int, int, float]]:
 
 
 def _augment(u: np.ndarray, v: np.ndarray, D: np.ndarray, delta: int) -> NeighborGraph:
-    # u[e] and v[e] are the endpoints of tree edge e, in [0, n)
+    # u[e] and v[e] are the endpoints of tree edge e, in [0, n); delta is
+    # an int in [1, n - 1]
     n = D.shape[0]
-    _check_integer(delta, "minimum degree", 1)
-    if delta >= n:
-        raise ValidationError(
-            f"minimum degree {delta} needs {delta} distinct neighbors; "
-            f"only {n - 1} exist"
-        )
 
     # an edge dst <- src is the key dst * n + src, so sorted keys are the
     # CSR order
@@ -210,6 +206,7 @@ def augment_to_min_degree(mst_edges, D, delta: int) -> NeighborGraph:
     """
     D = _validated_distances(D)
     n = D.shape[0]
+    delta = _check_integer(delta, "minimum degree", 1, n - 1)
     ends = np.array([e[:2] for e in mst_edges], dtype=np.int64).reshape(-1, 2)
     if ((ends < 0) | (ends >= n)).any():
         raise ValidationError(f"tree edge endpoints must lie in [0, {n})")
@@ -219,6 +216,7 @@ def augment_to_min_degree(mst_edges, D, delta: int) -> NeighborGraph:
 def _build_unchecked(D: np.ndarray, delta: int) -> NeighborGraph:
     # D must be square, finite, non-negative, symmetric and zero on the
     # diagonal: checked by build_graph, or true by construction
+    delta = _check_integer(delta, "minimum degree", 1, D.shape[0] - 1)
     return _augment(*_mst(D), D, delta)
 
 
@@ -232,9 +230,7 @@ def build_graph(D, delta: int = 8) -> NeighborGraph:
 
 def in_neighbors(graph: NeighborGraph, i: int) -> np.ndarray:
     """Sorted source vertices of edges into vertex ``i``."""
-    _check_integer(i, "vertex index", 0)
-    if i >= graph.n:
-        raise ValidationError(f"vertex index {i} out of range for n={graph.n}")
+    i = _check_integer(i, "vertex index", 0, graph.n - 1)
     return graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
 
 

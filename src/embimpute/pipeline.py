@@ -9,6 +9,7 @@ import numpy as np
 
 from .domain_geometry import DomainMatrix, euclidean_distance_matrix
 from .embedding_io import AlignedProblem, EmbeddingTable, align, merge_imputed
+from .errors import _check_integer
 from .imputation_engine import ImputationConfig, ImputationResult, power_iterate
 from .manifold_graph import NeighborGraph, _build_unchecked
 from .weight_solver import WeightMatrix, assemble_weight_matrix
@@ -40,6 +41,7 @@ def impute_aligned(
     from the frozen known vectors. Returns the graph, the weights, the result
     and the ``distance``, ``graph``, ``weights`` and ``iterate`` timings.
     """
+    delta = _check_integer(delta, "minimum degree", 1, domain.n - 1)
     timings = {}
 
     start = time.perf_counter()

@@ -47,7 +47,7 @@ import numpy as np
 from scipy import sparse
 
 from .domain_geometry import DomainMatrix
-from .errors import ValidationError
+from .errors import ValidationError, _check_integer
 from .manifold_graph import NeighborGraph
 
 _DUAL_TOL = 1e-10  # reduced-gradient threshold, relative to the row's max diag(G)
@@ -55,7 +55,8 @@ _FEAS_TOL = 1e-12  # absolute: weights lie in [0, 1] whatever the scale
 _ROW_SUM_TOL = 1e-12
 _GATHER_BYTES = 1 << 20  # neighbor vectors gathered per Gram block (k·d per row)
 _STATE_BYTES = 1 << 19  # Gram matrices advanced together (k·k per row)
-_OVERFLOW = "weight problem overflows: neighbor products are not finite"
+# a non-finite value in a row's vectors reaches some G_jj, as do overflowing products
+_NOT_POSED = "non-finite Gram matrix: a neighbor offset or its products are not finite"
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,7 @@ class WeightMatrix:
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Column indices and weights of row ``i``."""
-        if not 0 <= i < self.n:
-            raise ValidationError(f"row index {i} out of range for n={self.n}")
+        i = _check_integer(i, "row index", 0, self.n - 1)
         m = self.matrix
         lo, hi = m.indptr[i], m.indptr[i + 1]
         return m.indices[lo:hi], m.data[lo:hi]
@@ -257,7 +257,8 @@ def solve_row_weights(x: np.ndarray, neighbor_matrix: np.ndarray) -> np.ndarray:
     result is non-negative, sums to one, and no feasible reweighting can
     lower the reconstruction residual. Falls back to uniform weights only
     if the solver yields an unusable (non-finite or zero-sum) vector. A
-    problem whose offsets m_j − x or their products overflow is rejected.
+    problem whose Gram matrix is not finite, from a non-finite input or
+    overflowing offset products, is rejected.
     """
     x = np.asarray(x, dtype=float)
     M = np.asarray(neighbor_matrix, dtype=float)
@@ -272,29 +273,13 @@ def solve_row_weights(x: np.ndarray, neighbor_matrix: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: target has {x.size} features, neighbors have {M.shape[1]}"
         )
-    if not np.isfinite(x).all() or not np.isfinite(M).all():
-        raise ValidationError("non-finite value in weight problem")
     with np.errstate(over="ignore", invalid="ignore"):
         offsets = M - x
         G = (offsets @ offsets.T)[None]
     if not _posed(G)[0]:
-        raise ValidationError(_OVERFLOW)
+        raise ValidationError(_NOT_POSED)
     W, _ = _simplex_rows(G)
     return W[0]
-
-
-def _first_bad_row(graph: NeighborGraph, X: np.ndarray, degrees: np.ndarray):
-    """(row, message) of the first row whose problem cannot be posed, or None."""
-    bad_vertex = ~np.isfinite(X).all(axis=1)
-    bad = (degrees == 0) | bad_vertex
-    owner = np.repeat(np.arange(graph.n), degrees)
-    bad[owner[bad_vertex[graph.indices]]] = True
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    if degrees[i] == 0:
-        return i, "at least one neighbor is required"
-    return i, "non-finite value in weight problem"
 
 
 def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> WeightMatrix:
@@ -303,8 +288,8 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
     Rows of equal in-degree are solved together in blocks (see the module
     docstring); a row's zero weights are left out of the sparse support,
     so a vertex may end up with no weight anywhere (see
-    ``WeightMatrix.zero_weight_columns``). A row whose products overflow is
-    rejected; the error names the first such row.
+    ``WeightMatrix.zero_weight_columns``). A row with no in-neighbor, then
+    a row whose Gram matrix is not finite, is rejected by its first index.
     """
     if graph.n != domain.n:
         raise ValidationError(
@@ -313,16 +298,15 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
     X = domain.data
     n, d = X.shape
     degrees = graph.in_degrees()
-    failure = _first_bad_row(graph, X, degrees)
-    if failure is not None:
-        i, message = failure
-        raise ValidationError(f"row {i} ({domain.entities[i]}): {message}")
+    if not degrees.all():
+        i = int(np.argmin(degrees))  # the first zero
+        raise ValidationError(f"row {i} ({domain.entities[i]}): at least one neighbor is required")
 
     # candidate weights laid out like the graph: row i owns [start[i], start[i+1])
     start, sources = graph.indptr, graph.indices
     values = np.empty(sources.size)
     counts = np.zeros(3, dtype=np.int64)
-    overflow = n  # first row whose products overflow; n while there is none
+    unposed = n  # first row whose Gram matrix is not finite; n while there is none
     for k in np.unique(degrees).tolist():
         rows_k = np.flatnonzero(degrees == k)
         slots_k = start[rows_k][:, None] + np.arange(k)
@@ -341,14 +325,14 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
             del M  # free the gathered vectors before the block solves
             posed = _posed(G)
             if not posed.all():
-                overflow = min(overflow, int(rows[~posed][0]))
+                unposed = min(unposed, int(rows[~posed][0]))
                 continue
             W, block_counts = _simplex_rows(G)
             values[slots] = W
             counts += block_counts
 
-    if overflow < n:
-        raise ValidationError(f"row {overflow} ({domain.entities[overflow]}): {_OVERFLOW}")
+    if unposed < n:
+        raise ValidationError(f"row {unposed} ({domain.entities[unposed]}): {_NOT_POSED}")
 
     # the graph's layout; WeightMatrix drops the zero weights in place, so
     # the graph's arrays are copied

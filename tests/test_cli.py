@@ -17,8 +17,10 @@ from embimpute import (
     load_embeddings,
     save_embeddings,
 )
+from embimpute import cli, manifold_graph, pipeline
 from embimpute.cli import main
 from test_domain_geometry import OVERFLOW, overflowing_rows
+from test_pipeline import DEGENERATE_INPUTS, _degenerate_problem, _random_rows
 
 
 def write_domain_csv(path, domain):
@@ -250,9 +252,9 @@ class TestImputeCommand:
         # rows near 1e155 that differ by about 1e140: the products of the
         # vectors themselves, near 1e310, are not finite, but the weights
         # are posed on the neighbors' offsets from each row, whose products
-        # stay near 1e280; this input used to stop with "weight problem
-        # overflows". Finite distances bound those offsets, so through
-        # impute that error is out of reach.
+        # stay near 1e280; this input used to stop with an overflow error.
+        # Finite distances bound those offsets, so through impute a
+        # non-finite Gram matrix is out of reach.
         rng = np.random.default_rng(71)
         entities = tuple(f"e{i:02d}" for i in range(40))
         domain = DomainMatrix(entities, 1e155 + 1e140 * rng.normal(size=(40, 3)))
@@ -304,6 +306,68 @@ def test_overflowing_distances_are_one_line_error(command, tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: {OVERFLOW}\n"
+
+
+@pytest.mark.parametrize("command", ["impute", "graph-stats"])
+@pytest.mark.parametrize("delta", ["0", "50"])
+def test_delta_checked_before_the_quadratic_stages(command, delta, fixture_files, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("an O(n^2) stage ran before delta was checked")
+
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "euclidean_distance_matrix", never)
+    monkeypatch.setattr(manifold_graph, "_mst", never)
+    tmp_path, _, _, domain_csv, vec_path = fixture_files  # n = 50
+    args = [command, "--domain", str(domain_csv), "--delta", delta]
+    if command == "impute":
+        args += ["--embeddings", str(vec_path), "--out", str(tmp_path / "out.vec")]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: minimum degree") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out.vec").exists()
+
+
+class TestDegenerateInputsThroughFiles:
+    """``test_pipeline``'s degenerate inputs, written to files and run by the CLI."""
+
+    def _write(self, tmp_path, domain, table):
+        write_domain_csv(tmp_path / "domain.csv", domain)
+        save_embeddings(table, tmp_path / "known.vec")
+        return [
+            "impute",
+            "--domain", str(tmp_path / "domain.csv"),
+            "--embeddings", str(tmp_path / "known.vec"),
+            "--out", str(tmp_path / "out.vec"),
+            "--manifest", str(tmp_path / "run.txt"),
+        ]
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_INPUTS))
+    def test_matches_the_library(self, name, tmp_path):
+        make, p, delta = DEGENERATE_INPUTS[name]
+        domain, table = _degenerate_problem(make(), p)
+        args = self._write(tmp_path, domain, table) + ["--delta", str(delta)]
+        assert main(args) == 0
+
+        expected = tmp_path / "expected.vec"
+        save_embeddings(impute_embeddings(domain, table, delta=delta).table, expected)
+        out = (tmp_path / "out.vec").read_bytes()
+        assert out == expected.read_bytes()
+        # each known token's line is the input's line, byte for byte
+        out_lines = set(out.splitlines()[1:])
+        assert set((tmp_path / "known.vec").read_bytes().splitlines()[1:]) <= out_lines
+        manifest = (tmp_path / "run.txt").read_text()
+        for counter in ("lstsq_fallbacks", "uniform_fallbacks", "capped_rows"):
+            assert f"{counter}=0\n" in manifest
+
+    def test_overflowing_distances_are_one_line_error(self, tmp_path, capsys):
+        domain, table = _degenerate_problem(_random_rows(73, 30, 3, 1e154), 15)
+        code = main(self._write(tmp_path, domain, table))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.vec").exists()
+        assert not (tmp_path / "run.txt").exists()
 
 
 class TestOtherCommands:

@@ -294,6 +294,12 @@ class TestCorrelationDomainMatrix:
         assert np.array_equal(np.diagonal(dm.data), np.ones(8))
         assert dm.data.min() >= -1.0 and dm.data.max() <= 1.0
 
+    @pytest.mark.parametrize("bad", ["x", "0.2", None])
+    def test_missing_fraction_must_be_real(self, bad):
+        returns = np.random.default_rng(12).normal(size=(3, 10))
+        with pytest.raises(ValidationError, match="^max_missing_fraction must be a real number"):
+            correlation_domain_matrix(["a", "b", "c"], returns, max_missing_fraction=bad)
+
     def test_too_few_observations(self):
         with pytest.raises(ValidationError, match="observations"):
             correlation_domain_matrix(["a", "b"], np.ones((2, 1)))

@@ -223,10 +223,23 @@ class TestSyntheticTransfer:
     def test_spec_accepts_numpy_integers(self):
         spec = SyntheticTransferSpec(n=np.int64(60), p=np.int32(40), n_labels=np.int64(3))
         assert make_transfer_data(spec).semantic.shape == (60, spec.semantic_dim)
+        # a uint32 seed is kept as an int, so the baseline's derived seed
+        # does not wrap
+        seed = 2**32 - 1
+        numpy_seed = SyntheticTransferSpec(n=120, p=80, seed=np.uint32(seed))
+        assert type(numpy_seed.seed) is int
+        assert run_synthetic_transfer(numpy_seed) == run_synthetic_transfer(
+            SyntheticTransferSpec(n=120, p=80, seed=seed)
+        )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
     def test_spec_noise_sigma_must_be_finite_and_non_negative(self, bad):
         with pytest.raises(ValidationError, match="noise_sigma must be non-negative and finite"):
+            SyntheticTransferSpec(noise_sigma=bad)
+
+    @pytest.mark.parametrize("bad", ["0", None])
+    def test_spec_noise_sigma_must_be_real(self, bad):
+        with pytest.raises(ValidationError, match="^noise_sigma must be a real number, got "):
             SyntheticTransferSpec(noise_sigma=bad)
 
     def test_clean_transfer_close_to_truth(self):

@@ -83,6 +83,11 @@ class TestImputationConfig:
     def test_accepts_numpy_integers(self):
         config = ImputationConfig(max_iter=np.int64(3), seed=np.uint32(7))
         assert (config.max_iter, config.seed) == (3, 7)
+        # kept as an int: max_iter + 1 used to wrap to 0 in uint8
+        config = ImputationConfig(max_iter=np.uint8(255))
+        assert type(config.max_iter) is int
+        W = weight_matrix([[1.0, 0.0], [1.0, 0.0]])
+        assert power_iterate(W, np.ones((1, 2)), config).converged
 
     @pytest.mark.parametrize(
         "bad", [{"eta": math.inf}, {"init_sigma": math.nan}, {"init_sigma": math.inf}]
@@ -90,6 +95,13 @@ class TestImputationConfig:
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValidationError, match="finite"):
             ImputationConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [{"eta": "0.1"}, {"init_sigma": "x"}, {"eta": None}, {"init_sigma": 1j}])
+    def test_rejects_non_real_values(self, bad):
+        (name, value), = bad.items()
+        with pytest.raises(ValidationError, match=f"^{name} must be a real number, got ") as info:
+            ImputationConfig(**bad)
+        assert "\n" not in str(info.value)
 
 
 class TestFixKnownBlock:
@@ -113,9 +125,10 @@ class TestFixKnownBlock:
 
     def test_out_of_range(self, random_system):
         sys = random_system(n=6, p=2, d=2, s=2, delta=2, seed=32)
-        for bad in (0, 7):
-            with pytest.raises(ValidationError):
-                fix_known_block(sys.weights, bad)
+        for call in (fix_known_block, spectral_diagnostics):
+            for bad in (0, 7, 1.5, "2", None):
+                with pytest.raises(ValidationError, match="^known-row count must be an integer"):
+                    call(sys.weights, bad)
 
 
 class TestPowerIterate:

@@ -231,6 +231,16 @@ class TestAugmentToMinDegree:
                 build()
             assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("bad", [0, 4, 2.5])
+    def test_delta_checked_before_prim(self, bad, monkeypatch):
+        def no_prim(D):
+            raise AssertionError("Prim ran before delta was checked")
+
+        D = points([0.0, 1.0, 3.0, 7.0])
+        monkeypatch.setattr(manifold_graph, "_mst", no_prim)
+        with pytest.raises(ValidationError, match="^minimum degree"):
+            build_graph(D, bad)
+
     def test_numpy_integer_delta_accepted(self):
         D = points([0.0, 1.0, 3.0, 7.0])
         assert directed_edges(build_graph(D, np.int64(2))) == directed_edges(build_graph(D, 2))

@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import embimpute as ei
+from embimpute import manifold_graph, pipeline
 from embimpute.pipeline import _STAGES
 from test_domain_geometry import blocks_of
 from test_manifold_graph import ORACLE_INPUTS, directed_edges, lattice
@@ -75,6 +76,17 @@ class TestImputeEmbeddings:
         with pytest.raises(ei.ValidationError, match="minimum degree must be an integer") as info:
             ei.impute_embeddings(domain, table, delta=delta)
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("delta", [0, 40, 2.5])
+    def test_delta_checked_before_the_quadratic_stages(self, delta, monkeypatch):
+        def never(*args):
+            raise AssertionError("an O(n^2) stage ran before delta was checked")
+
+        monkeypatch.setattr(pipeline, "euclidean_distance_matrix", never)
+        monkeypatch.setattr(manifold_graph, "_mst", never)
+        domain, table = random_problem(65)  # n = 40
+        with pytest.raises(ei.ValidationError, match="^minimum degree"):
+            ei.impute_embeddings(domain, table, delta=delta)
 
 
 def _random_rows(seed, n, d, scale=1.0):

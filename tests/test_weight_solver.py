@@ -1,7 +1,9 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from embimpute import (
     DomainMatrix,
@@ -362,7 +364,7 @@ class TestAssembleWeightMatrix:
 
 class TestOverflow:
     def test_overflowing_row_is_a_one_line_error(self, capfd):
-        with pytest.raises(ValidationError, match="^weight problem overflows"):
+        with pytest.raises(ValidationError, match="^non-finite Gram matrix"):
             solve_row_weights([1e200, 0], [[1e200, 1], [2e200, 0], [3e200, 5]])
         # nothing reaches LAPACK, so it prints nothing
         assert capfd.readouterr().err == ""
@@ -373,7 +375,7 @@ class TestOverflow:
         w = solve_row_weights(1e153 * x, 1e153 * M)
         assert np.array_equal(w, reference_row_weights(1e153 * x, 1e153 * M))
         assert w.min() >= 0.0 and abs(w.sum() - 1.0) < 1e-12
-        with pytest.raises(ValidationError, match="overflows"):
+        with pytest.raises(ValidationError, match="non-finite Gram matrix"):
             solve_row_weights(1e154 * x, 1e154 * M)
 
     def test_assembly_names_the_first_overflowing_row(self, capfd):
@@ -382,9 +384,38 @@ class TestOverflow:
         g = build_graph(euclidean_distance_matrix(domain), 4)
         domain.data[[9, 21]] *= 1e160  # scale after the graph is built
         first = min(i for i in range(30) if {9, 21} & set(in_neighbors(g, i).tolist()))
-        with pytest.raises(ValidationError, match=rf"^row {first} \(e{first}\): weight problem overflows"):
+        with pytest.raises(ValidationError, match=rf"^row {first} \(e{first}\): non-finite Gram matrix"):
             assemble_weight_matrix(g, domain)
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["target", "neighbor"])
+    def test_non_finite_input_is_a_non_finite_gram_matrix(self, bad, where):
+        x, M = np.array([0.5, 1.5]), np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 0.0]])
+        if where == "target":
+            x[1] = bad
+        else:
+            M[2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^non-finite Gram matrix: .* not finite$"):
+                solve_row_weights(x, M)
+
+    def test_overflow_before_a_non_finite_vector_is_named(self):
+        # one test covers both faults, so the smaller row index wins
+        rng = np.random.default_rng(38)
+        domain = DomainMatrix(tuple(f"e{i}" for i in range(30)), rng.normal(size=(30, 3)))
+        g = build_graph(euclidean_distance_matrix(domain), 4)
+
+        def first_row_reading(v):
+            return min(i for i in range(30) if v == i or v in in_neighbors(g, i))
+
+        nan_vertex = max(range(30), key=first_row_reading)
+        assert first_row_reading(nan_vertex) > 0
+        domain.data[nan_vertex, 1] = np.nan
+        domain.data[0] *= 1e160  # row 0's own offsets overflow
+        with pytest.raises(ValidationError, match=r"^row 0 \(e0\): non-finite Gram matrix"):
+            assemble_weight_matrix(g, domain)
 
 
 class TestLockstepMatchesPerRowReference:
@@ -728,8 +759,6 @@ class TestFallbackCounters:
 
 class TestWeightMatrixType:
     def test_rejects_negative_entries(self):
-        from scipy import sparse
-
         m = sparse.csr_matrix(np.array([[1.5, -0.5], [0.5, 0.5]]))
         with pytest.raises(ValidationError, match="non-negative"):
             WeightMatrix(m)
@@ -745,15 +774,19 @@ class TestWeightMatrixType:
     def test_rejects_non_finite_entries(self, rows):
         # a NaN fails both the sign and the row-sum comparison, so it used
         # to switch off both checks
-        from scipy import sparse
-
         with pytest.raises(ValidationError, match="entries must be finite") as info:
             WeightMatrix(sparse.csr_matrix(np.array(rows)))
         assert "\n" not in str(info.value)
 
-    def test_rejects_bad_row_sum(self):
-        from scipy import sparse
+    @pytest.mark.parametrize("bad", [1.5, "1", None, -1, 2])
+    def test_row_index_must_be_an_integer_in_range(self, bad):
+        W = WeightMatrix(sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        with pytest.raises(ValidationError, match="^row index") as info:
+            W.row(bad)
+        assert "\n" not in str(info.value)
+        assert W.row(np.int64(1))[0].tolist() == [0]
 
+    def test_rejects_bad_row_sum(self):
         m = sparse.csr_matrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
         with pytest.raises(ValidationError, match="sums"):
             WeightMatrix(m)
@@ -776,8 +809,6 @@ class TestWeightMatrixType:
         assert np.array_equal(dense, W.toarray())
 
     def test_coordinate_dump_matches_per_row_writer(self, tmp_path):
-        from scipy import sparse
-
         m = sparse.csr_matrix(
             (
                 [1.0, 1e-300, 1.0, 5e-324, 1.0, 0.25, 0.75, 1.0 / 3.0, 2.0 / 3.0],
