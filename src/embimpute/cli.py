@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, _check_integer
+from .errors import ConvergenceError, ValidationError
 from .embedding_io import (
     load_domain_csv,
     load_embeddings,
@@ -30,13 +30,12 @@ from .evaluation import (
     sensitivity_sweep,
 )
 from .imputation_engine import ImputationConfig
-from .manifold_graph import _build_unchecked, graph_stats
-from .domain_geometry import euclidean_distance_matrix
-from .pipeline import impute_embeddings
+from .manifold_graph import graph_stats
+from .pipeline import _neighbor_graph, impute_embeddings
 from .weight_solver import write_coordinate_text
 
 
-_MANIFEST_FLAGS = ("domain", "embeddings", "out", "delta", "eta", "max_iter", "seed", "init_sigma")
+_MANIFEST_FLAGS = ("domain", "embeddings", "out", "delta", "eta", "max_iter", "seed")
 _WEIGHT_COUNTERS = ("lstsq_fallbacks", "uniform_fallbacks", "capped_rows", "zero_weight_columns")
 
 
@@ -62,9 +61,7 @@ def _bool_text(flag: bool) -> str:
 
 
 def _cmd_impute(args) -> int:
-    config = ImputationConfig(
-        eta=args.eta, max_iter=args.max_iter, seed=args.seed, init_sigma=args.init_sigma
-    )
+    config = ImputationConfig(eta=args.eta, max_iter=args.max_iter, seed=args.seed)
     timings = {}
     start = time.perf_counter()
     domain = load_domain_csv(args.domain)
@@ -117,8 +114,7 @@ def _cmd_impute(args) -> int:
 
 def _cmd_graph_stats(args) -> int:
     domain = load_domain_csv(args.domain)
-    _check_integer(args.delta, "minimum degree", 1, domain.n - 1)  # before the O(n^2) stages
-    graph = _build_unchecked(euclidean_distance_matrix(domain), args.delta)
+    graph = _neighbor_graph(domain, args.delta, {})
     stats = graph_stats(graph)
     for key in ("vertices", "edges", "min_in_degree", "max_in_degree"):
         print(f"{key}={stats[key]}")
@@ -162,9 +158,7 @@ def _cmd_synth(args) -> int:
         n_labels=args.n_labels,
         seed=args.seed,
     )
-    config = ImputationConfig(
-        eta=args.eta, max_iter=args.max_iter, seed=args.seed, init_sigma=args.init_sigma
-    )
+    config = ImputationConfig(eta=args.eta, max_iter=args.max_iter, seed=args.seed)
     if args.sweep:
         if not args.sweep_values:
             raise ValidationError("--sweep requires --sweep-values")
@@ -200,7 +194,6 @@ def _build_parser() -> _Parser:
     impute.add_argument("--eta", type=float, default=1e-2, help="relative-change stop threshold")
     impute.add_argument("--max-iter", type=int, default=1000)
     impute.add_argument("--seed", type=int, default=0)
-    impute.add_argument("--init-sigma", type=float, default=0.1)
     impute.add_argument("--manifest", default=None, help="write key=value run record here")
     impute.add_argument("--dump-weights", default=None, help="dump weight matrix as 'i j w' text")
     impute.add_argument("--progress", action="store_true", help="per-sweep trace lines on stderr")
@@ -231,7 +224,6 @@ def _build_parser() -> _Parser:
     synth.add_argument("--delta", type=int, default=8)
     synth.add_argument("--eta", type=float, default=1e-2)
     synth.add_argument("--max-iter", type=int, default=1000)
-    synth.add_argument("--init-sigma", type=float, default=0.1)
     synth.add_argument("--knn-k", type=int, default=5)
     synth.add_argument("--sweep", choices=("delta", "eta"), default=None)
     synth.add_argument("--sweep-values", default=None, help="comma-separated sweep values")

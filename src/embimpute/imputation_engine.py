@@ -24,6 +24,9 @@ from .weight_solver import WeightMatrix
 
 _UNIT_EIGENVALUE_TOL = 1e-6
 _DIAGNOSTIC_SIZE_CAP = 2000
+# start noise per unit of the known block's mean |value|: scaling the known
+# block by 2**k then scales every iterate by 2**k exactly
+_INIT_SCALE = 0.1
 
 
 @dataclass
@@ -33,7 +36,6 @@ class ImputationConfig:
     eta: float = 1e-2
     max_iter: int = 1000
     seed: int = 0
-    init_sigma: float = 0.1
 
     def __post_init__(self):
         _check_real(self.eta, "eta")
@@ -42,9 +44,6 @@ class ImputationConfig:
         # stored as ints, so max_iter + 1 cannot wrap in a small numpy type
         self.max_iter = _check_integer(self.max_iter, "max_iter", 1)
         self.seed = _check_integer(self.seed, "seed", 0)
-        _check_real(self.init_sigma, "init_sigma")
-        if not 0 <= self.init_sigma < math.inf:
-            raise ValidationError("init_sigma must be non-negative and finite")
 
 
 @dataclass
@@ -113,11 +112,14 @@ def power_iterate(
 
     The first ``len(known)`` rows are the known entities; their weight
     rows are never read, so raw and ``fix_known_block`` weights give the
-    same result. The unknown block starts from seeded Gaussian noise and
-    is multiplied forward until the relative L1 change between sweeps
-    drops below ``config.eta`` or the iteration cap is reached. A
-    zero-norm iterate counts as infinite change rather than a division
-    error. Every sweep's relative change is kept in the result's ``trace``.
+    same result. The unknown block starts from seeded Gaussian noise at
+    ``_INIT_SCALE`` times the known block's mean |value| and is multiplied
+    forward until the relative L1 change between sweeps drops below
+    ``config.eta`` or the iteration cap is reached. A zero-norm iterate
+    counts as infinite change rather than a division error. Every sweep's
+    relative change is kept in the result's ``trace``. When W_qp Y_p is
+    all zero (nothing to impute included), the free block's contraction
+    makes zero the unique fixed point, returned exactly after no sweep.
 
     Raises ConvergenceError if some unknown row cannot be reached from the
     known block through the weight support, since the fixed point would
@@ -125,8 +127,6 @@ def power_iterate(
     """
     config = config or ImputationConfig()
     known, m, p, q = _fixed_system(weights, known)
-    if q == 0:
-        return ImputationResult(known.copy(), 0, 0.0, True)
     if not reached_from_anchors(m, p):
         raise ConvergenceError(
             "some unknown rows are unreachable from the known block; "
@@ -134,9 +134,13 @@ def power_iterate(
         )
 
     anchor_part = m[p:, :p] @ known
+    Y = np.concatenate([known, np.zeros_like(anchor_part)])
+    if not anchor_part.any():
+        return ImputationResult(Y, 0, 0.0, True)
     free_block = m[p:, p:].tocsr()
     rng = np.random.default_rng(config.seed)
-    yq = rng.normal(0.0, config.init_sigma, size=(q, known.shape[1]))
+    sigma = _INIT_SCALE * float(np.abs(known).mean())
+    yq = rng.normal(0.0, sigma, size=(q, known.shape[1]))
 
     trace = []
     converged = False
@@ -153,8 +157,6 @@ def power_iterate(
             converged = True
             break
 
-    Y = np.empty((p + q, known.shape[1]))
-    Y[:p] = known
     Y[p:] = yq
     return ImputationResult(Y, len(trace), trace[-1], converged, tuple(trace))
 

@@ -27,6 +27,22 @@ class PipelineRun:
     timings: dict[str, float]
 
 
+def _neighbor_graph(domain: DomainMatrix, delta: int, timings: dict[str, float]) -> NeighborGraph:
+    """Check ``delta``, then time the ``distance`` and ``graph`` stages into ``timings``."""
+    delta = _check_integer(delta, "minimum degree", 1, domain.n - 1)
+
+    start = time.perf_counter()
+    distances = euclidean_distance_matrix(domain)
+    timings["distance"] = time.perf_counter() - start
+
+    # valid by construction: the checks of the public build_graph would
+    # only reread the n x n matrix
+    start = time.perf_counter()
+    graph = _build_unchecked(distances, delta)
+    timings["graph"] = time.perf_counter() - start
+    return graph
+
+
 def impute_aligned(
     domain: DomainMatrix,
     known: np.ndarray,
@@ -41,18 +57,8 @@ def impute_aligned(
     from the frozen known vectors. Returns the graph, the weights, the result
     and the ``distance``, ``graph``, ``weights`` and ``iterate`` timings.
     """
-    delta = _check_integer(delta, "minimum degree", 1, domain.n - 1)
     timings = {}
-
-    start = time.perf_counter()
-    distances = euclidean_distance_matrix(domain)
-    timings["distance"] = time.perf_counter() - start
-
-    # valid by construction: the checks of the public build_graph would
-    # only reread the n x n matrix
-    start = time.perf_counter()
-    graph = _build_unchecked(distances, delta)
-    timings["graph"] = time.perf_counter() - start
+    graph = _neighbor_graph(domain, delta, timings)
 
     start = time.perf_counter()
     weights = assemble_weight_matrix(graph, domain)

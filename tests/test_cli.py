@@ -17,7 +17,7 @@ from embimpute import (
     load_embeddings,
     save_embeddings,
 )
-from embimpute import cli, manifold_graph, pipeline
+from embimpute import manifold_graph, pipeline
 from embimpute.cli import main
 from test_domain_geometry import OVERFLOW, overflowing_rows
 from test_pipeline import DEGENERATE_INPUTS, _degenerate_problem, _random_rows
@@ -101,7 +101,7 @@ class TestImputeCommand:
         assert code == 0
         keys = [line.split("=", 1)[0] for line in manifest_path.read_text().splitlines()]
         assert keys == [
-            "domain", "embeddings", "out", "delta", "eta", "max_iter", "seed", "init_sigma",
+            "domain", "embeddings", "out", "delta", "eta", "max_iter", "seed",
             "domain_sha256", "embeddings_sha256",
             "time_load", "time_align", "time_distance", "time_graph", "time_weights",
             "time_iterate", "time_merge", "time_save",
@@ -140,7 +140,6 @@ class TestImputeCommand:
         "flag, value, message",
         [
             pytest.param("--eta", "inf", "finite", id="--eta"),
-            pytest.param("--init-sigma", "inf", "finite", id="--init-sigma"),
             pytest.param("--seed", "-1", "seed must be an integer >= 0", id="--seed"),
         ],
     )
@@ -160,6 +159,44 @@ class TestImputeCommand:
         assert err.startswith("error:") and message in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out.vec").exists()
+
+    def test_init_sigma_is_not_an_option(self, fixture_files, capsys):
+        tmp_path, _, _, domain_csv, vec_path = fixture_files
+        args = ["--domain", str(domain_csv), "--embeddings", str(vec_path)]
+        for command in (
+            ["impute", *args, "--out", str(tmp_path / "out.vec")],
+            ["synth", "--n", "40", "--p", "20"],
+        ):
+            assert main([*command, "--init-sigma", "0.1"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and "--init-sigma" in err
+        assert not (tmp_path / "out.vec").exists()
+
+    def test_zero_and_power_of_two_scaled_known_blocks(self, fixture_files):
+        tmp_path, _, table, domain_csv, _ = fixture_files
+        scales = {"unit": 1.0, "zero": 0.0, "tiny": 2.0**-900}
+        outputs, manifests = {}, {}
+        for name, scale in scales.items():
+            known = tmp_path / f"{name}.vec"
+            save_embeddings(
+                EmbeddingTable(table.dim, {tok: scale * v for tok, v in table.entries.items()}), known
+            )
+            out, manifest = tmp_path / f"{name}.out.vec", tmp_path / f"{name}.txt"
+            args = ["impute", "--domain", str(domain_csv), "--embeddings", str(known)]
+            assert main([*args, "--out", str(out), "--manifest", str(manifest)]) == 0
+            outputs[name] = load_embeddings(out).entries
+            manifests[name] = dict(line.split("=", 1) for line in manifest.read_text().splitlines())
+
+        assert len(outputs["zero"]) == 52
+        assert not any(v.any() for v in outputs["zero"].values())
+        assert manifests["zero"]["iterations"] == "0"
+        assert manifests["zero"]["converged"] == "true"
+        unit = outputs["unit"]
+        assert outputs["tiny"].keys() == unit.keys()
+        for tok, vec in outputs["tiny"].items():
+            assert np.array_equal(vec, 2.0**-900 * unit[tok])
+        assert manifests["tiny"]["iterations"] == manifests["unit"]["iterations"] != "0"
+        assert manifests["tiny"]["converged"] == manifests["unit"]["converged"] == "true"
 
     def test_threads_flag_is_gone(self, fixture_files, capsys):
         tmp_path, _, _, domain_csv, vec_path = fixture_files
@@ -314,8 +351,7 @@ def test_delta_checked_before_the_quadratic_stages(command, delta, fixture_files
     def never(*args):
         raise AssertionError("an O(n^2) stage ran before delta was checked")
 
-    for module in (cli, pipeline):
-        monkeypatch.setattr(module, "euclidean_distance_matrix", never)
+    monkeypatch.setattr(pipeline, "euclidean_distance_matrix", never)
     monkeypatch.setattr(manifold_graph, "_mst", never)
     tmp_path, _, _, domain_csv, vec_path = fixture_files  # n = 50
     args = [command, "--domain", str(domain_csv), "--delta", delta]

@@ -72,13 +72,16 @@ class TestImputationConfig:
             ImputationConfig(eta=0.0)
         with pytest.raises(ValidationError):
             ImputationConfig(max_iter=0)
-        with pytest.raises(ValidationError):
-            ImputationConfig(init_sigma=-1.0)
         for bad in (
             {"max_iter": 2.5}, {"max_iter": "10"}, {"seed": -1}, {"seed": 1.5}, {"seed": None}
         ):
             with pytest.raises(ValidationError, match="must be an integer"):
                 ImputationConfig(**bad)
+
+    def test_init_sigma_is_gone(self):
+        # the start scale follows the known block; there is no knob for it
+        with pytest.raises(TypeError):
+            ImputationConfig(init_sigma=0.1)
 
     def test_accepts_numpy_integers(self):
         config = ImputationConfig(max_iter=np.int64(3), seed=np.uint32(7))
@@ -89,14 +92,12 @@ class TestImputationConfig:
         W = weight_matrix([[1.0, 0.0], [1.0, 0.0]])
         assert power_iterate(W, np.ones((1, 2)), config).converged
 
-    @pytest.mark.parametrize(
-        "bad", [{"eta": math.inf}, {"init_sigma": math.nan}, {"init_sigma": math.inf}]
-    )
+    @pytest.mark.parametrize("bad", [{"eta": math.inf}])
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValidationError, match="finite"):
             ImputationConfig(**bad)
 
-    @pytest.mark.parametrize("bad", [{"eta": "0.1"}, {"init_sigma": "x"}, {"eta": None}, {"init_sigma": 1j}])
+    @pytest.mark.parametrize("bad", [{"eta": "0.1"}, {"eta": None}])
     def test_rejects_non_real_values(self, bad):
         (name, value), = bad.items()
         with pytest.raises(ValidationError, match=f"^{name} must be a real number, got ") as info:
@@ -211,14 +212,29 @@ class TestPowerIterate:
         assert result.iterations == 5
 
     def test_zero_norm_iterate_counts_as_infinite_change(self):
+        # 0.1 x the subnormal mean rounds to 0: the start is zero, the anchor is not
         W = weight_matrix([[1.0, 0.0], [1.0, 0.0]])
-        known = np.zeros((1, 3))
-        result = power_iterate(
-            W, known, ImputationConfig(eta=1e-6, max_iter=4, init_sigma=0.0)
-        )
-        assert not result.converged
-        assert result.final_relative_change == np.inf
-        assert not result.Y.any()
+        known = np.full((1, 3), 5e-324)
+        result = power_iterate(W, known, ImputationConfig(eta=1e-6, max_iter=4))
+        assert result.trace == (np.inf, 0.0)
+        assert result.converged
+        assert np.array_equal(result.Y, np.full((2, 3), 5e-324))
+
+    def test_zero_known_block_is_the_exact_fixed_point(self, random_system):
+        sys = random_system(n=40, p=15, d=5, s=6, delta=4, seed=34)
+        result = power_iterate(sys.fixed, np.zeros_like(sys.known), ImputationConfig())
+        assert result.iterations == 0 and result.converged
+        assert result.final_relative_change == 0.0 and result.trace == ()
+        assert result.Y.shape == (40, 6) and not result.Y.any()
+
+    @pytest.mark.parametrize("k", [-900, 500])
+    def test_scaling_the_known_block_by_a_power_of_two_scales_every_bit(self, random_system, k):
+        sys = random_system(n=40, p=15, d=5, s=6, delta=4, seed=34)
+        unit = power_iterate(sys.fixed, sys.known, ImputationConfig())
+        scaled = power_iterate(sys.fixed, 2.0**k * sys.known, ImputationConfig())
+        assert unit.converged and scaled.iterations == unit.iterations
+        assert scaled.trace == unit.trace
+        assert np.array_equal(scaled.Y, 2.0**k * unit.Y)
 
     def test_trace_records_every_sweep(self, random_system):
         sys = random_system(n=30, p=12, d=4, s=3, delta=4, seed=37)
