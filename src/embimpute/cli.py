@@ -195,7 +195,12 @@ def _build_parser() -> _Parser:
     impute.add_argument("--max-iter", type=int, default=1000)
     impute.add_argument("--seed", type=int, default=0)
     impute.add_argument("--manifest", default=None, help="write key=value run record here")
-    impute.add_argument("--dump-weights", default=None, help="dump weight matrix as 'i j w' text")
+    impute.add_argument(
+        "--dump-weights",
+        default=None,
+        help="dump the weight matrix as 'i j w' text, aligned rows "
+        "(known entities first, written as identity rows 'i i 1')",
+    )
     impute.add_argument("--progress", action="store_true", help="per-sweep trace lines on stderr")
     impute.set_defaults(func=_cmd_impute)
 

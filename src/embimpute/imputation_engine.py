@@ -77,8 +77,9 @@ def fix_known_block(weights: WeightMatrix, n_known: int) -> WeightMatrix:
 
     The remaining rows are unchanged, so the result is still row-stochastic
     while the known block no longer reacts to anything. Nothing in the
-    package needs it: the solvers never read the known rows, and the
-    spectral report reads the free block alone.
+    package needs it: the solvers never read the known rows, the spectral
+    report reads the free block alone, and ``assemble_weight_matrix``
+    builds the same matrix given ``n_known`` without solving those rows.
     """
     n_known = _check_integer(n_known, "known-row count", 1, weights.n)
     top = sparse.eye(n_known, weights.n, format="csr")
@@ -115,9 +116,13 @@ def power_iterate(
     same result. The unknown block starts from seeded Gaussian noise at
     ``_INIT_SCALE`` times the known block's mean |value| and is multiplied
     forward until the relative L1 change between sweeps drops below
-    ``config.eta`` or the iteration cap is reached. A zero-norm iterate
-    counts as infinite change rather than a division error. Every sweep's
-    relative change is kept in the result's ``trace``. When W_qp Y_p is
+    ``config.eta`` or the iteration cap is reached. A known block with
+    some |value| of at least 1 is first scaled by the power of two that
+    brings its largest below 1 and the unknown block is scaled back, so
+    the result is the same bits wherever nothing overflows and is finite
+    up to the largest doubles. A zero-norm iterate counts as infinite
+    change rather than a division error. Every sweep's relative change is
+    kept in the result's ``trace``. When W_qp Y_p is
     all zero (nothing to impute included), the free block's contraction
     makes zero the unique fixed point, returned exactly after no sweep.
 
@@ -133,13 +138,16 @@ def power_iterate(
             "the diffusion would not converge deterministically"
         )
 
-    anchor_part = m[p:, :p] @ known
+    # largest |value| below 1, so no sum of the stop rule overflows
+    e = max(0, int(np.frexp(np.abs(known).max())[1]))
+    unit = np.ldexp(known, -e)
+    anchor_part = m[p:, :p] @ unit
     Y = np.concatenate([known, np.zeros_like(anchor_part)])
     if not anchor_part.any():
         return ImputationResult(Y, 0, 0.0, True)
     free_block = m[p:, p:].tocsr()
     rng = np.random.default_rng(config.seed)
-    sigma = _INIT_SCALE * float(np.abs(known).mean())
+    sigma = _INIT_SCALE * float(np.abs(unit).mean())
     yq = rng.normal(0.0, sigma, size=(q, known.shape[1]))
 
     trace = []
@@ -157,7 +165,7 @@ def power_iterate(
             converged = True
             break
 
-    Y[p:] = yq
+    Y[p:] = np.ldexp(yq, e)
     return ImputationResult(Y, len(trace), trace[-1], converged, tuple(trace))
 
 

@@ -164,6 +164,15 @@ def build_mst(D) -> list[tuple[int, int, float]]:
     return list(zip(lo[order].tolist(), hi[order].tolist(), w[order].tolist()))
 
 
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The entries of a sorted array that differ from their predecessor:
+    ``np.unique`` by one comparison, where numpy's hash-based path for
+    integers is many times slower than a sort."""
+    keep = np.ones(ascending.size, dtype=bool)
+    np.not_equal(ascending[1:], ascending[:-1], out=keep[1:])
+    return ascending[keep]
+
+
 def _augment(u: np.ndarray, v: np.ndarray, D: np.ndarray, delta: int) -> NeighborGraph:
     # u[e] and v[e] are the endpoints of tree edge e, in [0, n); delta is
     # an int in [1, n - 1]
@@ -171,7 +180,7 @@ def _augment(u: np.ndarray, v: np.ndarray, D: np.ndarray, delta: int) -> Neighbo
 
     # an edge dst <- src is the key dst * n + src, so sorted keys are the
     # CSR order
-    tree = np.unique(np.concatenate([u * n + v, v * n + u]))
+    tree = _distinct(np.sort(np.concatenate([u * n + v, v * n + u])))
     need = delta - np.bincount(tree // n, minlength=n)
     short = np.flatnonzero(need > 0)
 
@@ -185,13 +194,15 @@ def _augment(u: np.ndarray, v: np.ndarray, D: np.ndarray, delta: int) -> Neighbo
     def cut(lo, buf):
         nearest[lo : lo + rows] = _nearest_columns(D[lo : lo + rows], delta + 1, buf)
 
-    _run_blocks(cut, (np.unique(short // rows) * rows).tolist(), rows * n)
+    _run_blocks(cut, (_distinct(short // rows) * rows).tolist(), rows * n)
     nearest = nearest[short]
     added = short[:, None] * n + nearest
-    fresh = (nearest != short[:, None]) & ~np.isin(added, tree)
+    # added keys are distinct (distinct columns of distinct rows), and
+    # the fresh ones are disjoint from the tree
+    fresh = (nearest != short[:, None]) & ~np.isin(added, tree, assume_unique=True)
     added = added[fresh & (np.cumsum(fresh, axis=1) <= need[short, None])]
 
-    dst, src = np.divmod(np.union1d(tree, added), n)
+    dst, src = np.divmod(np.sort(np.concatenate([tree, added])), n)
     indptr = np.searchsorted(dst, np.arange(n + 1))
     return NeighborGraph(n, indptr, src)
 

@@ -53,15 +53,18 @@ def impute_aligned(
 
     The first rows of ``domain`` must be the entities whose vectors are
     ``known``, in the same order. Builds the minimum-degree neighbor graph
-    over affinity distances, solves the reconstruction weights, and diffuses
-    from the frozen known vectors. Returns the graph, the weights, the result
-    and the ``distance``, ``graph``, ``weights`` and ``iterate`` timings.
+    over affinity distances, solves the reconstruction weights of the
+    unknown rows, and diffuses from the frozen known vectors. Returns the
+    graph, the frozen weights (the known rows are identity rows), the
+    result and the ``distance``, ``graph``, ``weights`` and ``iterate``
+    timings.
     """
     timings = {}
     graph = _neighbor_graph(domain, delta, timings)
 
     start = time.perf_counter()
-    weights = assemble_weight_matrix(graph, domain)
+    # by its public name, so a tracer that wraps it sees the stage
+    weights = assemble_weight_matrix(graph, domain, len(known))
     timings["weights"] = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -22,8 +22,15 @@ in exact arithmetic. The weights are an optimum, but where k exceeds the
 affine rank of the neighbors' vectors the optimum need not be unique;
 they are the one this path reaches.
 
-Rows are solved in lockstep. ``assemble_weight_matrix`` takes the rows
-of one in-degree k at a time, forms their Gram matrices in blocks of
+Only the rows the diffusion reads are solved. Given ``n_known``,
+``assemble_weight_matrix`` writes the first ``n_known`` rows, the known
+entities, as identity rows without posing their problems, so it returns
+the frozen matrix [[I, 0], [W_qp, W_qq]] directly; the default 0 solves
+every row. A row's bits do not depend on which rows share its block
+(below), so leaving the known rows out changes no solved row.
+
+Rows are solved in lockstep. ``assemble_weight_matrix`` takes the solved
+rows of one in-degree k at a time, forms their Gram matrices in blocks of
 rows, and advances every row of a block through the same active-set
 sweep: at most 3k sweeps, each one KKT solve per row followed by a
 masked step. Within a sweep the rows are grouped by the size f of their
@@ -63,10 +70,11 @@ _NOT_POSED = "non-finite Gram matrix: a neighbor offset or its products are not 
 class WeightMatrix:
     """Sparse row-stochastic matrix; row i holds vertex i's neighbor weights.
 
-    The counters record how many rows the solver could not finish by its
-    main path: rows that needed ``lstsq`` for a singular or non-finite KKT
-    system, rows that fell back to uniform weights, and rows stopped by
-    the 3k sweep cap. They are zero for a matrix built by hand.
+    The counters record how many solved rows the solver could not finish
+    by its main path: rows that needed ``lstsq`` for a singular or
+    non-finite KKT system, rows that fell back to uniform weights, and
+    rows stopped by the 3k sweep cap. They are zero for a matrix built by
+    hand and never count the identity rows of a known block.
     """
 
     matrix: sparse.csr_matrix
@@ -100,12 +108,17 @@ class WeightMatrix:
 
     @property
     def zero_weight_columns(self) -> int:
-        """Columns with no weight in any row.
+        """Columns with no off-diagonal weight.
 
         Such vertices do not break the diffusion, but their vectors
-        influence no other row.
+        influence no other entity. A solved row never weighs its own
+        entity, so only the identity rows of a known block hold diagonal
+        entries, and they count for nothing.
         """
-        return self.n - np.unique(self.matrix.indices).size
+        m = self.matrix
+        rows = np.repeat(np.arange(self.n), np.diff(m.indptr))
+        weighted = np.bincount(m.indices[m.indices != rows], minlength=self.n)
+        return int(np.count_nonzero(weighted == 0))
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Column indices and weights of row ``i``."""
@@ -282,14 +295,22 @@ def solve_row_weights(x: np.ndarray, neighbor_matrix: np.ndarray) -> np.ndarray:
     return W[0]
 
 
-def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> WeightMatrix:
-    """Solve every row problem over the graph's in-neighbors.
+def assemble_weight_matrix(
+    graph: NeighborGraph, domain: DomainMatrix, n_known: int = 0
+) -> WeightMatrix:
+    """Solve the row problem of every entity past the first ``n_known``.
 
-    Rows of equal in-degree are solved together in blocks (see the module
-    docstring); a row's zero weights are left out of the sparse support,
-    so a vertex may end up with no weight anywhere (see
-    ``WeightMatrix.zero_weight_columns``). A row with no in-neighbor, then
-    a row whose Gram matrix is not finite, is rejected by its first index.
+    Rows below ``n_known`` are the known entities: they become identity
+    rows, the frozen block [[I, 0], [W_qp, W_qq]] the diffusion iterates
+    on, and are never gathered or solved, so they need no in-neighbor.
+    The result equals ``fix_known_block(assemble_weight_matrix(graph,
+    domain), n_known)`` bit for bit, and its counters count the solved
+    rows only. Rows of equal in-degree are solved together in blocks (see
+    the module docstring); a row's zero weights are left out of the sparse
+    support, so a vertex may end up with no weight in any other row (see
+    ``WeightMatrix.zero_weight_columns``). A solved row with no
+    in-neighbor, then one whose Gram matrix is not finite, is rejected by
+    its first index.
     """
     if graph.n != domain.n:
         raise ValidationError(
@@ -297,9 +318,10 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
         )
     X = domain.data
     n, d = X.shape
-    degrees = graph.in_degrees()
+    n_known = _check_integer(n_known, "known-row count", 0, n)
+    degrees = graph.in_degrees()[n_known:]
     if not degrees.all():
-        i = int(np.argmin(degrees))  # the first zero
+        i = n_known + int(np.argmin(degrees))  # the first zero
         raise ValidationError(f"row {i} ({domain.entities[i]}): at least one neighbor is required")
 
     # candidate weights laid out like the graph: row i owns [start[i], start[i+1])
@@ -307,8 +329,8 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
     values = np.empty(sources.size)
     counts = np.zeros(3, dtype=np.int64)
     unposed = n  # first row whose Gram matrix is not finite; n while there is none
-    for k in np.unique(degrees).tolist():
-        rows_k = np.flatnonzero(degrees == k)
+    for k in np.flatnonzero(np.bincount(degrees)).tolist():
+        rows_k = n_known + np.flatnonzero(degrees == k)
         slots_k = start[rows_k][:, None] + np.arange(k)
         state_rows = max(1, _STATE_BYTES // (8 * k * k))
         gather_rows = max(1, _GATHER_BYTES // (8 * k * d))
@@ -334,9 +356,17 @@ def assemble_weight_matrix(graph: NeighborGraph, domain: DomainMatrix) -> Weight
     if unposed < n:
         raise ValidationError(f"row {unposed} ({domain.entities[unposed]}): {_NOT_POSED}")
 
-    # the graph's layout; WeightMatrix drops the zero weights in place, so
-    # the graph's arrays are copied
-    matrix = sparse.csr_matrix((values, sources, start), shape=(n, n), copy=True)
+    # identity rows, then the solved rows in the graph's layout; WeightMatrix
+    # drops the zero weights in place, so nothing here aliases the graph
+    first = start[n_known]
+    matrix = sparse.csr_matrix(
+        (
+            np.concatenate([np.ones(n_known), values[first:]]),
+            np.concatenate([np.arange(n_known), sources[first:]]),
+            np.concatenate([np.arange(n_known), start[n_known:] - first + n_known]),
+        ),
+        shape=(n, n),
+    )
     return WeightMatrix(matrix, *counts.tolist())
 
 

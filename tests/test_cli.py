@@ -313,7 +313,7 @@ class TestImputeCommand:
             assert f"{counter}=0\n" in manifest
 
     def test_weight_dump(self, fixture_files):
-        tmp_path, _, _, domain_csv, vec_path = fixture_files
+        tmp_path, domain, table, domain_csv, vec_path = fixture_files
         dump = tmp_path / "w.txt"
         code = main(
             [
@@ -325,9 +325,14 @@ class TestImputeCommand:
             ]
         )
         assert code == 0
-        first = dump.read_text().splitlines()[0].split()
+        lines = dump.read_text().splitlines()
+        first = lines[0].split()
         assert len(first) == 3
         int(first[0]), int(first[1]), float(first[2])
+        # the known entities come first and are written as identity rows
+        p = impute_embeddings(domain, table).problem.p
+        assert lines[:p] == [f"{i} {i} 1" for i in range(p)]
+        assert all(int(line.split()[0]) >= p for line in lines[p:])
 
 
 @pytest.mark.parametrize("command", ["impute", "graph-stats"])

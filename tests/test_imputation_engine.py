@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,14 +228,29 @@ class TestPowerIterate:
         assert result.final_relative_change == 0.0 and result.trace == ()
         assert result.Y.shape == (40, 6) and not result.Y.any()
 
-    @pytest.mark.parametrize("k", [-900, 500])
+    # at 2**1019 the stop rule's L1 sums over the unscaled free block overflow
+    @pytest.mark.parametrize("k", [-900, 500, 1019])
     def test_scaling_the_known_block_by_a_power_of_two_scales_every_bit(self, random_system, k):
         sys = random_system(n=40, p=15, d=5, s=6, delta=4, seed=34)
         unit = power_iterate(sys.fixed, sys.known, ImputationConfig())
-        scaled = power_iterate(sys.fixed, 2.0**k * sys.known, ImputationConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = power_iterate(sys.fixed, 2.0**k * sys.known, ImputationConfig())
         assert unit.converged and scaled.iterations == unit.iterations
         assert scaled.trace == unit.trace
         assert np.array_equal(scaled.Y, 2.0**k * unit.Y)
+
+    def test_known_block_at_1e307(self, random_system):
+        sys = random_system(n=40, p=15, d=5, s=6, delta=4, seed=34)
+        known = 1e307 * sys.known
+        known[0, 0] = 5e-324  # lost to the internal scaling, kept in the result
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = power_iterate(sys.fixed, known, ImputationConfig(eta=1e-12, max_iter=20000))
+        assert result.converged and np.isfinite(result.Y).all()
+        assert result.Y[:15].tobytes() == known.tobytes()
+        target = closed_form_solve(sys.fixed, known / 1e307)
+        assert np.allclose(result.Y[15:] / 1e307, target, rtol=1e-9, atol=1e-9)
 
     def test_trace_records_every_sweep(self, random_system):
         sys = random_system(n=30, p=12, d=4, s=3, delta=4, seed=37)

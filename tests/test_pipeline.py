@@ -25,7 +25,7 @@ class TestImputeAligned:
 
         expected = ei.power_iterate(sys.fixed, sys.known, config)
         assert directed_edges(graph) == directed_edges(sys.graph)
-        assert (weights.matrix != sys.weights.matrix).nnz == 0
+        assert (weights.matrix != sys.fixed.matrix).nnz == 0
         assert result.Y.tobytes() == expected.Y.tobytes()
         assert result.iterations == expected.iterations
         assert list(timings) == ["distance", "graph", "weights", "iterate"]

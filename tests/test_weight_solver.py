@@ -15,6 +15,7 @@ from embimpute import (
     build_graph,
     euclidean_distance_matrix,
     fix_known_block,
+    impute_aligned,
     in_neighbors,
     make_transfer_data,
     solve_row_weights,
@@ -360,6 +361,96 @@ class TestAssembleWeightMatrix:
         domain.data[2, 0] = np.nan
         with pytest.raises(ValidationError, match=r"^row 1 \(b\): at least one neighbor"):
             assemble_weight_matrix(empty, domain)
+
+
+def assert_same_bits(a: WeightMatrix, b: WeightMatrix):
+    assert np.array_equal(a.matrix.indptr, b.matrix.indptr)
+    assert np.array_equal(a.matrix.indices, b.matrix.indices)
+    assert a.matrix.data.tobytes() == b.matrix.data.tobytes()
+
+
+class TestKnownRowsAreIdentity:
+    """Rows below ``n_known`` are identity rows and are never solved."""
+
+    def test_equals_the_fixed_raw_matrix_on_the_c2_systems(self, random_system):
+        for seed in range(20):
+            sys = random_system(n=100, p=40, d=8, s=16, delta=8, seed=seed)
+            assert_same_bits(assemble_weight_matrix(sys.graph, sys.domain, 40), sys.fixed)
+
+    @pytest.mark.parametrize("n_known", [1, 37, 150, 299, 300])
+    def test_equals_the_fixed_raw_matrix_over_several_in_degrees(self, n_known):
+        rng = np.random.default_rng(40)
+        graph, domain, raw = assembled(rng.normal(size=(300, 4)), 3)
+        assert np.unique(graph.in_degrees()[n_known:]).size >= min(3, 300 - n_known)
+        frozen = assemble_weight_matrix(graph, domain, n_known)
+        assert_same_bits(frozen, fix_known_block(raw, n_known))
+
+    def test_known_rows_need_no_neighbor(self):
+        domain = DomainMatrix(("a", "b", "c"), [[0.0], [1.0], [3.0]])
+        g = build_graph(euclidean_distance_matrix(domain), 1)
+        # g with the edges into a left out; a's own vector stays finite
+        keep = np.r_[g.indptr[1] : g.indptr[3]]
+        graph = NeighborGraph(3, [0, 0, *(g.indptr[2:] - g.indptr[1])], g.indices[keep])
+        with pytest.raises(ValidationError, match=r"^row 0 \(a\): at least one neighbor"):
+            assemble_weight_matrix(graph, domain)
+        # rows b and c keep their in-edges, so they keep their weights
+        expected = fix_known_block(assemble_weight_matrix(g, domain), 1)
+        assert_same_bits(assemble_weight_matrix(graph, domain, 1), expected)
+
+    def test_only_the_free_rows_are_solved(self, monkeypatch):
+        solved = []
+        simplex_rows = weight_solver._simplex_rows
+
+        def counting(G):
+            solved.append(G.shape[0])
+            return simplex_rows(G)
+
+        monkeypatch.setattr(weight_solver, "_simplex_rows", counting)
+        rng = np.random.default_rng(41)
+        n, p = 120, 70
+        domain = DomainMatrix(tuple(f"e{i}" for i in range(n)), rng.normal(size=(n, 5)))
+        _, weights, result, _ = impute_aligned(domain, rng.normal(size=(p, 3)), 4)
+        assert sum(solved) == n - p
+        assert result.converged
+        assert weights.toarray()[:p].tolist() == np.eye(p, n).tolist()
+
+    @pytest.mark.parametrize("bad", [-1, 31, 2.5, "3", None])
+    def test_bad_known_count_is_one_line_error(self, bad):
+        graph, domain, _ = assembled(np.random.default_rng(42).normal(size=(30, 3)), 4)
+        with pytest.raises(ValidationError, match="^known-row count must be an integer") as info:
+            assemble_weight_matrix(graph, domain, bad)
+        assert "\n" not in str(info.value)
+
+
+class TestZeroWeightColumns:
+    """Columns with no off-diagonal weight: entities that influence no other."""
+
+    @staticmethod
+    def reference(W: WeightMatrix) -> int:
+        dense = W.toarray()
+        np.fill_diagonal(dense, 0.0)
+        return int((dense.sum(axis=0) == 0.0).sum())
+
+    def test_raw_matrices_count_columns_with_no_weight(self, random_system):
+        for seed in range(5):
+            sys = random_system(n=100, p=40, d=2, s=4, delta=3, seed=seed)
+            m = sys.weights.matrix
+            assert sys.weights.zero_weight_columns == m.shape[0] - np.unique(m.indices).size
+            assert sys.weights.zero_weight_columns == self.reference(sys.weights)
+
+    def test_identity_rows_count_for_nothing(self, random_system):
+        sys = random_system(n=100, p=40, d=2, s=4, delta=3, seed=0)
+        frozen = assemble_weight_matrix(sys.graph, sys.domain, 40)
+        free_weight = sys.weights.toarray()[40:].sum(axis=0)
+        unread = int((free_weight == 0.0).sum())
+        # some known entity is nobody's weighted neighbor among the free rows
+        assert (free_weight[:40] == 0.0).any()
+        assert frozen.zero_weight_columns == sys.fixed.zero_weight_columns == unread
+        assert unread == self.reference(frozen)
+
+    def test_hand_built_diagonal_weight_counts_for_nothing(self):
+        W = WeightMatrix(sparse.csr_matrix(np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])))
+        assert W.zero_weight_columns == 2
 
 
 class TestOverflow:
