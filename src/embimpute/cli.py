@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 validation or usage failure (single-line
 diagnostic on stderr), 2 imputation hit the iteration cap without
 converging (output still written). Tables go to stdout as TSV; everything
-diagnostic goes to stderr.
+diagnostic goes to stderr. Every default is read from the library.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .embedding_io import (
     save_embeddings,
 )
 from .evaluation import (
+    _KNN_K,
     LabeledEmbeddings,
     SyntheticTransferSpec,
     knn_accuracy,
@@ -30,13 +32,14 @@ from .evaluation import (
     sensitivity_sweep,
 )
 from .imputation_engine import ImputationConfig
-from .manifold_graph import graph_stats
+from .manifold_graph import _DELTA, graph_stats
 from .pipeline import _neighbor_graph, impute_embeddings
 from .weight_solver import write_coordinate_text
 
 
 _MANIFEST_FLAGS = ("domain", "embeddings", "out", "delta", "eta", "max_iter", "seed")
 _WEIGHT_COUNTERS = ("lstsq_fallbacks", "uniform_fallbacks", "capped_rows", "zero_weight_columns")
+_SPEC_DEFAULTS = asdict(SyntheticTransferSpec())
 
 
 class _UsageError(Exception):
@@ -71,9 +74,6 @@ def _cmd_impute(args) -> int:
     run = impute_embeddings(domain, table, delta=args.delta, config=config)
     timings.update(run.timings)
     result = run.result
-    if args.progress:
-        for t, rel in enumerate(result.trace, 1):
-            print(f"iter={t} rel_change={rel:.6e}", file=sys.stderr)
 
     start = time.perf_counter()
     save_embeddings(run.table, args.out)
@@ -99,6 +99,8 @@ def _cmd_impute(args) -> int:
             f"converged={_bool_text(result.converged)}",
             # no weights are solved when nothing is missing
             *(f"{key}={getattr(run.weights, key) if run.weights else 0}" for key in _WEIGHT_COUNTERS),
+            # the relative change after each sweep, exact; empty when none ran
+            "trace=" + ",".join(f"{rel:.17g}" for rel in result.trace),
         ]
         with open(args.manifest, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in lines)
@@ -148,16 +150,7 @@ def _cmd_eval_knn(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = SyntheticTransferSpec(
-        n=args.n,
-        p=args.p,
-        manifold_dim=args.manifold_dim,
-        affinity_dim=args.affinity_dim,
-        semantic_dim=args.semantic_dim,
-        noise_sigma=args.noise_sigma,
-        n_labels=args.n_labels,
-        seed=args.seed,
-    )
+    spec = SyntheticTransferSpec(**{name: getattr(args, name) for name in _SPEC_DEFAULTS})
     config = ImputationConfig(eta=args.eta, max_iter=args.max_iter, seed=args.seed)
     if args.sweep:
         if not args.sweep_values:
@@ -182,7 +175,14 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _add_diffusion_flags(parser, config: ImputationConfig) -> None:
+    parser.add_argument("--delta", type=int, default=_DELTA, help="graph minimum in-degree")
+    parser.add_argument("--eta", type=float, default=config.eta, help="relative-change stop threshold")
+    parser.add_argument("--max-iter", type=int, default=config.max_iter)
+
+
 def _build_parser() -> _Parser:
+    config = ImputationConfig()
     parser = _Parser(prog="embimpute", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -190,10 +190,8 @@ def _build_parser() -> _Parser:
     impute.add_argument("--domain", required=True, help="domain matrix CSV")
     impute.add_argument("--embeddings", required=True, help="embedding text file")
     impute.add_argument("--out", required=True, help="output embedding path")
-    impute.add_argument("--delta", type=int, default=8, help="graph minimum in-degree")
-    impute.add_argument("--eta", type=float, default=1e-2, help="relative-change stop threshold")
-    impute.add_argument("--max-iter", type=int, default=1000)
-    impute.add_argument("--seed", type=int, default=0)
+    _add_diffusion_flags(impute, config)
+    impute.add_argument("--seed", type=int, default=config.seed)
     impute.add_argument("--manifest", default=None, help="write key=value run record here")
     impute.add_argument(
         "--dump-weights",
@@ -201,12 +199,11 @@ def _build_parser() -> _Parser:
         help="dump the weight matrix as 'i j w' text, aligned rows "
         "(known entities first, written as identity rows 'i i 1')",
     )
-    impute.add_argument("--progress", action="store_true", help="per-sweep trace lines on stderr")
     impute.set_defaults(func=_cmd_impute)
 
     stats = sub.add_parser("graph-stats", help="inspect the neighbor graph")
     stats.add_argument("--domain", required=True)
-    stats.add_argument("--delta", type=int, default=8)
+    stats.add_argument("--delta", type=int, default=_DELTA)
     stats.set_defaults(func=_cmd_graph_stats)
 
     evaluate = sub.add_parser("eval", help="embedding evaluation")
@@ -218,18 +215,11 @@ def _build_parser() -> _Parser:
     knn.set_defaults(func=_cmd_eval_knn)
 
     synth = sub.add_parser("synth", help="synthetic two-space transfer experiment")
-    synth.add_argument("--n", type=int, default=300)
-    synth.add_argument("--p", type=int, default=200)
-    synth.add_argument("--manifold-dim", type=int, default=4)
-    synth.add_argument("--affinity-dim", type=int, default=16)
-    synth.add_argument("--semantic-dim", type=int, default=12)
-    synth.add_argument("--noise-sigma", type=float, default=0.0)
-    synth.add_argument("--n-labels", type=int, default=5)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--delta", type=int, default=8)
-    synth.add_argument("--eta", type=float, default=1e-2)
-    synth.add_argument("--max-iter", type=int, default=1000)
-    synth.add_argument("--knn-k", type=int, default=5)
+    # one flag per spec field; --seed also seeds the diffusion
+    for name, default in _SPEC_DEFAULTS.items():
+        synth.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+    _add_diffusion_flags(synth, config)
+    synth.add_argument("--knn-k", type=int, default=_KNN_K)
     synth.add_argument("--sweep", choices=("delta", "eta"), default=None)
     synth.add_argument("--sweep-values", default=None, help="comma-separated sweep values")
     synth.set_defaults(func=_cmd_synth)

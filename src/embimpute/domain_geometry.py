@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ValidationError, _check_real
+from .errors import ValidationError
 
 _BLOCK_BYTES = 1 << 20  # bytes of distances in one row block; the graph and k-NN cuts share it
+_MAX_MISSING_FRACTION = 0.20  # return rows missing more of their cells are dropped
 
 
 @dataclass
@@ -172,16 +173,12 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
     return D
 
 
-def correlation_domain_matrix(
-    entities,
-    returns: np.ndarray,
-    max_missing_fraction: float = 0.20,
-) -> DomainMatrix:
+def correlation_domain_matrix(entities, returns: np.ndarray) -> DomainMatrix:
     """Build a correlation-row feature matrix from per-entity return series.
 
-    ``returns`` is (n, T) with NaN marking missing observations. Rows with a
-    missing fraction above ``max_missing_fraction`` are dropped; remaining
-    missing cells are filled with the per-column mean of observed values.
+    ``returns`` is (n, T) with NaN marking missing observations. Rows with
+    more than 20% of their cells missing are dropped; remaining missing
+    cells are filled with the per-column mean of observed values.
     Row i of the result is row i of the Pearson correlation matrix of the
     filled series, so the output is square over the retained entities.
     """
@@ -195,14 +192,11 @@ def correlation_domain_matrix(
         )
     if R.shape[1] < 2:
         raise ValidationError("correlation needs at least 2 observations per entity")
-    _check_real(max_missing_fraction, "max_missing_fraction")
-    if not 0.0 <= max_missing_fraction <= 1.0:
-        raise ValidationError("max_missing_fraction must lie in [0, 1]")
     if np.isinf(R).any():
         raise ValidationError("returns contain infinite values")
 
     missing = np.isnan(R)
-    keep = missing.mean(axis=1) <= max_missing_fraction
+    keep = missing.mean(axis=1) <= _MAX_MISSING_FRACTION
     if int(keep.sum()) < 2:
         raise ValidationError(
             "fewer than 2 entities remain after dropping rows with too many missing values"

@@ -19,9 +19,11 @@ from scipy.spatial.distance import cdist
 from .domain_geometry import _BLOCK_BYTES, DomainMatrix, _nearest_columns
 from .errors import ValidationError, _check_integer, _check_real
 from .imputation_engine import ImputationConfig, power_iterate
+from .manifold_graph import _DELTA
 from .pipeline import impute_aligned
 
 _CENTER_SPREAD = 3.0
+_KNN_K = 5  # neighbors per vote in the transfer experiments and the CLI
 
 
 @dataclass
@@ -34,13 +36,16 @@ class LabeledEmbeddings:
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if self.vectors.ndim != 2:
             raise ValidationError("vectors must form a 2-D matrix")
-        if self.labels.shape != (self.vectors.shape[0],):
+        if labels.shape != (self.vectors.shape[0],):
             raise ValidationError("labels and vectors must have matching length")
-        if self.labels.size == 0:
+        if labels.size == 0:
             raise ValidationError("at least one labeled vector is required")
+        if labels.dtype.kind not in "iu":
+            raise ValidationError(f"label codes must be integers, got dtype {labels.dtype}")
+        self.labels = labels.astype(int, copy=False)
         bad_rows = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))
         if bad_rows.size:
             raise ValidationError(f"non-finite value in vector row {int(bad_rows[0])}")
@@ -95,7 +100,8 @@ class TransferReport:
 
 
 def knn_accuracy(data: LabeledEmbeddings, k: int, subset=None) -> float:
-    """Leave-one-out k-NN accuracy over ``subset`` (default: all points).
+    """Leave-one-out k-NN accuracy over the integer point indices ``subset``
+    (default: all points).
 
     Each point is classified by majority vote of its k nearest other
     points in the full set, by Euclidean distance. Vote ties resolve to
@@ -108,9 +114,15 @@ def knn_accuracy(data: LabeledEmbeddings, k: int, subset=None) -> float:
     if subset is None:
         subset = np.arange(m)
     else:
-        subset = np.asarray(subset, dtype=int)
+        subset = np.asarray(subset)
         if subset.size == 0:
             raise ValidationError("subset must not be empty")
+        # a boolean mask or floats would be read as (truncated) indices
+        if subset.ndim != 1 or subset.dtype.kind not in "iu":
+            raise ValidationError(
+                f"subset must be a 1-D array of integer indices, got {subset.ndim}-D {subset.dtype}"
+            )
+        subset = subset.astype(int, copy=False)
         if subset.min() < 0 or subset.max() >= m:
             raise ValidationError("subset index out of range")
 
@@ -187,8 +199,8 @@ def _hidden_accuracy(data: TransferData, vectors: np.ndarray, p: int, k: int) ->
 def run_synthetic_transfer(
     spec: SyntheticTransferSpec,
     config: ImputationConfig | None = None,
-    delta: int = 8,
-    k: int = 5,
+    delta: int = _DELTA,
+    k: int = _KNN_K,
 ) -> TransferReport:
     """Hide the last q semantic vectors, recover them, and score everything.
 
@@ -239,8 +251,8 @@ def sensitivity_sweep(
     values,
     spec: SyntheticTransferSpec,
     config: ImputationConfig | None = None,
-    delta: int = 8,
-    k: int = 5,
+    delta: int = _DELTA,
+    k: int = _KNN_K,
 ) -> list[tuple[float, float]]:
     """Re-run the transfer experiment varying one knob, all else fixed.
 

@@ -194,7 +194,7 @@ def closed_form_solve(weights: WeightMatrix, known: np.ndarray) -> np.ndarray:
 
 
 def spectral_diagnostics(weights: WeightMatrix, n_known: int) -> SpectralReport:
-    """Eigenvalue report for moderate-size systems, from the free block alone.
+    """Eigenvalue report from the free block alone, for q <= 2000 free rows.
 
     With the known block fixed the matrix is [[I, 0], [W_qp, W_qq]], block
     lower-triangular, so its eigenvalues are ``n_known`` ones and those of
@@ -207,12 +207,12 @@ def spectral_diagnostics(weights: WeightMatrix, n_known: int) -> SpectralReport:
     within 1e-12 of one.
     """
     n = weights.n
-    if n > _DIAGNOSTIC_SIZE_CAP:
+    n_known = _check_integer(n_known, "known-row count", 1, n)
+    if n - n_known > _DIAGNOSTIC_SIZE_CAP:
         raise ValidationError(
-            f"spectral diagnostics capped at n={_DIAGNOSTIC_SIZE_CAP}; "
+            f"spectral diagnostics capped at q={_DIAGNOSTIC_SIZE_CAP} free rows; "
             "this is a diagnostic, not a production path"
         )
-    n_known = _check_integer(n_known, "known-row count", 1, n)
     m = weights.matrix
     radius = float(m.sum(axis=1).max())
     eig = np.linalg.eigvals(m[n_known:, n_known:].toarray())

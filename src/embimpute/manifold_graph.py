@@ -40,6 +40,8 @@ from .errors import ValidationError, _check_integer
 
 # side of the square tiles the symmetry check compares
 _SYMMETRY_TILE = 256
+# the minimum in-degree every entry point defaults to, the CLI's included
+_DELTA = 8
 
 
 def _validated_distances(D) -> np.ndarray:
@@ -231,7 +233,7 @@ def _build_unchecked(D: np.ndarray, delta: int) -> NeighborGraph:
     return _augment(*_mst(D), D, delta)
 
 
-def build_graph(D, delta: int = 8) -> NeighborGraph:
+def build_graph(D, delta: int = _DELTA) -> NeighborGraph:
     """Spanning-tree construction followed by minimum-degree augmentation.
 
     ``D`` is validated once, then shared by both steps.

@@ -11,7 +11,7 @@ from .domain_geometry import DomainMatrix, euclidean_distance_matrix
 from .embedding_io import AlignedProblem, EmbeddingTable, align, merge_imputed
 from .errors import _check_integer
 from .imputation_engine import ImputationConfig, ImputationResult, power_iterate
-from .manifold_graph import NeighborGraph, _build_unchecked
+from .manifold_graph import _DELTA, NeighborGraph, _build_unchecked
 from .weight_solver import WeightMatrix, assemble_weight_matrix
 
 _STAGES = ("align", "distance", "graph", "weights", "iterate", "merge")
@@ -46,7 +46,7 @@ def _neighbor_graph(domain: DomainMatrix, delta: int, timings: dict[str, float])
 def impute_aligned(
     domain: DomainMatrix,
     known: np.ndarray,
-    delta: int = 8,
+    delta: int = _DELTA,
     config: ImputationConfig | None = None,
 ) -> tuple[NeighborGraph, WeightMatrix, ImputationResult, dict[str, float]]:
     """Impute the rows of ``domain`` past the ``len(known)`` known ones.
@@ -76,7 +76,7 @@ def impute_aligned(
 def impute_embeddings(
     domain: DomainMatrix,
     table: EmbeddingTable,
-    delta: int = 8,
+    delta: int = _DELTA,
     config: ImputationConfig | None = None,
 ) -> PipelineRun:
     """Recover embedding vectors for domain entities missing from ``table``.

@@ -83,7 +83,8 @@ class WeightMatrix:
     capped_rows: int = 0
 
     def __post_init__(self):
-        m = sparse.csr_matrix(self.matrix)
+        # a copy: the normalization below sorts and drops zeros in place
+        m = sparse.csr_matrix(self.matrix, copy=True)
         if m.shape[0] != m.shape[1]:
             raise ValidationError("weight matrix must be square")
         m.sort_indices()
@@ -356,8 +357,7 @@ def assemble_weight_matrix(
     if unposed < n:
         raise ValidationError(f"row {unposed} ({domain.entities[unposed]}): {_NOT_POSED}")
 
-    # identity rows, then the solved rows in the graph's layout; WeightMatrix
-    # drops the zero weights in place, so nothing here aliases the graph
+    # identity rows, then the solved rows in the graph's layout
     first = start[n_known]
     matrix = sparse.csr_matrix(
         (

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import inspect
 import subprocess
 import sys
 
@@ -11,13 +13,17 @@ from embimpute import (
     DomainMatrix,
     EmbeddingTable,
     ImputationConfig,
+    SyntheticTransferSpec,
     build_graph,
     graph_stats,
+    impute_aligned,
     impute_embeddings,
     load_embeddings,
+    run_synthetic_transfer,
     save_embeddings,
+    sensitivity_sweep,
 )
-from embimpute import manifold_graph, pipeline
+from embimpute import cli, manifold_graph, pipeline
 from embimpute.cli import main
 from test_domain_geometry import OVERFLOW, overflowing_rows
 from test_pipeline import DEGENERATE_INPUTS, _degenerate_problem, _random_rows
@@ -107,6 +113,7 @@ class TestImputeCommand:
             "time_iterate", "time_merge", "time_save",
             "n", "p", "q", "iterations", "final_relative_change", "converged",
             "lstsq_fallbacks", "uniform_fallbacks", "capped_rows", "zero_weight_columns",
+            "trace",
         ]
         manifest = dict(line.split("=", 1) for line in manifest_path.read_text().splitlines())
         _, domain, table, _, _ = fixture_files
@@ -116,25 +123,41 @@ class TestImputeCommand:
         assert manifest["capped_rows"] == str(weights.capped_rows)
         assert manifest["zero_weight_columns"] == str(weights.zero_weight_columns)
 
-    def test_progress_prints_one_line_per_sweep(self, fixture_files, capsys):
+    def test_manifest_trace_parses_back_exactly(self, fixture_files):
         tmp_path, domain, table, domain_csv, vec_path = fixture_files
+        manifest_path = tmp_path / "run.manifest"
         code = main(
             [
                 "impute",
                 "--domain", str(domain_csv),
                 "--embeddings", str(vec_path),
                 "--out", str(tmp_path / "out.vec"),
-                "--progress",
+                "--manifest", str(manifest_path),
             ]
         )
         assert code == 0
-        lines = capsys.readouterr().err.splitlines()
+        manifest = dict(line.split("=", 1) for line in manifest_path.read_text().splitlines())
         result = impute_embeddings(domain, table).result
-        assert lines[:-1] == [
-            f"iter={t} rel_change={rel:.6e}" for t, rel in enumerate(result.trace, 1)
-        ]
-        assert len(lines) - 1 == result.iterations > 0
-        assert lines[-1].startswith("imputed ")
+        trace = tuple(float(v) for v in manifest["trace"].split(","))
+        assert len(trace) == result.iterations > 0
+        assert np.array_equal(trace, result.trace)
+        assert trace[-1] == float(manifest["final_relative_change"])
+
+        # a zero known block returns the zero fixed point after no sweep
+        zero = tmp_path / "zero.vec"
+        save_embeddings(EmbeddingTable(table.dim, {tok: 0 * v for tok, v in table.entries.items()}), zero)
+        args = ["impute", "--domain", str(domain_csv), "--embeddings", str(zero)]
+        assert main([*args, "--out", str(tmp_path / "z.vec"), "--manifest", str(manifest_path)]) == 0
+        lines = manifest_path.read_text().splitlines()
+        assert "iterations=0" in lines and lines[-1] == "trace="
+
+    def test_progress_is_not_an_option(self, fixture_files, capsys):
+        tmp_path, _, _, domain_csv, vec_path = fixture_files
+        args = ["--domain", str(domain_csv), "--embeddings", str(vec_path)]
+        assert main(["impute", *args, "--out", str(tmp_path / "out.vec"), "--progress"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--progress" in err
+        assert not (tmp_path / "out.vec").exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -551,3 +574,26 @@ def test_csv_module_fault_is_one_line_error(tmp_path, capsys):
     assert captured.out == ""
     limit = csv.field_size_limit()
     assert captured.err == f"error: {path}:3: field larger than field limit ({limit})\n"
+
+
+def test_flags_default_to_the_library_defaults():
+    """Each subcommand parsed with only its required flags runs what the
+    library runs when called with no settings."""
+    config, spec = ImputationConfig(), SyntheticTransferSpec()
+    graph_fns = (build_graph, impute_aligned, impute_embeddings, run_synthetic_transfer, sensitivity_sweep)
+    deltas = {inspect.signature(fn).parameters["delta"].default for fn in graph_fns}
+    ks = {inspect.signature(fn).parameters["k"].default for fn in (run_synthetic_transfer, sensitivity_sweep)}
+    assert len(deltas) == len(ks) == 1
+    (delta,), (k,) = deltas, ks
+
+    parse = cli._build_parser().parse_args
+    impute = parse(["impute", "--domain", "d.csv", "--embeddings", "e.vec", "--out", "o.vec"])
+    assert (impute.delta, impute.eta, impute.max_iter, impute.seed) == (
+        delta, config.eta, config.max_iter, config.seed
+    )
+    assert parse(["graph-stats", "--domain", "d.csv"]).delta == delta
+    synth = parse(["synth"])
+    assert {name: getattr(synth, name) for name in dataclasses.asdict(spec)} == dataclasses.asdict(spec)
+    assert (synth.delta, synth.eta, synth.max_iter, synth.knn_k) == (
+        delta, config.eta, config.max_iter, k
+    )

@@ -195,6 +195,37 @@ class TestKnnAccuracy:
         with pytest.raises(ValidationError, match=r"^non-finite value in vector row 6$"):
             LabeledEmbeddings(vectors, np.arange(10) % 2, ("a", "b"))
 
+    def test_boolean_mask_subset_rejected(self):
+        rng = np.random.default_rng(72)
+        data = LabeledEmbeddings(rng.normal(size=(20, 2)), rng.integers(2, size=20), ("a", "b"))
+        mask = np.arange(20) >= 10
+        with pytest.raises(ValidationError, match="^subset must be a 1-D array of integer") as info:
+            knn_accuracy(data, 3, mask)
+        assert "\n" not in str(info.value)
+        # numpy integer dtypes still pass, with the same result
+        for dtype in (np.int64, np.int32, np.uint16):
+            subset = np.flatnonzero(mask).astype(dtype)
+            assert knn_accuracy(data, 3, subset) == knn_accuracy(data, 3, list(range(10, 20)))
+
+    def test_float_subset_rejected(self):
+        data = LabeledEmbeddings(np.eye(4), np.arange(4) % 2, ("a", "b"))
+        with pytest.raises(ValidationError, match="^subset must be a 1-D array of integer") as info:
+            knn_accuracy(data, 1, [1.7, 2.2])
+        assert "\n" not in str(info.value)
+
+    def test_two_dimensional_subset_rejected(self):
+        data = LabeledEmbeddings(np.eye(4), np.arange(4) % 2, ("a", "b"))
+        with pytest.raises(ValidationError, match="^subset must be a 1-D array of integer") as info:
+            knn_accuracy(data, 1, [[0, 1], [2, 3]])
+        assert "\n" not in str(info.value)
+        with pytest.raises(ValidationError, match="^subset must not be empty$"):
+            knn_accuracy(data, 1, [])
+
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(ValidationError, match="^label codes must be integers") as info:
+            LabeledEmbeddings(np.eye(3), [0, 1.5, 1], ("a", "b"))
+        assert "\n" not in str(info.value)
+
     def test_k_too_large_rejected(self):
         data = LabeledEmbeddings(np.eye(3), np.arange(3), ("a", "b", "c"))
         with pytest.raises(ValidationError):

@@ -437,6 +437,17 @@ class TestSpectralDiagnostics:
         assert abs(report.spectral_radius - expected_radius) < 1e-12
 
     def test_size_cap(self):
-        W = WeightMatrix(sparse.eye(2001, format="csr"))
+        W = WeightMatrix(sparse.eye(2006, format="csr"))
         with pytest.raises(ValidationError, match="diagnostic"):
             spectral_diagnostics(W, 5)
+
+    def test_cap_counts_free_rows_only(self):
+        # n = 2500 but q = 50: each free row weighs known row 0 alone
+        n, p = 2500, 2450
+        rows = np.arange(n)
+        cols = np.where(rows < p, rows, 0)
+        W = WeightMatrix(sparse.csr_matrix((np.ones(n), (rows, cols)), shape=(n, n)))
+        report = spectral_diagnostics(W, p)
+        assert (report.n, report.n_known, report.unit_eigenvalue_count) == (n, p, p)
+        assert report.free_block_spectral_radius == 0.0
+        assert report.spectral_radius == 1.0

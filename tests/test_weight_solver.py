@@ -877,6 +877,18 @@ class TestWeightMatrixType:
         assert "\n" not in str(info.value)
         assert W.row(np.int64(1))[0].tolist() == [0]
 
+    def test_normalizes_a_copy_of_the_callers_matrix(self):
+        # row 0 stores an explicit zero and its columns out of order
+        m = sparse.csr_matrix(([0.0, 1.0, 1.0], [1, 0, 1], [0, 2, 3]), shape=(2, 2))
+        before = [a.copy() for a in (m.data, m.indices, m.indptr)]
+        W = WeightMatrix(m)
+        assert m.nnz == 3
+        for got, want in zip((m.data, m.indices, m.indptr), before):
+            assert np.array_equal(got, want)
+        assert W.matrix.nnz == 2 and W.matrix.has_sorted_indices
+        assert W.matrix.indices.tolist() == [0, 1]
+        assert np.array_equal(W.toarray(), [[1.0, 0.0], [0.0, 1.0]])
+
     def test_rejects_bad_row_sum(self):
         m = sparse.csr_matrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
         with pytest.raises(ValidationError, match="sums"):
