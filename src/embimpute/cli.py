@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-import time
 from dataclasses import asdict
 
 import numpy as np
@@ -33,7 +32,7 @@ from .evaluation import (
 )
 from .imputation_engine import ImputationConfig
 from .manifold_graph import _DELTA, graph_stats
-from .pipeline import _neighbor_graph, impute_embeddings
+from .pipeline import _neighbor_graph, _timed, impute_embeddings
 from .weight_solver import write_coordinate_text
 
 
@@ -66,18 +65,13 @@ def _bool_text(flag: bool) -> str:
 def _cmd_impute(args) -> int:
     config = ImputationConfig(eta=args.eta, max_iter=args.max_iter, seed=args.seed)
     timings = {}
-    start = time.perf_counter()
-    domain = load_domain_csv(args.domain)
-    table = load_embeddings(args.embeddings)
-    timings["load"] = time.perf_counter() - start
+    domain = _timed(timings, "load", load_domain_csv, args.domain)
+    table = _timed(timings, "load", load_embeddings, args.embeddings)
 
     run = impute_embeddings(domain, table, delta=args.delta, config=config)
     timings.update(run.timings)
     result = run.result
-
-    start = time.perf_counter()
-    save_embeddings(run.table, args.out)
-    timings["save"] = time.perf_counter() - start
+    _timed(timings, "save", save_embeddings, run.table, args.out)
 
     if args.dump_weights:
         if run.weights is None:

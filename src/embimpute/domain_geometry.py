@@ -22,7 +22,7 @@ _BLOCK_BYTES = 1 << 20  # bytes of distances in one row block; the graph and k-N
 _MAX_MISSING_FRACTION = 0.20  # return rows missing more of their cells are dropped
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainMatrix:
     """Feature matrix over named entities; row i describes ``entities[i]``.
 
@@ -34,8 +34,8 @@ class DomainMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        self.entities = tuple(str(e) for e in self.entities)
-        self.data = np.ascontiguousarray(self.data, dtype=float)
+        object.__setattr__(self, "entities", tuple(str(e) for e in self.entities))
+        object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=float))
         if self.data.ndim != 2:
             raise ValidationError("domain data must be a 2-D matrix")
         n, d = self.data.shape

@@ -25,9 +25,13 @@ from .domain_geometry import DomainMatrix
 from .errors import ValidationError
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingTable:
-    """Ordered token -> vector map with a fixed dimension."""
+    """Ordered token -> vector map with a fixed dimension.
+
+    Arrays are not defensively copied; in-place writes to them or to
+    ``entries`` are not checked again.
+    """
 
     dim: int
     entries: dict[str, np.ndarray]
@@ -45,32 +49,40 @@ class EmbeddingTable:
                     f"token '{token}' has a vector of shape {vec.shape}, expected ({self.dim},)"
                 )
             converted[token] = vec
-        self.entries = converted
+        object.__setattr__(self, "entries", converted)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.entries
 
     def tokens(self) -> list[str]:
         return list(self.entries)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlignedProblem:
-    """Entity order with the known block first, plus its vectors.
+    """Domain rows reordered with the known block first, plus its vectors.
 
     ``permutation[i]`` is the position in the original domain matrix of the
-    entity now at position i.
+    entity now at position i. The entity order and the block sizes are
+    read from ``domain`` and ``known``: ``order`` is ``domain.entities``,
+    ``p`` is ``len(known)`` and ``q`` is ``domain.n - p``.
     """
 
-    order: tuple[str, ...]
     domain: DomainMatrix
     known: np.ndarray
-    p: int
-    q: int
     permutation: np.ndarray
+
+    @property
+    def order(self) -> tuple[str, ...]:
+        return self.domain.entities
+
+    @property
+    def p(self) -> int:
+        return len(self.known)
+
+    @property
+    def q(self) -> int:
+        return self.domain.n - self.p
 
 
 def _parses_as_int(token: str) -> bool:
@@ -217,7 +229,7 @@ def align(domain: DomainMatrix, table: EmbeddingTable) -> AlignedProblem:
     order = tuple(domain.entities[i] for i in permutation)
     aligned = DomainMatrix(order, domain.data[permutation])
     known = np.array([table.entries[tok] for tok in order[:p]])
-    return AlignedProblem(order, aligned, known, p, domain.n - p, permutation)
+    return AlignedProblem(aligned, known, permutation)
 
 
 def merge_imputed(table: EmbeddingTable, problem: AlignedProblem, result) -> EmbeddingTable:

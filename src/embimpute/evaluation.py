@@ -26,7 +26,7 @@ _CENTER_SPREAD = 3.0
 _KNN_K = 5  # neighbors per vote in the transfer experiments and the CLI
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledEmbeddings:
     """Vectors with integer label codes and their display names."""
 
@@ -35,7 +35,7 @@ class LabeledEmbeddings:
     label_names: tuple[str, ...]
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=float)
+        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=float))
         labels = np.asarray(self.labels)
         if self.vectors.ndim != 2:
             raise ValidationError("vectors must form a 2-D matrix")
@@ -45,7 +45,7 @@ class LabeledEmbeddings:
             raise ValidationError("at least one labeled vector is required")
         if labels.dtype.kind not in "iu":
             raise ValidationError(f"label codes must be integers, got dtype {labels.dtype}")
-        self.labels = labels.astype(int, copy=False)
+        object.__setattr__(self, "labels", labels.astype(int, copy=False))
         bad_rows = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))
         if bad_rows.size:
             raise ValidationError(f"non-finite value in vector row {int(bad_rows[0])}")
@@ -53,7 +53,7 @@ class LabeledEmbeddings:
             raise ValidationError("label codes must index into label_names")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticTransferSpec:
     """Shape of a synthetic two-space instance."""
 
@@ -69,7 +69,7 @@ class SyntheticTransferSpec:
     def __post_init__(self):
         # stored as ints, so arithmetic on them cannot wrap in a small numpy type
         for name in ("n", "p", "manifold_dim", "affinity_dim", "semantic_dim", "n_labels"):
-            setattr(self, name, _check_integer(getattr(self, name), name, 1))
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name, 1))
         if not 1 <= self.p < self.n:
             raise ValidationError("need 1 <= p < n")
         if self.manifold_dim < 1 or self.manifold_dim > min(
@@ -83,10 +83,10 @@ class SyntheticTransferSpec:
         _check_real(self.noise_sigma, "noise_sigma")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValidationError("noise_sigma must be non-negative and finite")
-        self.seed = _check_integer(self.seed, "seed", 0)
+        object.__setattr__(self, "seed", _check_integer(self.seed, "seed", 0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransferReport:
     n: int
     p: int
@@ -155,7 +155,7 @@ def knn_accuracy(data: LabeledEmbeddings, k: int, subset=None) -> float:
     return correct / subset.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransferData:
     domain: DomainMatrix
     semantic: np.ndarray

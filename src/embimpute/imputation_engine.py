@@ -29,7 +29,7 @@ _DIAGNOSTIC_SIZE_CAP = 2000
 _INIT_SCALE = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImputationConfig:
     """Knobs for the diffusion: stopping threshold, cap, and seeded init."""
 
@@ -42,25 +42,32 @@ class ImputationConfig:
         if not 0 < self.eta < math.inf:
             raise ValidationError("eta must be positive and finite")
         # stored as ints, so max_iter + 1 cannot wrap in a small numpy type
-        self.max_iter = _check_integer(self.max_iter, "max_iter", 1)
-        self.seed = _check_integer(self.seed, "seed", 0)
+        object.__setattr__(self, "max_iter", _check_integer(self.max_iter, "max_iter", 1))
+        object.__setattr__(self, "seed", _check_integer(self.seed, "seed", 0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImputationResult:
     """Full vector matrix with the known block preserved bit-for-bit.
 
-    ``trace`` holds the relative change after each sweep, so it has
-    ``iterations`` entries and ends with ``final_relative_change``.
-    ``converged`` means that change fell below eta; it bounds the last
-    step, not the distance to the fixed point.
+    ``trace`` holds the relative change after each sweep; ``iterations``
+    and ``final_relative_change`` are read from it (its length and its
+    last entry, 0 and 0.0 when no sweep ran). ``converged`` means that
+    change fell below eta; it bounds the last step, not the distance to
+    the fixed point.
     """
 
     Y: np.ndarray
-    iterations: int
-    final_relative_change: float
     converged: bool
     trace: tuple[float, ...] = ()
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def final_relative_change(self) -> float:
+        return self.trace[-1] if self.trace else 0.0
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,7 @@ def power_iterate(
     anchor_part = m[p:, :p] @ unit
     Y = np.concatenate([known, np.zeros_like(anchor_part)])
     if not anchor_part.any():
-        return ImputationResult(Y, 0, 0.0, True)
+        return ImputationResult(Y, True)
     free_block = m[p:, p:].tocsr()
     rng = np.random.default_rng(config.seed)
     sigma = _INIT_SCALE * float(np.abs(unit).mean())
@@ -166,7 +173,7 @@ def power_iterate(
             break
 
     Y[p:] = np.ldexp(yq, e)
-    return ImputationResult(Y, len(trace), trace[-1], converged, tuple(trace))
+    return ImputationResult(Y, converged, tuple(trace))
 
 
 def closed_form_solve(weights: WeightMatrix, known: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from .weight_solver import WeightMatrix, assemble_weight_matrix
 _STAGES = ("align", "distance", "graph", "weights", "iterate", "merge")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineRun:
     problem: AlignedProblem
     result: ImputationResult
@@ -27,20 +27,21 @@ class PipelineRun:
     timings: dict[str, float]
 
 
+def _timed(timings: dict[str, float], stage: str, fn, *args):
+    """Call ``fn(*args)``, add its seconds to ``timings[stage]`` and return its value."""
+    start = time.perf_counter()
+    value = fn(*args)
+    timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - start)
+    return value
+
+
 def _neighbor_graph(domain: DomainMatrix, delta: int, timings: dict[str, float]) -> NeighborGraph:
     """Check ``delta``, then time the ``distance`` and ``graph`` stages into ``timings``."""
     delta = _check_integer(delta, "minimum degree", 1, domain.n - 1)
-
-    start = time.perf_counter()
-    distances = euclidean_distance_matrix(domain)
-    timings["distance"] = time.perf_counter() - start
-
+    distances = _timed(timings, "distance", euclidean_distance_matrix, domain)
     # valid by construction: the checks of the public build_graph would
     # only reread the n x n matrix
-    start = time.perf_counter()
-    graph = _build_unchecked(distances, delta)
-    timings["graph"] = time.perf_counter() - start
-    return graph
+    return _timed(timings, "graph", _build_unchecked, distances, delta)
 
 
 def impute_aligned(
@@ -61,15 +62,9 @@ def impute_aligned(
     """
     timings = {}
     graph = _neighbor_graph(domain, delta, timings)
-
-    start = time.perf_counter()
-    # by its public name, so a tracer that wraps it sees the stage
-    weights = assemble_weight_matrix(graph, domain, len(known))
-    timings["weights"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    result = power_iterate(weights, known, config)
-    timings["iterate"] = time.perf_counter() - start
+    # by their public names, so a tracer that wraps them sees the stages
+    weights = _timed(timings, "weights", assemble_weight_matrix, graph, domain, len(known))
+    result = _timed(timings, "iterate", power_iterate, weights, known, config)
     return graph, weights, result, timings
 
 
@@ -87,21 +82,14 @@ def impute_embeddings(
     unchanged.
     """
     timings = dict.fromkeys(_STAGES, 0.0)
-
-    start = time.perf_counter()
-    problem = align(domain, table)
-    timings["align"] = time.perf_counter() - start
-
+    problem = _timed(timings, "align", align, domain, table)
     graph = weights = None
     if problem.q == 0:
-        result = ImputationResult(problem.known.copy(), 0, 0.0, True)
+        result = ImputationResult(problem.known.copy(), True)
     else:
         graph, weights, result, stage_times = impute_aligned(
             problem.domain, problem.known, delta, config
         )
         timings.update(stage_times)
-
-    start = time.perf_counter()
-    merged = merge_imputed(table, problem, result)
-    timings["merge"] = time.perf_counter() - start
+    merged = _timed(timings, "merge", merge_imputed, table, problem, result)
     return PipelineRun(problem, result, merged, graph, weights, timings)

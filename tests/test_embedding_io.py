@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -171,6 +172,20 @@ class TestAlign:
         inverse = np.argsort(problem.permutation)
         assert tuple(problem.order[i] for i in inverse) == entities
         assert np.array_equal(problem.domain.data[inverse], domain.data)
+
+
+    def test_order_and_counts_follow_domain_and_known(self):
+        rng = np.random.default_rng(59)
+        entities = tuple(f"e{i}" for i in range(10))
+        domain = DomainMatrix(entities, rng.normal(size=(10, 3)))
+        problem = align(domain, random_table(rng, ["e2", "e5", "e7"], 4))
+        assert problem.order is problem.domain.entities
+        assert (problem.p, problem.q) == (3, 7)
+        fewer = dataclasses.replace(problem, known=problem.known[:2])
+        assert (fewer.p, fewer.q, fewer.order) == (2, 8, problem.order)
+        # the counts are no longer fields that could disagree with the rows
+        with pytest.raises(TypeError):
+            dataclasses.replace(problem, p=4, q=6)
 
 
 class TestMergeImputed:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from scipy import sparse
 from embimpute import (
     ConvergenceError,
     ImputationConfig,
+    ImputationResult,
     ValidationError,
     WeightMatrix,
     closed_form_solve,
@@ -104,6 +106,31 @@ class TestImputationConfig:
         with pytest.raises(ValidationError, match=f"^{name} must be a real number, got ") as info:
             ImputationConfig(**bad)
         assert "\n" not in str(info.value)
+
+
+    def test_replace_is_the_checked_way_to_vary_a_setting(self):
+        config = ImputationConfig(max_iter=50)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.eta = math.nan
+        with pytest.raises(ValidationError, match="^eta must be positive and finite$"):
+            dataclasses.replace(config, eta=math.nan)
+        assert dataclasses.replace(config, eta=1e-3) == ImputationConfig(eta=1e-3, max_iter=50)
+
+
+class TestImputationResult:
+    def test_counts_are_read_from_the_trace(self):
+        Y = np.zeros((3, 2))
+        result = ImputationResult(Y, False, (0.5, 0.25))
+        assert (result.iterations, result.final_relative_change) == (2, 0.25)
+        empty = ImputationResult(Y, True)
+        assert (empty.iterations, empty.final_relative_change, empty.trace) == (0, 0.0, ())
+
+    def test_counts_are_not_fields(self):
+        Y = np.zeros((3, 2))
+        with pytest.raises(TypeError):
+            ImputationResult(Y, 5, 0.5, True)
+        with pytest.raises(TypeError):
+            dataclasses.replace(ImputationResult(Y, True), iterations=5)
 
 
 class TestFixKnownBlock:
@@ -318,6 +345,13 @@ class TestClosedFormSolve:
         m = sys.fixed.matrix
         reconstructed = m[3:, :3] @ sys.known + m[3:, 3:] @ solution
         assert np.linalg.norm(solution - reconstructed) < 1e-10
+        # p = n: no free row, the (0, s) block power_iterate returns after no sweep
+        full = random_system(n=8, p=8, d=3, s=4, delta=3, seed=40)
+        empty = closed_form_solve(full.fixed, full.known)
+        assert empty.shape == (0, 4)
+        zero_sweeps = power_iterate(full.fixed, full.known)
+        assert zero_sweeps.iterations == 0
+        assert np.array_equal(empty, zero_sweeps.Y[8:])
 
     def test_singular_system_rejected(self):
         W = weight_matrix([[1.0, 0.0], [0.0, 1.0]])

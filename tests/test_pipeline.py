@@ -1,3 +1,9 @@
+import dataclasses
+import importlib
+import math
+import pickle
+import pkgutil
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -146,6 +152,84 @@ class TestDegenerateInputs:
         with pytest.raises(ei.ConvergenceError, match="unreachable") as info:
             ei.impute_embeddings(domain, table, delta=domain.n - 1)
         assert "\n" not in str(info.value)
+
+
+# a field of each of the package's 13 dataclasses, with a value that got
+# past its __post_init__ check when assigned after construction
+FROZEN_FIELDS = [
+    ("DomainMatrix", "data", np.zeros((1, 1))),
+    ("EmbeddingTable", "dim", 3),
+    ("AlignedProblem", "known", np.zeros((9, 4))),
+    ("LabeledEmbeddings", "labels", np.zeros(40)),
+    ("ImputationConfig", "max_iter", 0),
+    ("ImputationConfig", "eta", math.nan),
+    ("SyntheticTransferSpec", "manifold_dim", 0),
+    ("ImputationResult", "trace", (0.5,)),
+    ("SpectralReport", "n_known", 0),
+    ("WeightMatrix", "capped_rows", -1),
+    ("NeighborGraph", "n", 0),
+    ("PipelineRun", "weights", None),
+    ("TransferReport", "iterations", -1),
+    ("TransferData", "label_names", ()),
+]
+
+
+@pytest.fixture(scope="module")
+def frozen_values():
+    """One instance of every dataclass in the package, by class name."""
+    domain, table = random_problem(66, n=12, p=8, s=4)
+    run = ei.impute_embeddings(domain, table, delta=3)
+    spec = ei.SyntheticTransferSpec(n=40, p=30)
+    data = ei.make_transfer_data(spec)
+    values = [
+        domain,
+        table,
+        run.problem,
+        ei.LabeledEmbeddings(data.semantic, data.labels, data.label_names),
+        ei.ImputationConfig(),
+        spec,
+        run.result,
+        ei.spectral_diagnostics(run.weights, run.problem.p),
+        run.weights,
+        run.graph,
+        run,
+        ei.run_synthetic_transfer(spec, delta=4, k=3),
+        data,
+    ]
+    return {type(value).__name__: value for value in values}
+
+
+class TestFrozenValues:
+    def test_every_dataclass_is_listed(self, frozen_values):
+        modules = [
+            importlib.import_module(f"embimpute.{info.name}")
+            for info in pkgutil.iter_modules(ei.__path__)
+            if info.name != "__main__"
+        ]
+        classes = {
+            name
+            for module in modules
+            for name, value in vars(module).items()
+            if isinstance(value, type)
+            and dataclasses.is_dataclass(value)
+            and value.__module__ == module.__name__
+        }
+        assert len(classes) == 13
+        assert classes == set(frozen_values) == {name for name, _, _ in FROZEN_FIELDS}
+
+    @pytest.mark.parametrize(
+        "name, field, value", FROZEN_FIELDS, ids=[f"{n}.{f}" for n, f, _ in FROZEN_FIELDS]
+    )
+    def test_assigning_a_field_raises(self, frozen_values, name, field, value):
+        instance = frozen_values[name]
+        before = getattr(instance, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(instance, field, value)
+        assert getattr(instance, field) is before
+
+    def test_every_value_pickles(self, frozen_values):
+        for name, value in frozen_values.items():
+            assert type(pickle.loads(pickle.dumps(value))).__name__ == name
 
 
 def test_public_names():
