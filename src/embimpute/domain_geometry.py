@@ -18,7 +18,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
 
-_BLOCK_BYTES = 1 << 20  # bytes of distances in one row block; the graph and k-NN cuts share it
+_BLOCK_BYTES = 1 << 20  # bytes in one row block; the graph and k-NN cuts and the weight gathers share it
 _MAX_MISSING_FRACTION = 0.20  # return rows missing more of their cells are dropped
 
 

@@ -90,13 +90,16 @@ class SyntheticTransferSpec:
 class TransferReport:
     n: int
     p: int
-    q: int
     k: int
     imputed_accuracy: float
     truth_accuracy: float
     baseline_accuracy: float
     iterations: int
     converged: bool
+
+    @property
+    def q(self) -> int:
+        return self.n - self.p
 
 
 def knn_accuracy(data: LabeledEmbeddings, k: int, subset=None) -> float:
@@ -221,7 +224,6 @@ def run_synthetic_transfer(
     return TransferReport(
         n=spec.n,
         p=p,
-        q=q,
         k=k,
         imputed_accuracy=_hidden_accuracy(data, result.Y, p, k),
         truth_accuracy=_hidden_accuracy(data, data.semantic, p, k),

@@ -5,21 +5,29 @@ graph connected; additional directed edges from nearest non-neighbors then
 raise every vertex's in-degree to the configured minimum. Tie-breaking is
 always by smaller vertex index so identical inputs yield identical graphs.
 
-The tree comes from a dense Prim over the rows of ``D`` that compares
-edges by the strict total order (weight, smaller index, larger index).
-Under a strict total order the spanning tree is unique, so it is the tree
-Kruskal's algorithm yields when it scans edges in that order. Inside the
-package the tree passes as two endpoint arrays; only ``build_mst`` sorts
-it and reads its weights into tuples. The augmentation takes each short
-vertex's delta + 1 nearest columns by (distance, index) from one blocked
-cut (``_nearest_columns``) over the 1 MiB row blocks of ``D`` that hold
-such a vertex, on the distance stage's threads. The whole stage takes
-O(n^2) time and allocates nothing n x n beyond ``D`` itself.
+One blocked cut (``_nearest_columns``) over the 1 MiB row blocks of
+``D``, on the distance stage's threads, takes every row's delta + 1
+nearest columns by (distance, index), and both steps read it. The tree
+is the unique minimum under the strict total order (weight, smaller
+index, larger index), so it is the tree Kruskal's algorithm yields when
+it scans edges in that order. For a fixed vertex that order ranks its
+edges by (weight, other end), so a vertex's first column in the cut
+other than itself is its least edge, and that edge is a tree edge
+(Borůvka's first round). A dense Prim over the components these edges
+leave adds the rest: each joining vertex's row of ``D`` updates the
+frontier's weights once, and the next vertex's tree end is read from that
+vertex's own row. Inside the package
+the tree passes as two endpoint arrays in no set order; only
+``build_mst`` sorts it and reads its weights into tuples. The
+augmentation takes each short vertex's new sources from the same cut.
+The stage takes O(n^2) time, plus, where several vertices tie for the
+next tree edge, one pass over their columns below the pair that settles
+the tie; it allocates nothing n x n beyond ``D`` itself.
 ``build_graph`` validates ``D`` once; ``build_mst`` and
 ``augment_to_min_degree`` each validate their own input. The pipeline and
 the CLI hand the output of ``euclidean_distance_matrix``, which is valid by
-construction, to ``_build_unchecked``. ``delta`` is checked before Prim
-runs, and the pipeline and the CLI check it before the distance stage.
+construction, to ``_build_unchecked``. ``delta`` is checked before the
+cut, and the pipeline and the CLI check it before the distance stage.
 
 The graph is stored in the CSR layout of ``WeightMatrix``: row i lists the
 sources of the edges into vertex i, ascending. It holds only this
@@ -109,56 +117,98 @@ class NeighborGraph:
         return self.indices.size
 
 
-def _mst(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints (src, dst) of the n - 1 tree edges, in the order they join."""
+def _nearest(D: np.ndarray, r: int) -> np.ndarray:
+    """Each row's ``r`` nearest columns in (distance, column) order: one
+    ``_nearest_columns`` cut over the 1 MiB row blocks of ``D``, on the
+    distance stage's threads."""
     n = D.shape[0]
-    if n < 2:
-        raise ValidationError("spanning tree needs at least 2 vertices")
-    # best_w[v] / best_u[v]: least edge from the tree to v under the order;
-    # tree vertices hold NaN, which fails every comparison and which fmin
-    # skips, so they are never picked or updated again
-    best_w = D[0].copy()
-    best_w[0] = np.nan
-    best_u = np.zeros(n, dtype=np.int64)
-    src = np.empty(n - 1, dtype=np.int64)
-    dst = np.empty(n - 1, dtype=np.int64)
-    for step in range(n - 1):
-        cand = (best_w == np.fmin.reduce(best_w)).nonzero()[0]
-        if cand.size > 1:
-            lo = np.minimum(best_u[cand], cand)
-            hi = np.maximum(best_u[cand], cand)
-            cand = cand[np.lexsort((hi, lo))]
-        v = cand[0]
-        src[step], dst[step] = best_u[v], v
-        best_w[v] = np.nan
+    nearest = np.empty((n, r), dtype=np.int64)
+    rows = max(1, _BLOCK_BYTES // (8 * n))
 
-        row = D[v]
-        take = row < best_w
-        # an equal weight replaces the stored edge only if (v, t) is smaller
-        tie = (row == best_w).nonzero()[0]
-        if tie.size:
-            lo_old = np.minimum(best_u[tie], tie)
-            hi_old = np.maximum(best_u[tie], tie)
-            lo_new = np.minimum(v, tie)
-            hi_new = np.maximum(v, tie)
-            take[tie] = (lo_new < lo_old) | ((lo_new == lo_old) & (hi_new < hi_old))
-        np.copyto(best_w, row, where=take)
-        best_u[take] = v
-    return src, dst
+    def cut(lo, buf):
+        nearest[lo : lo + rows] = _nearest_columns(D[lo : lo + rows], r, buf)
+
+    _run_blocks(cut, range(0, n, rows), rows * n)
+    return nearest
+
+
+def _mst(D: np.ndarray, nearest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (src, dst) of the n - 1 tree edges, in no set order.
+
+    ``nearest`` holds at least each row's 2 nearest columns, as
+    ``_nearest`` cuts them.
+    """
+    n = D.shape[0]
+    every = np.arange(n)
+    # Borůvka's first round: for a fixed vertex the order ranks its edges
+    # by (weight, other end), so its least edge goes to its first column
+    # other than itself; a twin of smaller index ranks before the vertex
+    seed = np.where(nearest[:, 0] == every, nearest[:, 1], nearest[:, 0])
+    once = (seed[seed] != every) | (every < seed)  # a mutual pair is one edge
+    count, label = csgraph.connected_components(
+        sparse.csr_matrix((np.ones(n), seed, np.arange(n + 1)), shape=(n, n)), directed=False
+    )
+    order = np.argsort(label, kind="stable")
+    bounds = np.searchsorted(label[order], np.arange(count + 1)).tolist()
+
+    # Prim over the components. best_w[v]: least weight from the tree to
+    # v; tree vertices hold NaN, which fails every comparison and which
+    # fmin skips, so they are never picked or updated again
+    best_w = np.full(n, np.inf)
+    in_tree = np.zeros(n, dtype=bool)
+    src = np.empty(count - 1, dtype=np.int64)
+    dst = np.empty(count - 1, dtype=np.int64)
+    joining = label[0]
+    for step in range(count - 1):
+        members = order[bounds[joining] : bounds[joining + 1]]
+        for m in members.tolist():
+            np.minimum(best_w, D[m], out=best_w)
+        best_w[members] = np.nan
+        in_tree[members] = True
+
+        w = np.fmin.reduce(best_w)
+        cand = (best_w == w).nonzero()[0]
+        # the smallest candidate's tree end: the first tree column at
+        # weight w in its own row
+        v = cand[0]
+        hit = D[v] == w
+        hit &= in_tree
+        u = hit.argmax()
+        if cand.size > 1:
+            # equal weights go to the smaller (lo, hi) pair: a larger
+            # candidate wins only through a tree end below min(u, v), so
+            # the first tree vertex there, ascending, with an edge at w to
+            # a candidate ends the tie
+            below = min(u, v)
+            span = max(1, _BLOCK_BYTES // (8 * cand.size))
+            for lo in range(0, below, span):
+                cols = slice(lo, min(lo + span, below))
+                hit = D[cand, cols] == w
+                hit &= in_tree[cols]
+                first = hit.any(axis=0).argmax()
+                if hit[:, first].any():
+                    u, v = lo + first, cand[hit[:, first].argmax()]
+                    break
+        src[step], dst[step] = u, v
+        joining = label[v]
+    return np.concatenate([every[once], src]), np.concatenate([seed[once], dst])
 
 
 def build_mst(D) -> list[tuple[int, int, float]]:
     """Minimum spanning tree of the complete graph implied by ``D``.
 
-    Dense Prim in O(n^2) time: edges compare by the strict total order
-    (weight, smaller index, larger index), both when the next vertex is
-    picked and when an equal weight would replace a stored edge, so the
-    tree is the unique minimum under that order. Returns n-1 undirected
-    edges as (u, v, weight) tuples with u < v, sorted by the same order;
-    the graph constructor materializes each as two directed edges.
+    Edges compare by the strict total order (weight, smaller index,
+    larger index), so the tree is the unique minimum under that order.
+    Every vertex's least edge is a tree edge (Borůvka's first round);
+    a dense Prim over the components those edges leave adds the rest.
+    Returns n-1 undirected edges as (u, v, weight) tuples with u < v,
+    sorted by the same order; the graph constructor materializes each as
+    two directed edges.
     """
     D = _validated_distances(D)
-    src, dst = _mst(D)
+    if D.shape[0] < 2:
+        raise ValidationError("spanning tree needs at least 2 vertices")
+    src, dst = _mst(D, _nearest(D, 2))
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     w = D[lo, hi]
@@ -166,37 +216,21 @@ def build_mst(D) -> list[tuple[int, int, float]]:
     return list(zip(lo[order].tolist(), hi[order].tolist(), w[order].tolist()))
 
 
-def _distinct(ascending: np.ndarray) -> np.ndarray:
-    """The entries of a sorted array that differ from their predecessor:
-    ``np.unique`` by one comparison, where numpy's hash-based path for
-    integers is many times slower than a sort."""
-    keep = np.ones(ascending.size, dtype=bool)
-    np.not_equal(ascending[1:], ascending[:-1], out=keep[1:])
-    return ascending[keep]
-
-
-def _augment(u: np.ndarray, v: np.ndarray, D: np.ndarray, delta: int) -> NeighborGraph:
-    # u[e] and v[e] are the endpoints of tree edge e, in [0, n); delta is
-    # an int in [1, n - 1]
-    n = D.shape[0]
+def _augment(u: np.ndarray, v: np.ndarray, nearest: np.ndarray, delta: int) -> NeighborGraph:
+    # u[e] and v[e] are the endpoints of distinct tree edges, in [0, n);
+    # nearest holds each row's delta + 1 nearest columns; delta is an int
+    # in [1, n - 1]
+    n = nearest.shape[0]
 
     # an edge dst <- src is the key dst * n + src, so sorted keys are the
     # CSR order
-    tree = _distinct(np.sort(np.concatenate([u * n + v, v * n + u])))
+    tree = np.sort(np.concatenate([u * n + v, v * n + u]))
     need = delta - np.bincount(tree // n, minlength=n)
     short = np.flatnonzero(need > 0)
 
     # at most 1 + (tree degree) of the delta + 1 nearest columns are i or a
     # tree neighbor, so they still hold the need sources; the cut keeps
-    # equal distances in ascending column order. It runs over row blocks
-    # of D that hold a short row, so delta = 1 costs no pass.
-    nearest = np.empty((n, delta + 1), dtype=np.int64)
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-
-    def cut(lo, buf):
-        nearest[lo : lo + rows] = _nearest_columns(D[lo : lo + rows], delta + 1, buf)
-
-    _run_blocks(cut, (_distinct(short // rows) * rows).tolist(), rows * n)
+    # equal distances in ascending column order
     nearest = nearest[short]
     added = short[:, None] * n + nearest
     # added keys are distinct (distinct columns of distinct rows), and
@@ -223,14 +257,19 @@ def augment_to_min_degree(mst_edges, D, delta: int) -> NeighborGraph:
     ends = np.array([e[:2] for e in mst_edges], dtype=np.int64).reshape(-1, 2)
     if ((ends < 0) | (ends >= n)).any():
         raise ValidationError(f"tree edge endpoints must lie in [0, {n})")
-    return _augment(ends[:, 0], ends[:, 1], D, delta)
+    # an edge listed twice, in either direction, counts once
+    ends = np.unique(np.sort(ends, axis=1), axis=0)
+    return _augment(ends[:, 0], ends[:, 1], _nearest(D, delta + 1), delta)
 
 
 def _build_unchecked(D: np.ndarray, delta: int) -> NeighborGraph:
     # D must be square, finite, non-negative, symmetric and zero on the
     # diagonal: checked by build_graph, or true by construction
     delta = _check_integer(delta, "minimum degree", 1, D.shape[0] - 1)
-    return _augment(*_mst(D), D, delta)
+    # one cut serves both steps: the tree reads each row's first two
+    # columns, the augmentation all delta + 1
+    nearest = _nearest(D, delta + 1)
+    return _augment(*_mst(D, nearest), nearest, delta)
 
 
 def build_graph(D, delta: int = _DELTA) -> NeighborGraph:

@@ -42,8 +42,9 @@ bit-identical to solving the rows one at a time; ``solve_row_weights``
 is that one-row call into the same code. A singular system makes the
 stacked call raise; the group's systems are then solved one at a time,
 and each singular one goes to ``lstsq``. The Gram gather (k·d values per
-row, 1 MiB) and the lockstep state (k·k per row, 512 KiB) are blocked
-separately so the extra memory stays near 1.5 MiB whatever n and d are.
+row, in the distance stage's 1 MiB blocks) and the lockstep state (k·k
+per row, 512 KiB) are blocked separately so the extra memory stays near
+1.5 MiB whatever n and d are.
 """
 
 from __future__ import annotations
@@ -53,14 +54,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .domain_geometry import DomainMatrix
+from .domain_geometry import _BLOCK_BYTES, DomainMatrix
 from .errors import ValidationError, _check_integer
 from .manifold_graph import NeighborGraph
 
 _DUAL_TOL = 1e-10  # reduced-gradient threshold, relative to the row's max diag(G)
 _FEAS_TOL = 1e-12  # absolute: weights lie in [0, 1] whatever the scale
 _ROW_SUM_TOL = 1e-12
-_GATHER_BYTES = 1 << 20  # neighbor vectors gathered per Gram block (k·d per row)
 _STATE_BYTES = 1 << 19  # Gram matrices advanced together (k·k per row)
 # a non-finite value in a row's vectors reaches some G_jj, as do overflowing products
 _NOT_POSED = "non-finite Gram matrix: a neighbor offset or its products are not finite"
@@ -334,7 +334,7 @@ def assemble_weight_matrix(
         rows_k = n_known + np.flatnonzero(degrees == k)
         slots_k = start[rows_k][:, None] + np.arange(k)
         state_rows = max(1, _STATE_BYTES // (8 * k * k))
-        gather_rows = max(1, _GATHER_BYTES // (8 * k * d))
+        gather_rows = max(1, _BLOCK_BYTES // (8 * k * d))
         for lo in range(0, rows_k.size, state_rows):
             slots = slots_k[lo : lo + state_rows]
             rows = rows_k[lo : lo + state_rows]

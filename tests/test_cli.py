@@ -380,6 +380,7 @@ def test_delta_checked_before_the_quadratic_stages(command, delta, fixture_files
         raise AssertionError("an O(n^2) stage ran before delta was checked")
 
     monkeypatch.setattr(pipeline, "euclidean_distance_matrix", never)
+    monkeypatch.setattr(manifold_graph, "_nearest", never)
     monkeypatch.setattr(manifold_graph, "_mst", never)
     tmp_path, _, _, domain_csv, vec_path = fixture_files  # n = 50
     args = [command, "--domain", str(domain_csv), "--delta", delta]

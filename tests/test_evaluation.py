@@ -280,6 +280,20 @@ class TestSyntheticTransfer:
         assert report.imputed_accuracy >= report.truth_accuracy - 0.05
         assert report.q == 40
 
+    def test_report_q_is_read_from_n_and_p(self):
+        fields = dict(
+            k=3,
+            imputed_accuracy=0.5,
+            truth_accuracy=0.75,
+            baseline_accuracy=0.25,
+            iterations=4,
+            converged=True,
+        )
+        assert TransferReport(n=10, p=6, **fields).q == 4
+        # q is not a field: a report cannot disagree with its own n and p
+        with pytest.raises(TypeError):
+            TransferReport(n=10, p=5, q=9, **fields)
+
     def test_baseline_near_chance(self):
         scores = []
         for seed in range(5):
@@ -334,7 +348,6 @@ class TestSyntheticTransfer:
         assert report == TransferReport(
             n=90,
             p=55,
-            q=35,
             k=4,
             imputed_accuracy=score(result.Y),
             truth_accuracy=score(data.semantic),

@@ -113,6 +113,12 @@ def lattice(*sides):
     return np.array(list(itertools.product(*map(range, sides))), dtype=float)
 
 
+def collinear(n, scale):
+    """n points on a line through the origin, in shuffled order."""
+    steps = np.random.default_rng(28).permutation(n).astype(float)
+    return scale * steps[:, None] * np.array([1.0, 2.0])
+
+
 ORACLE_INPUTS = {
     "random_300_d4": (lambda: np.random.default_rng(19).normal(size=(300, 4)), (1, 4, 8)),
     "lattice_2d": (lambda: lattice(15, 15), (4, 8)),
@@ -139,7 +145,20 @@ ORACLE_INPUTS = {
     ),
     "two_points": (lambda: np.array([[0.0, 0.0], [1.0, 2.0]]), (1,)),
     "ring_ties_at_threshold": (ring_around_centre, (4, 8)),
+    # every distance 0: one seed component, and every tie at every rank
+    "identical_rows": (lambda: np.full((30, 3), 1.5), (1, 2, 15, 29)),
+    # at 1e-300 the squared offsets underflow, so every distance is 0 too
+    "collinear_1e-300": (lambda: collinear(30, 1e-300), (1, 2, 15, 29)),
+    "collinear_1e150": (lambda: collinear(30, 1e150), (1, 2, 15, 29)),
+    # seven 1 MiB row blocks: the tree's two-column cut runs on the pool
+    "lattice_2d_shuffled_30": (
+        lambda: np.random.default_rng(27).permutation(lattice(30, 30)),
+        (1,),
+    ),
 }
+
+
+BASE_20 = np.random.default_rng(31).normal(size=(20, 3))
 
 
 def points(coords):
@@ -173,6 +192,31 @@ class TestBuildMst:
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValidationError, match="symmetric"):
             build_mst(D)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # every row past 20 has a twin of smaller index, which ranks
+            # before the row itself in its own distances
+            lambda: np.vstack([BASE_20, BASE_20[np.random.default_rng(29).permutation(20)]]),
+            lambda: np.full((25, 3), -2.0),
+            lambda: np.random.default_rng(30).permutation(lattice(9, 9)),
+            lambda: collinear(30, 1e-300),
+            lambda: collinear(30, 1e150),
+        ],
+        ids=["twins_before", "identical", "lattice_shuffled", "collinear_1e-300", "collinear_1e150"],
+    )
+    def test_every_vertex_nearest_other_vertex_is_a_tree_neighbor(self, make):
+        # the invariant that seeds the tree with Borůvka's first round
+        D = euclidean_distance_matrix(make())
+        n = D.shape[0]
+        neighbors = [set() for _ in range(n)]
+        for u, v, _ in build_mst(D):
+            neighbors[u].add(v)
+            neighbors[v].add(u)
+        for i in range(n):
+            _, nearest = min((D[i, j], j) for j in range(n) if j != i)
+            assert nearest in neighbors[i], i
 
     def test_zero_weight_edges_allowed(self):
         # duplicate points produce legal zero-weight tree edges
@@ -233,10 +277,11 @@ class TestAugmentToMinDegree:
 
     @pytest.mark.parametrize("bad", [0, 4, 2.5])
     def test_delta_checked_before_prim(self, bad, monkeypatch):
-        def no_prim(D):
-            raise AssertionError("Prim ran before delta was checked")
+        def no_prim(*args):
+            raise AssertionError("the cut or Prim ran before delta was checked")
 
         D = points([0.0, 1.0, 3.0, 7.0])
+        monkeypatch.setattr(manifold_graph, "_nearest", no_prim)
         monkeypatch.setattr(manifold_graph, "_mst", no_prim)
         with pytest.raises(ValidationError, match="^minimum degree"):
             build_graph(D, bad)
@@ -249,6 +294,15 @@ class TestAugmentToMinDegree:
         D = points([0.0, 1.0, 3.0])
         with pytest.raises(ValidationError):
             augment_to_min_degree(build_mst(D), D, 3)
+
+    def test_tree_edge_listed_twice_counts_once(self):
+        D = euclidean_distance_matrix(np.random.default_rng(32).normal(size=(12, 2)))
+        mst = build_mst(D)
+        twice = mst + [(v, u, w) for u, v, w in mst[::2]] + mst[1::3]
+        for delta in (1, 3):
+            expected, got = augment_to_min_degree(mst, D, delta), augment_to_min_degree(twice, D, delta)
+            assert np.array_equal(got.indptr, expected.indptr)
+            assert np.array_equal(got.indices, expected.indices)
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_tree_endpoint_out_of_range_rejected(self, bad):
@@ -409,6 +463,11 @@ class TestReferenceOracle:
         for name in ("lattice_2d_shuffled_20", "tripled_rows_363"):
             n = len(ORACLE_INPUTS[name][0]())
             assert 8 * n * n > domain_geometry._BLOCK_BYTES, name
+
+    def test_a_delta_one_input_spans_several_row_blocks(self):
+        n = len(ORACLE_INPUTS["lattice_2d_shuffled_30"][0]())
+        assert 8 * n * n > 4 * domain_geometry._BLOCK_BYTES
+        assert ORACLE_INPUTS["lattice_2d_shuffled_30"][1] == (1,)
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
     @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))

@@ -89,6 +89,7 @@ class TestImputeEmbeddings:
             raise AssertionError("an O(n^2) stage ran before delta was checked")
 
         monkeypatch.setattr(pipeline, "euclidean_distance_matrix", never)
+        monkeypatch.setattr(manifold_graph, "_nearest", never)
         monkeypatch.setattr(manifold_graph, "_mst", never)
         domain, table = random_problem(65)  # n = 40
         with pytest.raises(ei.ValidationError, match="^minimum degree"):

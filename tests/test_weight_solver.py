@@ -605,7 +605,7 @@ class TestLockstepMatchesPerRowReference:
         X = rng.normal(size=(120, 300))
         graph, domain, W = assembled(X, 12)
         assert_rows_match_reference(graph, domain, W)
-        monkeypatch.setattr(weight_solver, "_GATHER_BYTES", gather_bytes)
+        monkeypatch.setattr(weight_solver, "_BLOCK_BYTES", gather_bytes)
         monkeypatch.setattr(weight_solver, "_STATE_BYTES", state_bytes)
         blocked = assemble_weight_matrix(graph, domain)
         assert np.array_equal(blocked.matrix.indptr, W.matrix.indptr)
