@@ -17,7 +17,6 @@ from .manifold_graph import (
     build_graph,
     build_mst,
     graph_stats,
-    in_neighbors,
     is_connected,
 )
 from .weight_solver import (
@@ -86,7 +85,6 @@ __all__ = [
     "graph_stats",
     "impute_aligned",
     "impute_embeddings",
-    "in_neighbors",
     "is_connected",
     "knn_accuracy",
     "load_domain_csv",

@@ -3,10 +3,11 @@
 The vectors of the known entities stay frozen: the diffusion reads only
 the weight rows of the unknown entities, so the rows of the known ones
 never matter. Repeated multiplication by those rows drives the unknown
-block to a fixed point that does not depend on its initialization. A sparse
-LU solve of the same fixed point and an eigenvalue report, which reads only
-the free block of the weights, are provided for verification and
-diagnostics.
+block to a fixed point that does not depend on its initialization,
+exactly when the free block W_qq of those rows has no closed class
+(``_closed_classes``); both solvers refuse a system with one. A sparse LU
+solve of the same fixed point and an eigenvalue report, which reads only
+the free block of the weights, serve verification and diagnostics.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, ValidationError, _check_integer, _check_real
-from .manifold_graph import reached_from_anchors
-from .weight_solver import WeightMatrix
+from .weight_solver import WeightMatrix, _identity_above
 
-_UNIT_EIGENVALUE_TOL = 1e-6
 _DIAGNOSTIC_SIZE_CAP = 2000
 # start noise per unit of the known block's mean |value|: scaling the known
 # block by 2**k then scales every iterate by 2**k exactly
@@ -89,9 +89,7 @@ def fix_known_block(weights: WeightMatrix, n_known: int) -> WeightMatrix:
     builds the same matrix given ``n_known`` without solving those rows.
     """
     n_known = _check_integer(n_known, "known-row count", 1, weights.n)
-    top = sparse.eye(n_known, weights.n, format="csr")
-    bottom = weights.matrix[n_known:, :]
-    return WeightMatrix(sparse.vstack([top, bottom], format="csr"))
+    return WeightMatrix(_identity_above(weights.matrix[n_known:], n_known))
 
 
 def _validated_known(known: np.ndarray) -> np.ndarray:
@@ -103,11 +101,38 @@ def _validated_known(known: np.ndarray) -> np.ndarray:
     return known
 
 
+def _closed_classes(m: sparse.csr_matrix, p: int) -> tuple[np.ndarray, int]:
+    """Which free rows (past ``p``) lie in a closed class of W_qq, and how
+    many closed classes W_qq has.
+
+    A row's stored entries, explicit zeros included, are the rows it
+    reads. A strongly connected class is closed when no row of it reads a
+    row outside it. Its rows then reach no known row, and with unit row
+    sums it is one eigenvalue 1 of W_qq, so W_qq contracts iff none is.
+    """
+    n, start = m.shape[0], m.indptr[p]
+    # the free rows' entries over all n rows; a known row stores none, so
+    # it is a closed class of its own
+    indptr = np.maximum(m.indptr - start, 0)
+    free = sparse.csr_matrix((m.data[start:], m.indices[start:], indptr), shape=(n, n))
+    count, label = csgraph.connected_components(free, connection="strong")
+    owner = np.repeat(label, np.diff(free.indptr))
+    closed = np.ones(count, dtype=bool)
+    closed[owner[owner != label[free.indices]]] = False
+    return closed[label[p:]], int(closed.sum()) - p
+
+
 def _fixed_system(weights: WeightMatrix, known: np.ndarray):
-    """Validated (known, matrix, p, q) of a system whose first p rows are known."""
+    """Validated (known, matrix, p, q); refuses a free row in a closed class."""
     known = _validated_known(known)
     p = known.shape[0]
     _check_integer(p, "known-row count", 1, weights.n)
+    stuck = _closed_classes(weights.matrix, p)[0]
+    if stuck.any():
+        raise ConvergenceError(
+            "some unknown rows are unreachable from the known block, "
+            f"row {p + int(stuck.argmax())} among them; the fixed point is not unique"
+        )
     return known, weights.matrix, p, weights.n - p
 
 
@@ -139,12 +164,6 @@ def power_iterate(
     """
     config = config or ImputationConfig()
     known, m, p, q = _fixed_system(weights, known)
-    if not reached_from_anchors(m, p):
-        raise ConvergenceError(
-            "some unknown rows are unreachable from the known block; "
-            "the diffusion would not converge deterministically"
-        )
-
     # largest |value| below 1, so no sum of the stop rule overflows
     e = max(0, int(np.frexp(np.abs(known).max())[1]))
     unit = np.ldexp(known, -e)
@@ -181,8 +200,8 @@ def closed_form_solve(weights: WeightMatrix, known: np.ndarray) -> np.ndarray:
 
     Solves (I - W_qq) Y_q = W_qp Y_p and returns the unknown block
     directly. Like ``power_iterate`` it never reads the weight rows of the
-    ``len(known)`` known entities. Exact up to rounding, at any size the
-    factor fits in memory.
+    ``len(known)`` known entities, and refuses the systems it refuses.
+    Exact up to rounding, at any size the factor fits in memory.
     """
     known, m, p, q = _fixed_system(weights, known)
     if q == 0:
@@ -205,13 +224,13 @@ def spectral_diagnostics(weights: WeightMatrix, n_known: int) -> SpectralReport:
 
     With the known block fixed the matrix is [[I, 0], [W_qp, W_qq]], block
     lower-triangular, so its eigenvalues are ``n_known`` ones and those of
-    W_qq. One dense eigensolve of the q x q free block W_qq gives its
-    spectral radius (expected below one, which is what guarantees
-    initialization-independent convergence) and the unit eigenvalue count
-    (expected: exactly ``n_known``). The raw matrix's spectral radius is
-    its largest row sum: for a non-negative matrix it lies between the
-    smallest and largest row sum, and ``WeightMatrix`` holds every row sum
-    within 1e-12 of one.
+    W_qq. One dense eigensolve of W_qq gives its spectral radius (expected
+    below one, which guarantees initialization-independent convergence).
+    The unit eigenvalue count (expected: exactly ``n_known``) adds one per
+    closed class of W_qq, counted exactly by ``_closed_classes``. The raw
+    matrix's spectral radius is its largest row sum: for a non-negative
+    matrix it lies between the smallest and largest row sum, and
+    ``WeightMatrix`` holds every row sum within 1e-12 of one.
     """
     n = weights.n
     n_known = _check_integer(n_known, "known-row count", 1, n)
@@ -223,6 +242,6 @@ def spectral_diagnostics(weights: WeightMatrix, n_known: int) -> SpectralReport:
     m = weights.matrix
     radius = float(m.sum(axis=1).max())
     eig = np.linalg.eigvals(m[n_known:, n_known:].toarray())
-    unit_count = n_known + int((np.abs(eig - 1.0) < _UNIT_EIGENVALUE_TOL).sum())
+    unit_count = n_known + _closed_classes(m, n_known)[1]
     free_radius = float(np.abs(eig).max(initial=0.0))
     return SpectralReport(n, n_known, radius, unit_count, free_radius)

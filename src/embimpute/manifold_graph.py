@@ -31,8 +31,8 @@ cut, and the pipeline and the CLI check it before the distance stage.
 
 The graph is stored in the CSR layout of ``WeightMatrix``: row i lists the
 sources of the edges into vertex i, ascending. It holds only this
-support, which is all the weight solver and the csgraph reachability
-checks read; edge lengths stay in ``D``.
+support, which is all the weight solver and ``is_connected`` read; edge
+lengths stay in ``D``.
 """
 
 from __future__ import annotations
@@ -278,24 +278,6 @@ def build_graph(D, delta: int = _DELTA) -> NeighborGraph:
     ``D`` is validated once, then shared by both steps.
     """
     return _build_unchecked(_validated_distances(D), delta)
-
-
-def in_neighbors(graph: NeighborGraph, i: int) -> np.ndarray:
-    """Sorted source vertices of edges into vertex ``i``."""
-    i = _check_integer(i, "vertex index", 0, graph.n - 1)
-    return graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
-
-
-def reached_from_anchors(sources: sparse.csr_matrix, n_known: int) -> bool:
-    """True iff every row past ``n_known`` is reached from rows below it.
-
-    Row i of ``sources`` stores the sources of i, so a stored entry (i, j)
-    lets information flow from j to i; stored zeros count as edges.
-    """
-    hops = csgraph.dijkstra(
-        sources.T, indices=np.arange(n_known), min_only=True, unweighted=True
-    )
-    return bool(np.isfinite(hops[n_known:]).all())
 
 
 def _adjacency(graph: NeighborGraph) -> sparse.csr_matrix:

@@ -296,6 +296,15 @@ def solve_row_weights(x: np.ndarray, neighbor_matrix: np.ndarray) -> np.ndarray:
     return W[0]
 
 
+def _identity_above(free: sparse.csr_matrix, n_known: int) -> sparse.csr_matrix:
+    """``n_known`` identity rows stacked above the CSR rows ``free``, kept entry for entry."""
+    n = free.shape[1]
+    data = np.concatenate([np.ones(n_known), free.data])
+    indices = np.concatenate([np.arange(n_known), free.indices])
+    indptr = np.concatenate([np.arange(n_known), free.indptr + n_known])
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def assemble_weight_matrix(
     graph: NeighborGraph, domain: DomainMatrix, n_known: int = 0
 ) -> WeightMatrix:
@@ -357,17 +366,9 @@ def assemble_weight_matrix(
     if unposed < n:
         raise ValidationError(f"row {unposed} ({domain.entities[unposed]}): {_NOT_POSED}")
 
-    # identity rows, then the solved rows in the graph's layout
-    first = start[n_known]
-    matrix = sparse.csr_matrix(
-        (
-            np.concatenate([np.ones(n_known), values[first:]]),
-            np.concatenate([np.arange(n_known), sources[first:]]),
-            np.concatenate([np.arange(n_known), start[n_known:] - first + n_known]),
-        ),
-        shape=(n, n),
-    )
-    return WeightMatrix(matrix, *counts.tolist())
+    # the solved rows in the graph's layout (known slots unwritten) under identity rows
+    free = sparse.csr_matrix((values, sources, start), shape=(n, n))[n_known:]
+    return WeightMatrix(_identity_above(free, n_known), *counts.tolist())
 
 
 def write_coordinate_text(weights: WeightMatrix, path) -> None:

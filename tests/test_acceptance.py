@@ -14,7 +14,7 @@ import pytest
 
 import embimpute as ei
 from conftest import build_system
-from test_manifold_graph import exhaustive_min_tree_weight
+from test_manifold_graph import exhaustive_min_tree_weight, in_neighbors
 from test_weight_solver import feasible_perturbations_never_improve
 
 
@@ -107,7 +107,7 @@ def test_c4_weight_matrix_contract():
     sys_ = build_system(n=400, p=150, d=8, s=16, delta=8, seed=201)
     for i in range(400):
         x = sys_.domain.data[i]
-        srcs = ei.in_neighbors(sys_.graph, i)
+        srcs = in_neighbors(sys_.graph, i)
         M = sys_.domain.data[srcs]
         cols, vals = sys_.weights.row(i)
         assert set(cols.tolist()) <= set(srcs.tolist())

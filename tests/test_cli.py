@@ -26,7 +26,7 @@ from embimpute import (
 from embimpute import cli, manifold_graph, pipeline
 from embimpute.cli import main
 from test_domain_geometry import OVERFLOW, overflowing_rows
-from test_pipeline import DEGENERATE_INPUTS, _degenerate_problem, _random_rows
+from test_pipeline import DEGENERATE_INPUTS, _degenerate_problem, _random_rows, unknown_twins
 
 
 def write_domain_csv(path, domain):
@@ -425,6 +425,14 @@ class TestDegenerateInputsThroughFiles:
         for counter in ("lstsq_fallbacks", "uniform_fallbacks", "capped_rows"):
             assert f"{counter}=0\n" in manifest
 
+    def test_unknown_twins_are_a_one_line_error(self, tmp_path):
+        args = self._write(tmp_path, *unknown_twins()) + ["--delta", "8"]
+        proc = run_cli(args)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: some unknown rows are unreachable")
+        assert proc.stderr.count("\n") == 1 and "row 298 among them" in proc.stderr
+        assert not (tmp_path / "out.vec").exists()
+
     def test_overflowing_distances_are_one_line_error(self, tmp_path, capsys):
         domain, table = _degenerate_problem(_random_rows(73, 30, 3, 1e154), 15)
         code = main(self._write(tmp_path, domain, table))
@@ -539,6 +547,47 @@ class TestOtherCommands:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
         assert "subcommand" in capsys.readouterr().err
+
+
+def _knn(k, labels="labels.csv"):
+    return ["eval", "knn", "--embeddings", "known.vec", "--labels", labels, "--k", k]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        pytest.param(
+            ["impute", "--domain", "domain.csv", "--embeddings", "known.vec", "--out", "out.vec",
+             "--dump-weights", "w.txt"],
+            0,
+            "note: nothing to impute; no weight matrix to dump\n"
+            "imputed 0 of 3 entities in 0 iterations (converged=true)\n",
+            id="impute-dump-weights-nothing-missing",
+        ),
+        pytest.param(
+            _knn("1", labels="unlabelled.csv"), 1, "error: no embedding token has a label\n",
+            id="eval-knn-no-labelled-token",
+        ),
+        pytest.param(_knn("2,x"), 1, "error: cannot parse k list '2,x'\n", id="eval-knn-bad-k"),
+        pytest.param(_knn(""), 1, "error: at least one k value is required\n", id="eval-knn-empty-k"),
+        pytest.param(
+            ["synth", "--sweep", "delta"], 1, "error: --sweep requires --sweep-values\n",
+            id="synth-sweep-without-values",
+        ),
+    ],
+)
+def test_early_exits_report_on_stderr(argv, code, stderr, tmp_path, monkeypatch, capsys):
+    # every entity known and labelled; no weight dump is ever written
+    monkeypatch.chdir(tmp_path)
+    domain = DomainMatrix(("a", "b", "c"), [[0.0], [1.0], [3.0]])
+    write_domain_csv(tmp_path / "domain.csv", domain)
+    save_embeddings(EmbeddingTable(2, {e: np.ones(2) for e in domain.entities}), "known.vec")
+    (tmp_path / "labels.csv").write_text("entity,label\na,x\nb,x\nc,y\n")
+    (tmp_path / "unlabelled.csv").write_text("entity,label\nz,x\n")
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr)
+    assert not (tmp_path / "w.txt").exists()
 
 
 @pytest.mark.parametrize("command", ["impute", "graph-stats", "eval-knn-embeddings", "eval-knn-labels"])

@@ -18,7 +18,6 @@ from embimpute import (
     spectral_diagnostics,
 )
 from embimpute import imputation_engine
-from embimpute.manifold_graph import reached_from_anchors
 
 
 def weight_matrix(rows):
@@ -48,25 +47,94 @@ def free_rows_reachable(m: sparse.csr_matrix, p: int) -> bool:
     return all(seen)
 
 
-class TestReachedFromAnchors:
+def reaches_known(m: sparse.csr_matrix, p: int) -> bool:
+    """No free row of ``m`` in a closed class: the solvers' test."""
+    return not imputation_engine._closed_classes(m, p)[0].any()
+
+
+def random_stochastic_system(rng):
+    """p identity rows over q free rows of random support, some closed."""
+    n = int(rng.integers(2, 41))
+    p = int(rng.integers(1, n))
+    support = rng.random((n - p, n)) < rng.uniform(0.0, 0.15)
+    empty = np.flatnonzero(~support.any(axis=1))
+    support[empty, rng.integers(0, n, size=empty.size)] = True
+    free = np.where(support, rng.random(support.shape) + 0.01, 0.0)
+    free /= free.sum(axis=1, keepdims=True)
+    return WeightMatrix(sparse.csr_matrix(np.vstack([np.eye(p, n), free]))), p
+
+
+# free row 3 weighs itself 0.7000000000001 and row 4 0.3, row 4 weighs
+# row 3: a closed class whose row sums stay within 1e-12 of one, so
+# I - W_qq is not singular in floating point
+TIGHT_PAIR = [
+    [1.0, 0, 0, 0, 0],
+    [0, 1.0, 0, 0, 0],
+    [1.0, 0, 0, 0, 0],
+    [0, 0, 0, 0.7000000000001, 0.3],
+    [0, 0, 0, 1.0, 0],
+]
+
+
+class TestClosedClasses:
     def test_agrees_with_depth_first_search(self):
         rng = np.random.default_rng(90)
         outcomes = []
-        for _ in range(400):
+        for _ in range(3000):
             n = int(rng.integers(2, 40))
             p = int(rng.integers(1, n + 1))
             m = sparse.random(
                 n, n, density=float(rng.uniform(0.0, 0.15)), format="csr", random_state=rng
             )
             expected = free_rows_reachable(m, p)
-            assert reached_from_anchors(m, p) == expected
+            assert reaches_known(m, p) == expected
             outcomes.append(expected)
-        assert any(outcomes) and not all(outcomes)
+        assert 300 < sum(outcomes) < 2700
 
     def test_stored_zero_counts_as_edge(self):
         m = sparse.csr_matrix((np.array([0.0]), np.array([0]), np.array([0, 0, 1])), shape=(2, 2))
         assert m.nnz == 1
-        assert reached_from_anchors(m, 1) == free_rows_reachable(m, 1) is True
+        assert reaches_known(m, 1) == free_rows_reachable(m, 1) is True
+
+    def test_stored_zeros_join_a_class(self):
+        # rows 1 and 2 read each other through stored zeros only; row 2
+        # also reads known row 0, so the class they form leaks
+        m = sparse.csr_matrix(
+            (np.array([0.0, 1.0, 0.0]), np.array([2, 0, 1]), np.array([0, 0, 1, 3])), shape=(3, 3)
+        )
+        stuck, count = imputation_engine._closed_classes(m, 1)
+        assert (stuck.tolist(), count) == ([False, False], 0)
+        assert reaches_known(m, 1) == free_rows_reachable(m, 1) is True
+
+    def test_free_row_without_entries_is_a_closed_class(self):
+        m = sparse.csr_matrix((np.array([1.0]), np.array([0]), np.array([0, 1, 1, 1])), shape=(3, 3))
+        stuck, count = imputation_engine._closed_classes(m, 1)
+        assert (stuck.tolist(), count) == ([True, True], 2)
+        assert reaches_known(m, 1) == free_rows_reachable(m, 1) is False
+
+    def test_solvers_and_report_agree_with_the_oracles(self):
+        rng = np.random.default_rng(91)
+        refused = 0
+        for _ in range(3000):
+            W, p = random_stochastic_system(rng)
+            reachable = free_rows_reachable(W.matrix, p)
+            known = rng.normal(size=(p, 2))
+            for solve in (
+                lambda: power_iterate(W, known, ImputationConfig(max_iter=1)),
+                lambda: closed_form_solve(W, known),
+            ):
+                if reachable:
+                    solve()
+                else:
+                    with pytest.raises(ConvergenceError, match="unreachable"):
+                        solve()
+            eig = np.linalg.eigvals(W.toarray()[p:, p:])
+            dense_count = p + int((np.abs(eig - 1.0) < 1e-6).sum())
+            count = imputation_engine._closed_classes(W.matrix, p)[1]
+            report = spectral_diagnostics(W, p)
+            assert report.unit_eigenvalue_count == p + count == dense_count
+            refused += not reachable
+        assert 100 < refused < 2900
 
 
 class TestImputationConfig:
@@ -214,6 +282,26 @@ class TestPowerIterate:
         with pytest.raises(ConvergenceError, match="unreachable"):
             power_iterate(W, np.eye(2), ImputationConfig())
 
+    def test_error_names_the_smallest_row_of_a_closed_class(self):
+        # rows 3 and 5 read only each other; row 4 reads them, so it is
+        # unreachable too, but only a closed class's rows are named
+        W = weight_matrix(
+            [
+                [1.0, 0, 0, 0, 0, 0],
+                [0, 1.0, 0, 0, 0, 0],
+                [1.0, 0, 0, 0, 0, 0],
+                [0, 0, 0, 0, 0, 1.0],
+                [0, 0, 0, 1.0, 0, 0],
+                [0, 0, 0, 1.0, 0, 0],
+            ]
+        )
+        with pytest.raises(ConvergenceError) as info:
+            power_iterate(W, np.eye(2))
+        assert str(info.value) == (
+            "some unknown rows are unreachable from the known block, "
+            "row 3 among them; the fixed point is not unique"
+        )
+
     def test_multi_hop_chain_accepted(self):
         # the anchor reaches 4, 4 reaches 1, 1 reaches 3, 3 reaches 2:
         # every free row is several hops out, in no index order
@@ -355,8 +443,24 @@ class TestClosedFormSolve:
 
     def test_singular_system_rejected(self):
         W = weight_matrix([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="unreachable"):
             closed_form_solve(W, np.array([[1.0]]))
+        # a leak of 1e-17 opens the class, but I - W_qq rounds to exactly 0
+        W = weight_matrix([[1.0, 0.0], [1e-17, 1.0]])
+        with pytest.raises(ConvergenceError, match="singular"):
+            closed_form_solve(W, np.array([[1.0]]))
+
+    def test_closed_class_rejected_like_power_iterate(self):
+        # splu factors I - W_qq here, and the solve used to return
+        # [1, -0, -0]: a silent answer where power_iterate refuses
+        W = weight_matrix(TIGHT_PAIR)
+        known = np.array([[1.0], [0.0]])
+        with pytest.raises(ConvergenceError) as refused:
+            power_iterate(W, known)
+        with pytest.raises(ConvergenceError) as info:
+            closed_form_solve(W, known)
+        assert str(info.value) == str(refused.value)
+        assert "unreachable" in str(info.value) and "row 3" in str(info.value)
 
     def test_matches_dense_reference(self, random_system):
         # the C2 acceptance systems
@@ -436,6 +540,17 @@ class TestSpectralDiagnostics:
             report = spectral_diagnostics(sys.weights, p)
             assert report.unit_eigenvalue_count == p
             assert report.free_block_spectral_radius < 1.0 - 1e-6
+
+    def test_unit_count_is_exact(self):
+        # the tight pair is a closed class: one unit eigenvalue beyond the
+        # known rows; a leak of 1e-15 to a known row opens it, though the
+        # free block's eigenvalue stays within 1e-6 of one
+        closed = spectral_diagnostics(weight_matrix(TIGHT_PAIR), 2)
+        leaky = np.array(TIGHT_PAIR)
+        leaky[3, 0] = 1e-15
+        report = spectral_diagnostics(weight_matrix(leaky), 2)
+        assert (closed.unit_eigenvalue_count, report.unit_eigenvalue_count) == (3, 2)
+        assert abs(report.free_block_spectral_radius - 1.0) < 1e-6
 
     def test_all_known_block(self, random_system):
         sys = random_system(n=10, p=10, d=3, s=2, delta=3, seed=45)

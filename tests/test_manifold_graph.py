@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from embimpute import domain_geometry, manifold_graph
+from embimpute import domain_geometry, imputation_engine, manifold_graph
 from embimpute import (
     NeighborGraph,
     ValidationError,
@@ -17,7 +17,6 @@ from embimpute import (
     build_mst,
     euclidean_distance_matrix,
     graph_stats,
-    in_neighbors,
     is_connected,
 )
 
@@ -50,6 +49,11 @@ def exhaustive_min_tree_weight(D):
         if best is None or weight < best:
             best = weight
     return best
+
+
+def in_neighbors(graph, i):
+    """Sorted sources of the edges into vertex ``i``: a slice of the CSR layout."""
+    return graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
 
 
 def directed_edges(graph):
@@ -324,14 +328,6 @@ class TestGraphQueries:
         assert in_neighbors(g, 1).tolist() == [0, 2]
         assert in_neighbors(g, np.int64(1)).tolist() == [0, 2]
 
-    @pytest.mark.parametrize("bad", [7, 2, -1, 1.5, "1", None])
-    def test_in_neighbors_invalid_index(self, bad):
-        D = points([0.0, 1.0])
-        g = build_graph(D, 1)
-        with pytest.raises(ValidationError, match="vertex index") as info:
-            in_neighbors(g, bad)
-        assert "\n" not in str(info.value)
-
     def test_in_neighbors_matches_edge_scan(self):
         rng = np.random.default_rng(14)
         D = euclidean_distance_matrix(rng.normal(size=(25, 4)))
@@ -344,12 +340,12 @@ class TestGraphQueries:
 
 
 def reached(graph, n_known):
-    """``reached_from_anchors`` on the graph's CSR arrays, as the diffusion
-    calls it on the weight matrix."""
+    """No free vertex in a closed class of the graph's CSR arrays, the test
+    the diffusion makes on the weight matrix."""
     sources = sparse.csr_matrix(
         (np.ones(graph.indices.size), graph.indices, graph.indptr), shape=(graph.n, graph.n)
     )
-    return manifold_graph.reached_from_anchors(sources, n_known)
+    return not imputation_engine._closed_classes(sources, n_known)[0].any()
 
 
 class TestAnchorReachability:

@@ -121,6 +121,15 @@ def _degenerate_problem(rows, p, seed=74):
     return ei.DomainMatrix(entities, rows), table
 
 
+def unknown_twins():
+    """n = 300, d = 16, p = 150: the last two entities, both unknown, share
+    one domain row. Each twin's whole weight goes to the other, so the
+    pair reads only itself and no known row reaches it."""
+    rows = _random_rows(75, 300, 16)
+    rows[299] = rows[298]
+    return _degenerate_problem(rows, 150)
+
+
 class TestDegenerateInputs:
     """Inputs at the edges of the method, run end to end."""
 
@@ -142,6 +151,14 @@ class TestDegenerateInputs:
         with pytest.raises(ei.ValidationError, match="non-finite") as info:
             ei.impute_embeddings(domain, table)
         assert "\n" not in str(info.value)
+
+    def test_unknown_twins_are_named(self):
+        domain, table = unknown_twins()
+        with pytest.raises(ei.ConvergenceError) as info:
+            ei.impute_embeddings(domain, table, delta=8)
+        message = str(info.value)
+        assert message.startswith("some unknown rows are unreachable from the known block")
+        assert "row 298 among them" in message and "\n" not in message
 
     def test_interior_lone_anchor_is_unreachable(self):
         # with every other entity as a neighbor, each grid point on the
@@ -261,7 +278,6 @@ def test_public_names():
         "graph_stats",
         "impute_aligned",
         "impute_embeddings",
-        "in_neighbors",
         "is_connected",
         "knn_accuracy",
         "load_domain_csv",

@@ -16,12 +16,12 @@ from embimpute import (
     euclidean_distance_matrix,
     fix_known_block,
     impute_aligned,
-    in_neighbors,
     make_transfer_data,
     solve_row_weights,
     write_coordinate_text,
 )
 from embimpute import weight_solver
+from test_manifold_graph import in_neighbors
 
 _DUAL_TOL = 1e-10
 _FEAS_TOL = 1e-12
