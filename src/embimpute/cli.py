@@ -137,9 +137,11 @@ def _cmd_eval_knn(args) -> int:
         raise ValidationError(f"cannot parse k list '{args.k}'") from None
     if not ks:
         raise ValidationError("at least one k value is required")
+    # every k is checked before the table starts
+    accuracies = [knn_accuracy(data, k) for k in ks]
     print("k\taccuracy")
-    for k in ks:
-        print(f"{k}\t{knn_accuracy(data, k):.3f}")
+    for k, accuracy in zip(ks, accuracies):
+        print(f"{k}\t{accuracy:.3f}")
     return 0
 
 
@@ -149,8 +151,9 @@ def _cmd_synth(args) -> int:
     if args.sweep:
         if not args.sweep_values:
             raise ValidationError("--sweep requires --sweep-values")
+        parse = int if args.sweep == "delta" else float  # as --delta and --eta parse
         try:
-            values = [float(v) for v in args.sweep_values.split(",") if v.strip()]
+            values = [parse(v) for v in args.sweep_values.split(",") if v.strip()]
         except ValueError:
             raise ValidationError(f"cannot parse sweep values '{args.sweep_values}'") from None
         table = sensitivity_sweep(args.sweep, values, spec, config, args.delta, args.knn_k)

@@ -22,27 +22,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain_geometry import DomainMatrix
-from .errors import ValidationError
+from .errors import ValidationError, _check_integer
 
 
 @dataclass(frozen=True)
 class EmbeddingTable:
     """Ordered token -> vector map with a fixed dimension.
 
-    Arrays are not defensively copied; in-place writes to them or to
-    ``entries`` are not checked again.
+    Tokens must be non-empty strings and ``dim`` an integer >= 1, stored
+    as an int. Arrays are not defensively copied; in-place writes to them
+    or to ``entries`` are not checked again.
     """
 
     dim: int
     entries: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("embedding dimension must be at least 1")
+        object.__setattr__(self, "dim", _check_integer(self.dim, "embedding dimension", 1))
         converted: dict[str, np.ndarray] = {}
         for token, vec in self.entries.items():
-            if not token:
-                raise ValidationError("empty token in embedding table")
+            if not isinstance(token, str) or not token:
+                raise ValidationError(f"embedding token must be a non-empty string, got {token!r}")
             vec = np.asarray(vec, dtype=float)
             if vec.shape != (self.dim,):
                 raise ValidationError(

@@ -211,6 +211,7 @@ def run_synthetic_transfer(
     imputed vectors, the ground-truth vectors, and a Gaussian baseline
     drawn at the known block's scale.
     """
+    k = _check_integer(k, "k", 1, spec.n - 1)  # before any data is built
     data = make_transfer_data(spec)
     p, q = spec.p, spec.n - spec.p
     _, _, result, _ = impute_aligned(data.domain, data.semantic[:p], delta, config)
@@ -233,21 +234,6 @@ def run_synthetic_transfer(
     )
 
 
-def _sweep_setting(parameter: str, value):
-    """The delta (int) or eta (float) that ``value`` asks for."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if parameter == "delta":
-        if not (math.isfinite(number) and number == int(number) and number >= 1):
-            raise ValidationError(f"delta sweep value {value!r} is not an integer >= 1")
-        return int(number)
-    if not (math.isfinite(number) and number > 0):
-        raise ValidationError(f"eta sweep value {value!r} is not a finite number > 0")
-    return number
-
-
 def sensitivity_sweep(
     parameter: str,
     values,
@@ -259,36 +245,35 @@ def sensitivity_sweep(
     """Re-run the transfer experiment varying one knob, all else fixed.
 
     ``parameter`` is ``"delta"`` or ``"eta"``; returns (value, imputed
-    accuracy) pairs in input order. Delta values must be whole numbers
-    from 1 to ``spec.n - 1`` and eta values finite and > 0; every value is
-    checked before the first experiment runs. The transfer data is built
-    once; a delta sweep re-runs the imputation per value, an eta sweep
-    solves the graph and weights once and re-runs only the diffusion. Only
-    the imputed vectors are scored.
+    accuracy) pairs in input order. Before any data is built, each value
+    is checked by the rule of its setting: a delta must be an integer from
+    1 to ``spec.n - 1``, as the graph requires, and an eta must pass
+    ``ImputationConfig``; ``k`` is checked as ``knn_accuracy`` checks it.
+    The transfer data is built once; a delta sweep re-runs the imputation
+    per value, an eta sweep solves the graph and weights once and re-runs
+    only the diffusion. Only the imputed vectors are scored.
     """
     if parameter not in ("delta", "eta"):
         raise ValidationError(f"unknown sweep parameter '{parameter}'")
     values = list(values)
     if not values:
         raise ValidationError("sweep needs at least one value")
-    settings = [_sweep_setting(parameter, value) for value in values]
-    if parameter == "delta" and max(settings) >= spec.n:
-        raise ValidationError(f"delta sweep value {max(settings)} needs more than {spec.n} entities")
     config = config or ImputationConfig()
+    if parameter == "delta":
+        deltas = [_check_integer(value, "delta sweep value", 1, spec.n - 1) for value in values]
+        configs = [config] * len(values)
+    else:
+        deltas = [delta] * len(values)
+        configs = [dataclasses.replace(config, eta=value) for value in values]
+    k = _check_integer(k, "k", 1, spec.n - 1)
     data = make_transfer_data(spec)
     known = data.semantic[: spec.p]
-    if parameter == "delta":
-        table = []
-        for value, setting in zip(values, settings):
-            result = impute_aligned(data.domain, known, setting, config)[2]
-            table.append((float(value), _hidden_accuracy(data, result.Y, spec.p, k)))
-        return table
-
-    # eta only moves the diffusion: the graph and weights are solved once
-    first = dataclasses.replace(config, eta=settings[0])
-    _, weights, result, _ = impute_aligned(data.domain, known, delta, first)
-    table = [(float(values[0]), _hidden_accuracy(data, result.Y, spec.p, k))]
-    for value, eta in zip(values[1:], settings[1:]):
-        result = power_iterate(weights, known, dataclasses.replace(config, eta=eta))
+    table, weights = [], None
+    for value, run_delta, run_config in zip(values, deltas, configs):
+        if parameter == "eta" and weights is not None:
+            # eta only moves the diffusion: the graph and weights are solved once
+            result = power_iterate(weights, known, run_config)
+        else:
+            _, weights, result, _ = impute_aligned(data.domain, known, run_delta, run_config)
         table.append((float(value), _hidden_accuracy(data, result.Y, spec.p, k)))
     return table

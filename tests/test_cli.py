@@ -571,6 +571,15 @@ def _knn(k, labels="labels.csv"):
         pytest.param(_knn("2,x"), 1, "error: cannot parse k list '2,x'\n", id="eval-knn-bad-k"),
         pytest.param(_knn(""), 1, "error: at least one k value is required\n", id="eval-knn-empty-k"),
         pytest.param(
+            _knn("1,5"), 1, "error: k must be an integer in [1, 2], got 5\n", id="eval-knn-k-too-large"
+        ),
+        pytest.param(
+            ["synth", "--n", "60", "--p", "40", "--sweep", "delta", "--sweep-values", "4,4.0"],
+            1,
+            "error: cannot parse sweep values '4,4.0'\n",
+            id="synth-sweep-fractional-delta",
+        ),
+        pytest.param(
             ["synth", "--sweep", "delta"], 1, "error: --sweep requires --sweep-values\n",
             id="synth-sweep-without-values",
         ),

@@ -92,6 +92,40 @@ class TestLoadEmbeddings:
         assert table.entries["7"].tolist() == [0.5]
 
 
+class TestEmbeddingTable:
+    @pytest.mark.parametrize(
+        "dim, message",
+        [
+            ("3", "embedding dimension must be an integer >= 1, got '3'"),
+            (2.5, "embedding dimension must be an integer >= 1, got 2.5"),
+            (0, "embedding dimension must be an integer >= 1, got 0"),
+            (None, "embedding dimension must be an integer >= 1, got None"),
+        ],
+        ids=["str", "float", "zero", "none"],
+    )
+    def test_bad_dim_is_one_line_error(self, dim, message):
+        with pytest.raises(ValidationError) as excinfo:
+            EmbeddingTable(dim, {"a": [1.0, 2.0, 3.0]})
+        assert str(excinfo.value) == message
+
+    def test_numpy_integer_dim_stored_as_int(self):
+        table = EmbeddingTable(np.int64(3), {"a": [1.0, 2.0, 3.0]})
+        assert type(table.dim) is int and table.dim == 3
+
+    @pytest.mark.parametrize(
+        "token", [5, b"a", None, ("a",), ""], ids=["int", "bytes", "none", "tuple", "empty"]
+    )
+    def test_token_must_be_a_non_empty_string(self, token):
+        with pytest.raises(ValidationError) as excinfo:
+            EmbeddingTable(2, {token: [1.0, 2.0]})
+        assert str(excinfo.value) == f"embedding token must be a non-empty string, got {token!r}"
+
+    def test_numpy_string_token_accepted(self, tmp_path):
+        table = EmbeddingTable(2, {np.str_("a"): [1.0, 2.0]})
+        save_embeddings(table, tmp_path / "v.vec")
+        assert load_embeddings(tmp_path / "v.vec").tokens() == ["a"]
+
+
 class TestSaveEmbeddings:
     def test_roundtrip_is_value_identical(self, tmp_path):
         rng = np.random.default_rng(50)

@@ -452,7 +452,7 @@ class TestSensitivitySweep:
         monkeypatch.setattr(evaluation, "impute_aligned", lambda *a, **k: runs.append(a))
         spec = SyntheticTransferSpec(n=60, p=40, seed=5)
         for bad in ("x", 0.0, -1e-2, float("nan"), float("inf"), None):
-            with pytest.raises(ValidationError, match="eta sweep value"):
+            with pytest.raises(ValidationError, match="eta must be"):
                 sensitivity_sweep("eta", [1e-2, bad], spec, ImputationConfig())
         assert runs == []
 
@@ -468,5 +468,45 @@ class TestSensitivitySweep:
     def test_fractional_delta_rejected(self):
         spec = SyntheticTransferSpec(n=60, p=40, seed=5)
         for bad in (4.5, float("nan"), float("inf")):
-            with pytest.raises(ValidationError, match="not an integer"):
+            with pytest.raises(ValidationError, match="must be an integer"):
                 sensitivity_sweep("delta", [6, bad], spec, ImputationConfig())
+
+    def test_values_are_checked_by_their_settings_rules_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(evaluation, "make_transfer_data", lambda *a: runs.append(a))
+        monkeypatch.setattr(evaluation, "impute_aligned", lambda *a, **k: runs.append(a))
+        spec = SyntheticTransferSpec(n=60, p=40, seed=5)
+        cases = [
+            ("delta", 4.0, "delta sweep value must be an integer >= 1, got 4.0"),
+            ("delta", "6", "delta sweep value must be an integer >= 1, got '6'"),
+            ("eta", "0.01", "eta must be a real number, got '0.01'"),
+        ]
+        for parameter, bad, message in cases:
+            with pytest.raises(ValidationError) as excinfo:
+                sensitivity_sweep(parameter, [bad], spec, ImputationConfig())
+            assert str(excinfo.value) == message
+        assert runs == []
+
+    def test_numpy_integer_deltas_accepted(self):
+        spec = SyntheticTransferSpec(n=60, p=40, seed=5)
+        table = sensitivity_sweep("delta", [np.int64(4), np.uint8(6)], spec, ImputationConfig())
+        assert table == sensitivity_sweep("delta", [4, 6], spec, ImputationConfig())
+        assert [type(value) for value, _ in table] == [float, float]
+
+
+@pytest.mark.parametrize("k", [0, 60, 2.5, "5", None])
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda spec, k: run_synthetic_transfer(spec, k=k), id="transfer"),
+        pytest.param(lambda spec, k: sensitivity_sweep("delta", [4], spec, k=k), id="delta-sweep"),
+        pytest.param(lambda spec, k: sensitivity_sweep("eta", [1e-2], spec, k=k), id="eta-sweep"),
+    ],
+)
+def test_bad_k_rejected_before_any_data(run, k, monkeypatch):
+    builds = []
+    monkeypatch.setattr(evaluation, "make_transfer_data", lambda *a: builds.append(a))
+    with pytest.raises(ValidationError, match="^k must be an integer") as excinfo:
+        run(SyntheticTransferSpec(n=60, p=40, seed=5), k)
+    assert "\n" not in str(excinfo.value)
+    assert builds == []
