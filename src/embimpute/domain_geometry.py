@@ -1,13 +1,17 @@
 """Distance and affinity structure over entity feature matrices.
 
 The feature matrix describes each entity in the affinity space; pairwise
-Euclidean distances over its rows drive the neighbor-graph construction.
+Euclidean distances over its rows drive the neighbor-graph construction,
+ranked by Gram keys with exact ``cdist`` values wherever the keys are
+too close to decide.
 A small preprocessing helper turns raw return series into a correlation
 matrix usable as such a feature matrix.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +24,11 @@ from .errors import ValidationError
 
 _BLOCK_BYTES = 1 << 20  # bytes in one row block; the graph and k-NN cuts and the weight gathers share it
 _MAX_MISSING_FRACTION = 0.20  # return rows missing more of their cells are dropped
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = 2.0**-1074
+# below it, 8 max|x|^2 is finite, so no Gram product, norm or sum overflows
+_GRAM_LIMIT = np.finfo(float).max / 8
+_HUGE_PAGE_BYTES = 1 << 22  # numpy advises huge pages from this size
 
 
 @dataclass(frozen=True)
@@ -111,24 +120,56 @@ def _run_blocks(work, starts, size: int) -> None:
             pass
 
 
-def _nearest_columns(block: np.ndarray, r: int, buf: np.ndarray) -> np.ndarray:
+def _nearest_columns(block: np.ndarray, r: int, buf: np.ndarray, margin: float = 0.0, exact=None) -> np.ndarray:
     """Per row of ``block``, the columns of its ``r`` smallest values in
     (value, column) order: the first ``r`` of a stable argsort, without
     sorting whole rows. ``buf`` is float64 scratch of at least
-    ``block.size`` entries; ``block`` is left as it is."""
+    ``block.size`` entries; ``block`` is left as it is.
+
+    With a positive ``margin`` the values are keys, each within ``margin``
+    of the square of its pair's exact value (with 0, the exact values), so
+    two keys order their exact values only when they differ by more than
+    ``2 * margin``. A row whose first ``r + 1`` keys hold two that close
+    is ranked by (exact value, column) over its columns within
+    ``2 * margin`` of its r-th key, where ``exact(rows, cols)`` gives the
+    exact values of ``block[rows][:, cols]``.
+    """
     m, w = block.shape
     part = buf[: m * w].reshape(m, w)
     np.copyto(part, block)
     part.partition(r - 1, axis=1)
-    # every column at or under a row's r-th smallest value, ties at it
-    # included, in row-major order
-    flat = np.flatnonzero(block <= part[:, r - 1 : r])
+    # every column up to 2 margin past a row's r-th smallest value, ties
+    # at it included, in row-major order
+    flat = np.flatnonzero(block <= part[:, r - 1 : r] + 2 * margin)
     rows, cols = np.divmod(flat, w)
-    # sorted by row, then value; the sort is stable, so equal values keep
-    # ascending columns, and each row's entries stay where they were
-    cols = cols[np.lexsort((np.take(block, flat), rows))]
-    first = np.searchsorted(rows, np.arange(m))
-    return cols[first[:, None] + np.arange(r)]
+    first = np.searchsorted(rows, np.arange(m + 1))
+    if not margin:
+        # sorted by row, then value; the sort is stable, so equal values
+        # keep ascending columns, and each row's entries stay where they were
+        cols = cols[np.lexsort((np.take(block, flat), rows))]
+        return cols[first[:-1, None] + np.arange(r)]
+
+    # a row is in doubt when a column past its r-th lies within 2 margin
+    # of it; the others hold exactly r columns, ascending, and are in
+    # doubt when two of their keys lie within 2 margin
+    doubt = np.diff(first) > r
+    sure = np.flatnonzero(~doubt)
+    picked = ~doubt[rows]
+    values = np.take(block, flat[picked]).reshape(-1, r)
+    order = np.argsort(values, axis=1, kind="stable")
+    head = np.empty((m, r), dtype=np.int64)
+    head[sure] = np.take_along_axis(cols[picked].reshape(-1, r), order, axis=1)
+    gaps = np.diff(np.take_along_axis(values, order, axis=1), axis=1)
+    doubt[sure[(gaps <= 2 * margin).any(axis=1)]] = True
+    if doubt.any():
+        # one exact read, no larger than the block: the rows in doubt
+        # over every column within 2 margin of one of them. A column past
+        # a row's own limit has an exact value above r others of that
+        # row, so the cut of these exact values is the answer
+        wanted = np.flatnonzero(np.bincount(cols[doubt[rows]], minlength=w))
+        doubt = np.flatnonzero(doubt)
+        head[doubt] = wanted[_nearest_columns(exact(doubt, wanted), r, buf)]
+    return head
 
 
 def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
@@ -142,6 +183,10 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
     blocks run on ``_run_blocks``'s threads (``cdist`` releases the GIL),
     or as one inline ``cdist`` when one block covers the matrix. Distances
     that overflow raise ``ValidationError``.
+
+    The pipeline ranks its graph by ``_squared_distance_keys`` instead and
+    calls this only as that stage's fallback, where a key could overflow;
+    the result keeps ``cdist``'s bits for every caller.
     """
     if isinstance(domain, DomainMatrix):
         data = domain.data
@@ -171,6 +216,94 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
 
     _run_blocks(fill, range(0, n, rows), rows * n)
     return D
+
+
+def _entries(D: np.ndarray):
+    """Exact values read from a matrix: ``exact(rows, cols)`` is ``D[rows][:, cols]``."""
+    return lambda rows, cols: D[np.ix_(rows, cols)]
+
+
+def _square_matrix(n: int) -> np.ndarray:
+    """An uninitialized n x n float64 matrix; from 4 MiB, on an anonymous
+    mapping of its own.
+
+    A large matrix is kept off the malloc heap: once glibc's mmap
+    threshold has risen past its size, the heap would place it wherever
+    earlier calls left room, and numpy's huge-page advice would stay on
+    that stretch of heap after it is freed, so the peak resident size
+    would vary from call to call. Its own mapping adds exactly its pages,
+    asks for huge pages as numpy does from 4 MiB, and returns them when
+    the matrix is freed. A smaller one comes from the heap, where it
+    reuses resident pages instead of faulting in fresh ones.
+    """
+    size = 8 * n * n
+    if size < _HUGE_PAGE_BYTES:
+        return np.empty((n, n))
+    if hasattr(mmap, "MAP_PRIVATE"):
+        # private, as malloc maps: shared anonymous memory takes no huge pages
+        area = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    else:
+        area = mmap.mmap(-1, size)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        area.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(area, dtype=float).reshape(n, n)
+
+
+def _squared_distance_keys(domain: DomainMatrix):
+    """Keys that rank the pairwise distances of ``domain``'s rows.
+
+    Returns ``(keys, margin, exact)``. ``keys`` is an n x n matrix of
+    |x|^2 + |y|^2 - 2 x.y, clipped at 0, with an exactly zero diagonal,
+    made by ``_square_matrix`` (from 4 MiB, off the malloc heap, so the
+    peak resident size does not depend on what earlier calls left there).
+    The upper triangle is computed in 1 MiB square tiles of
+    ``X[a] @ X[b].T``, on BLAS's threads in one Python loop; each tile is
+    finished in place and mirrored while it is in cache, and one tile that
+    covers the matrix is written straight into it. (Square tiles, not row
+    blocks: the mirrored write of a row block touches every row of the
+    matrix, that of a tile only a few hundred.)
+
+    ``margin`` bounds |key - cdist(x, y)^2| for every pair (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3): the inner
+    products, norms and sums err by at most gamma_{d+2} (|x| + |y|)^2,
+    and ``cdist`` by gamma_{d+4} |x - y|^2, both under 4 gamma_{d+4}
+    max|x|^2 with gamma_m = m u / (1 - m u); one more gamma_{d+4} max|x|^2
+    covers the rounding of the comparisons against 2 margin, and an
+    absolute term the subnormal products. ``exact(rows, cols)`` is
+    ``cdist(X[rows], X[cols])``, which gives every pair the bits of
+    ``cdist(X, X)``.
+
+    When a key could overflow (8 max|x|^2 is not finite) the result is
+    ``euclidean_distance_matrix``'s D, a margin of 0 and reads from D, so
+    overflowing distances raise as they do there.
+    """
+    data = domain.data
+    n, d = data.shape
+    sq = np.einsum("ij,ij->i", data, data)  # inf where a norm overflows; einsum does not warn
+    top = sq.max()
+    if not top < _GRAM_LIMIT:
+        D = euclidean_distance_matrix(domain)
+        return D, 0.0, _entries(D)
+    keys = _square_matrix(n)
+    side = math.isqrt(_BLOCK_BYTES // 8)
+    buf = np.empty(side * side) if side < n else None
+    for lo in range(0, n, side):
+        for left in range(lo, n, side):
+            rows, cols = slice(lo, lo + side), slice(left, left + side)
+            m, w = min(side, n - lo), min(side, n - left)
+            tile = keys if buf is None else buf[: m * w].reshape(m, w)
+            np.matmul(data[rows], data[cols].T, out=tile)
+            tile *= -2.0
+            tile += sq[rows, None]
+            tile += sq[cols]
+            np.maximum(tile, 0.0, out=tile)
+            if buf is not None:
+                keys[rows, cols] = tile
+                keys[cols, rows] = tile.T
+    np.fill_diagonal(keys, 0.0)
+    gamma = (d + 4) * _UNIT_ROUNDOFF / (1 - (d + 4) * _UNIT_ROUNDOFF)
+    margin = 9 * gamma * top + 8 * (d + 4) * _SMALLEST_SUBNORMAL
+    return keys, margin, lambda rows, cols: cdist(data[rows], data[cols])
 
 
 def correlation_domain_matrix(entities, returns: np.ndarray) -> DomainMatrix:

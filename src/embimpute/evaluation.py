@@ -211,7 +211,9 @@ def run_synthetic_transfer(
     imputed vectors, the ground-truth vectors, and a Gaussian baseline
     drawn at the known block's scale.
     """
-    k = _check_integer(k, "k", 1, spec.n - 1)  # before any data is built
+    # before any data is built
+    delta = _check_integer(delta, "minimum degree", 1, spec.n - 1)
+    k = _check_integer(k, "k", 1, spec.n - 1)
     data = make_transfer_data(spec)
     p, q = spec.p, spec.n - spec.p
     _, _, result, _ = impute_aligned(data.domain, data.semantic[:p], delta, config)
@@ -248,7 +250,8 @@ def sensitivity_sweep(
     accuracy) pairs in input order. Before any data is built, each value
     is checked by the rule of its setting: a delta must be an integer from
     1 to ``spec.n - 1``, as the graph requires, and an eta must pass
-    ``ImputationConfig``; ``k`` is checked as ``knn_accuracy`` checks it.
+    ``ImputationConfig``; the fixed ``delta`` of an eta sweep is checked as
+    a swept one, and ``k`` as ``knn_accuracy`` checks it.
     The transfer data is built once; a delta sweep re-runs the imputation
     per value, an eta sweep solves the graph and weights once and re-runs
     only the diffusion. Only the imputed vectors are scored.
@@ -263,7 +266,7 @@ def sensitivity_sweep(
         deltas = [_check_integer(value, "delta sweep value", 1, spec.n - 1) for value in values]
         configs = [config] * len(values)
     else:
-        deltas = [delta] * len(values)
+        deltas = [_check_integer(delta, "minimum degree", 1, spec.n - 1)] * len(values)
         configs = [dataclasses.replace(config, eta=value) for value in values]
     k = _check_integer(k, "k", 1, spec.n - 1)
     data = make_transfer_data(spec)

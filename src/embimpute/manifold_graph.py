@@ -1,38 +1,58 @@
-"""Connectivity-guaranteed nearest-neighbor graph over a distance matrix.
+"""Connectivity-guaranteed nearest-neighbor graph over pairwise distances.
 
 A minimum spanning tree (symmetrized into directed edge pairs) keeps the
 graph connected; additional directed edges from nearest non-neighbors then
 raise every vertex's in-degree to the configured minimum. Tie-breaking is
 always by smaller vertex index so identical inputs yield identical graphs.
 
-One blocked cut (``_nearest_columns``) over the 1 MiB row blocks of
-``D``, on the distance stage's threads, takes every row's delta + 1
-nearest columns by (distance, index), and both steps read it. The tree
-is the unique minimum under the strict total order (weight, smaller
-index, larger index), so it is the tree Kruskal's algorithm yields when
-it scans edges in that order. For a fixed vertex that order ranks its
-edges by (weight, other end), so a vertex's first column in the cut
-other than itself is its least edge, and that edge is a tree edge
-(Borůvka's first round). A dense Prim over the components these edges
-leave adds the rest: each joining vertex's row of ``D`` updates the
-frontier's weights once, and the next vertex's tree end is read from that
-vertex's own row. Inside the package
-the tree passes as two endpoint arrays in no set order; only
-``build_mst`` sorts it and reads its weights into tuples. The
-augmentation takes each short vertex's new sources from the same cut.
-The stage takes O(n^2) time, plus, where several vertices tie for the
-next tree edge, one pass over their columns below the pair that settles
-the tie; it allocates nothing n x n beyond ``D`` itself.
-``build_graph`` validates ``D`` once; ``build_mst`` and
-``augment_to_min_degree`` each validate their own input. The pipeline and
-the CLI hand the output of ``euclidean_distance_matrix``, which is valid by
-construction, to ``_build_unchecked``. ``delta`` is checked before the
-cut, and the pipeline and the CLI check it before the distance stage.
+One builder (``_build``) reads three things: an n x n matrix of keys
+that rank the distances, a margin M, and ``exact(rows, cols)``, the exact
+distances of those pairs. Each key lies within M of the square of its
+pair's exact distance (M = 0: the keys are the exact distances), so two
+keys order their pairs for certain only when they differ by more than
+2M; every decision closer than that is made on exact distances. The
+pipeline and the CLI's ``graph-stats`` pass the Gram keys of
+``domain_geometry._squared_distance_keys``, its margin and ``cdist``
+reads (or, where a key could overflow, ``euclidean_distance_matrix``'s D
+with M = 0). ``build_graph(D)``, ``build_mst`` and
+``augment_to_min_degree`` are the M = 0 case: the keys are ``D`` and the
+exact values are read from it. Either way the graph is the one the
+exact distances define.
+
+One blocked cut (``_nearest_columns``) over the 1 MiB row blocks of the
+keys, on the distance stage's threads, takes every row's delta + 1
+nearest columns by (distance, index), and both steps read it; a row
+whose keys near its (delta + 1)-th lie within 2M of each other is ranked
+on exact distances. The tree is the unique minimum under the strict
+total order (weight, smaller index, larger index), so it is the tree
+Kruskal's algorithm yields when it scans edges in that order. For a
+fixed vertex that order ranks its edges by (weight, other end), so a
+vertex's first column in the cut other than itself is its least edge,
+and that edge is a tree edge (Borůvka's first round). A dense Prim over
+the components these edges leave adds the rest: each joining vertex's
+row of keys updates the frontier's least keys once. The frontier
+vertices within 2M of the least key are the candidates. When one
+candidate has one tree end within 2M, that edge is next, read from the
+candidate's own row. Otherwise each candidate is watched: its least edge
+by (exact distance, tree end) is read once, by one ``exact`` call per
+1 MiB of keys near it, and folded with each later joining component,
+and the order picks among the candidates' least edges. Inside the package the
+tree passes as two endpoint arrays in no set order; only ``build_mst``
+sorts it and reads its weights into tuples. The augmentation takes each
+short vertex's new sources from the same cut.
+
+The stage takes O(n^2) time, plus the exact reads: none where no two
+keys are that close (no row or step of the benchmark inputs), a few per
+row or step on tie-heavy inputs (lattices, duplicate rows); it
+allocates nothing n x n beyond the keys. ``build_graph`` validates ``D``
+once; ``build_mst`` and ``augment_to_min_degree`` each validate their
+own input; the key stage's output is valid by construction. ``delta`` is
+checked before the cut, and the pipeline and the CLI check it before the
+distance stage.
 
 The graph is stored in the CSR layout of ``WeightMatrix``: row i lists the
 sources of the edges into vertex i, ascending. It holds only this
-support, which is all the weight solver and ``is_connected`` read; edge
-lengths stay in ``D``.
+support, which is all the weight solver and ``is_connected`` read.
 """
 
 from __future__ import annotations
@@ -43,7 +63,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .domain_geometry import _BLOCK_BYTES, _nearest_columns, _run_blocks
+from .domain_geometry import _BLOCK_BYTES, _entries, _nearest_columns, _run_blocks
 from .errors import ValidationError, _check_integer
 
 # side of the square tiles the symmetry check compares
@@ -117,28 +137,31 @@ class NeighborGraph:
         return self.indices.size
 
 
-def _nearest(D: np.ndarray, r: int) -> np.ndarray:
-    """Each row's ``r`` nearest columns in (distance, column) order: one
-    ``_nearest_columns`` cut over the 1 MiB row blocks of ``D``, on the
-    distance stage's threads."""
-    n = D.shape[0]
+def _nearest(keys: np.ndarray, r: int, margin: float, exact) -> np.ndarray:
+    """Each row's ``r`` nearest columns in (exact value, column) order:
+    one ``_nearest_columns`` cut over the 1 MiB row blocks of ``keys``, on
+    the distance stage's threads."""
+    n = keys.shape[0]
     nearest = np.empty((n, r), dtype=np.int64)
     rows = max(1, _BLOCK_BYTES // (8 * n))
 
     def cut(lo, buf):
-        nearest[lo : lo + rows] = _nearest_columns(D[lo : lo + rows], r, buf)
+        def block_exact(block_rows, cols):
+            return exact(lo + block_rows, cols)
+
+        nearest[lo : lo + rows] = _nearest_columns(keys[lo : lo + rows], r, buf, margin, block_exact)
 
     _run_blocks(cut, range(0, n, rows), rows * n)
     return nearest
 
 
-def _mst(D: np.ndarray, nearest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mst(keys: np.ndarray, nearest: np.ndarray, margin: float, exact) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints (src, dst) of the n - 1 tree edges, in no set order.
 
     ``nearest`` holds at least each row's 2 nearest columns, as
     ``_nearest`` cuts them.
     """
-    n = D.shape[0]
+    n = keys.shape[0]
     every = np.arange(n)
     # Borůvka's first round: for a fixed vertex the order ranks its edges
     # by (weight, other end), so its least edge goes to its first column
@@ -151,47 +174,84 @@ def _mst(D: np.ndarray, nearest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(label, kind="stable")
     bounds = np.searchsorted(label[order], np.arange(count + 1)).tolist()
 
-    # Prim over the components. best_w[v]: least weight from the tree to
-    # v; tree vertices hold NaN, which fails every comparison and which
-    # fmin skips, so they are never picked or updated again
+    # Prim over the components. best_w[v]: least key from the tree to v;
+    # tree vertices hold NaN, which fails every comparison and which fmin
+    # skips, so they are never picked or updated again
     best_w = np.full(n, np.inf)
     in_tree = np.zeros(n, dtype=bool)
+    # a frontier vertex that has been a candidate among several is
+    # watched: its least edge by (exact weight, tree end) is kept in
+    # least_w, least_u, and each joining component is folded into it
+    watched = np.zeros(n, dtype=bool)
+    least_w = np.empty(n)
+    least_u = np.empty(n, dtype=np.int64)
     src = np.empty(count - 1, dtype=np.int64)
     dst = np.empty(count - 1, dtype=np.int64)
+    slack = 2 * float(margin)
     joining = label[0]
     for step in range(count - 1):
         members = order[bounds[joining] : bounds[joining + 1]]
         for m in members.tolist():
-            np.minimum(best_w, D[m], out=best_w)
+            np.minimum(best_w, keys[m], out=best_w)
         best_w[members] = np.nan
         in_tree[members] = True
+        watched[members] = False
+        if watched.any():
+            _fold_edges(keys, watched.nonzero()[0], np.sort(members), best_w, least_w, least_u, slack, exact)
 
-        w = np.fmin.reduce(best_w)
-        cand = (best_w == w).nonzero()[0]
-        # the smallest candidate's tree end: the first tree column at
-        # weight w in its own row
+        # only frontier vertices within 2 margin of the least key can hold
+        # the least edge, and only through tree ends within 2 margin
+        limit = np.fmin.reduce(best_w) + slack
+        cand = (best_w <= limit).nonzero()[0]
         v = cand[0]
-        hit = D[v] == w
-        hit &= in_tree
-        u = hit.argmax()
-        if cand.size > 1:
-            # equal weights go to the smaller (lo, hi) pair: a larger
-            # candidate wins only through a tree end below min(u, v), so
-            # the first tree vertex there, ascending, with an edge at w to
-            # a candidate ends the tie
-            below = min(u, v)
-            span = max(1, _BLOCK_BYTES // (8 * cand.size))
-            for lo in range(0, below, span):
-                cols = slice(lo, min(lo + span, below))
-                hit = D[cand, cols] == w
-                hit &= in_tree[cols]
-                first = hit.any(axis=0).argmax()
-                if hit[:, first].any():
-                    u, v = lo + first, cand[hit[:, first].argmax()]
-                    break
+        if cand.size == 1:
+            ends = keys[v] <= limit
+            ends &= in_tree
+            u = ends.argmax()
+            if np.count_nonzero(ends) > 1:
+                u = _least_edges(np.array([v]), ends.nonzero()[0], exact)[1][0]
+        else:
+            fresh = cand[~watched[cand]]
+            if fresh.size:
+                least_w[fresh] = np.inf
+                _fold_edges(keys, fresh, in_tree.nonzero()[0], best_w, least_w, least_u, slack, exact)
+                watched[fresh] = True
+            # a vertex's least edge by (weight, tree end) is its least by
+            # (weight, lo, hi) too, so the least of the candidates' least
+            # edges by (weight, lo, hi) is the next tree edge
+            ends = least_u[cand]
+            v = cand[np.lexsort((np.maximum(ends, cand), np.minimum(ends, cand), least_w[cand]))[0]]
+            u = least_u[v]
         src[step], dst[step] = u, v
         joining = label[v]
     return np.concatenate([every[once], src]), np.concatenate([seed[once], dst])
+
+
+def _least_edges(frontier: np.ndarray, ends: np.ndarray, exact) -> tuple[np.ndarray, np.ndarray]:
+    """Each ``frontier`` vertex's least edge to the ascending tree vertices
+    ``ends`` by (exact weight, tree end): its weights and tree ends."""
+    weights = exact(frontier, ends)
+    # argmin takes the first, so the least tree end of the least weight
+    first = weights.argmin(axis=1)
+    return weights[np.arange(frontier.size), first], ends[first]
+
+
+def _fold_edges(keys, frontier, tree, best_w, least_w, least_u, slack, exact) -> None:
+    """Fold the edges from the ascending ``tree`` vertices into the least
+    edges of the ``frontier`` vertices, in 1 MiB chunks of tree columns.
+    A tree vertex more than ``slack`` (2 margin) above a frontier vertex's
+    least key is never its least edge, so only the others are read
+    exactly."""
+    span = max(1, _BLOCK_BYTES // (8 * frontier.size))
+    for lo in range(0, tree.size, span):
+        ends = tree[lo : lo + span]
+        near = keys[np.ix_(frontier, ends)] <= best_w[frontier, None] + slack
+        rows = frontier[near.any(axis=1)]
+        if rows.size:
+            w, u = _least_edges(rows, ends[near.any(axis=0)], exact)
+            better = (w < least_w[rows]) | ((w == least_w[rows]) & (u < least_u[rows]))
+            least_w[rows[better]] = w[better]
+            least_u[rows[better]] = u[better]
 
 
 def build_mst(D) -> list[tuple[int, int, float]]:
@@ -208,7 +268,8 @@ def build_mst(D) -> list[tuple[int, int, float]]:
     D = _validated_distances(D)
     if D.shape[0] < 2:
         raise ValidationError("spanning tree needs at least 2 vertices")
-    src, dst = _mst(D, _nearest(D, 2))
+    exact = _entries(D)
+    src, dst = _mst(D, _nearest(D, 2, 0.0, exact), 0.0, exact)
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     w = D[lo, hi]
@@ -259,17 +320,19 @@ def augment_to_min_degree(mst_edges, D, delta: int) -> NeighborGraph:
         raise ValidationError(f"tree edge endpoints must lie in [0, {n})")
     # an edge listed twice, in either direction, counts once
     ends = np.unique(np.sort(ends, axis=1), axis=0)
-    return _augment(ends[:, 0], ends[:, 1], _nearest(D, delta + 1), delta)
+    return _augment(ends[:, 0], ends[:, 1], _nearest(D, delta + 1, 0.0, _entries(D)), delta)
 
 
-def _build_unchecked(D: np.ndarray, delta: int) -> NeighborGraph:
-    # D must be square, finite, non-negative, symmetric and zero on the
-    # diagonal: checked by build_graph, or true by construction
-    delta = _check_integer(delta, "minimum degree", 1, D.shape[0] - 1)
+def _build(keys: np.ndarray, margin: float, exact, delta: int) -> NeighborGraph:
+    # keys must be square with a zero diagonal, each within margin of the
+    # square of its pair's exact value (equal to it when margin is 0), and
+    # the exact values finite, non-negative and symmetric: checked by
+    # build_graph, or true by construction
+    delta = _check_integer(delta, "minimum degree", 1, keys.shape[0] - 1)
     # one cut serves both steps: the tree reads each row's first two
     # columns, the augmentation all delta + 1
-    nearest = _nearest(D, delta + 1)
-    return _augment(*_mst(D, nearest), nearest, delta)
+    nearest = _nearest(keys, delta + 1, margin, exact)
+    return _augment(*_mst(keys, nearest, margin, exact), nearest, delta)
 
 
 def build_graph(D, delta: int = _DELTA) -> NeighborGraph:
@@ -277,7 +340,8 @@ def build_graph(D, delta: int = _DELTA) -> NeighborGraph:
 
     ``D`` is validated once, then shared by both steps.
     """
-    return _build_unchecked(_validated_distances(D), delta)
+    D = _validated_distances(D)
+    return _build(D, 0.0, _entries(D), delta)
 
 
 def _adjacency(graph: NeighborGraph) -> sparse.csr_matrix:

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_geometry import DomainMatrix, euclidean_distance_matrix
+from .domain_geometry import DomainMatrix, _squared_distance_keys
 from .embedding_io import AlignedProblem, EmbeddingTable, align, merge_imputed
 from .errors import _check_integer
 from .imputation_engine import ImputationConfig, ImputationResult, power_iterate
-from .manifold_graph import _DELTA, NeighborGraph, _build_unchecked
+from .manifold_graph import _DELTA, NeighborGraph, _build
 from .weight_solver import WeightMatrix, assemble_weight_matrix
 
 _STAGES = ("align", "distance", "graph", "weights", "iterate", "merge")
@@ -38,10 +38,10 @@ def _timed(timings: dict[str, float], stage: str, fn, *args):
 def _neighbor_graph(domain: DomainMatrix, delta: int, timings: dict[str, float]) -> NeighborGraph:
     """Check ``delta``, then time the ``distance`` and ``graph`` stages into ``timings``."""
     delta = _check_integer(delta, "minimum degree", 1, domain.n - 1)
-    distances = _timed(timings, "distance", euclidean_distance_matrix, domain)
+    keys, margin, exact = _timed(timings, "distance", _squared_distance_keys, domain)
     # valid by construction: the checks of the public build_graph would
     # only reread the n x n matrix
-    return _timed(timings, "graph", _build_unchecked, distances, delta)
+    return _timed(timings, "graph", _build, keys, margin, exact, delta)
 
 
 def impute_aligned(

@@ -23,7 +23,7 @@ from embimpute import (
     save_embeddings,
     sensitivity_sweep,
 )
-from embimpute import cli, manifold_graph, pipeline
+from embimpute import cli, domain_geometry, manifold_graph, pipeline
 from embimpute.cli import main
 from test_domain_geometry import OVERFLOW, overflowing_rows
 from test_pipeline import DEGENERATE_INPUTS, _degenerate_problem, _random_rows, unknown_twins
@@ -379,7 +379,10 @@ def test_delta_checked_before_the_quadratic_stages(command, delta, fixture_files
     def never(*args):
         raise AssertionError("an O(n^2) stage ran before delta was checked")
 
-    monkeypatch.setattr(pipeline, "euclidean_distance_matrix", never)
+    # the key stage falls back to euclidean_distance_matrix, looked up in
+    # domain_geometry; the pipeline calls the key stage
+    monkeypatch.setattr(domain_geometry, "euclidean_distance_matrix", never)
+    monkeypatch.setattr(pipeline, "_squared_distance_keys", never)
     monkeypatch.setattr(manifold_graph, "_nearest", never)
     monkeypatch.setattr(manifold_graph, "_mst", never)
     tmp_path, _, _, domain_csv, vec_path = fixture_files  # n = 50

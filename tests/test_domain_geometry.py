@@ -203,6 +203,22 @@ class TestBlockedFill:
         assert np.array_equal(euclidean_distance_matrix(data), cdist(data, data))
 
 
+class TestSquaredDistanceKeys:
+    # 723 rows: the keys just under 4 MiB, from the heap; 725: just over,
+    # on a mapping of their own
+    @pytest.mark.parametrize("n, owned", [(723, False), (725, True)])
+    def test_keys_within_margin_of_cdist_squared(self, n, owned):
+        data = np.random.default_rng(n).normal(size=(n, 5))
+        keys, margin, exact = domain_geometry._squared_distance_keys(DomainMatrix(range(n), data))
+        assert (keys.base is not None) == owned  # np.empty owns its data
+        assert keys.flags.writeable and keys.shape == (n, n)
+        assert not np.diagonal(keys).any()
+        D = cdist(data, data)
+        assert np.abs(keys - D**2).max() <= margin
+        rows, cols = np.array([0, n - 1]), np.arange(0, n, 7)
+        assert np.array_equal(exact(rows, cols), D[np.ix_(rows, cols)])
+
+
 class TestDistanceOverflow:
     @pytest.mark.parametrize("rows", [None, 2])
     def test_bare_array(self, rows, monkeypatch):

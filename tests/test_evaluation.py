@@ -510,3 +510,26 @@ def test_bad_k_rejected_before_any_data(run, k, monkeypatch):
         run(SyntheticTransferSpec(n=60, p=40, seed=5), k)
     assert "\n" not in str(excinfo.value)
     assert builds == []
+
+
+@pytest.mark.parametrize("delta", [0, 60, 2.5])
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda spec, delta: run_synthetic_transfer(spec, delta=delta), id="transfer"),
+        pytest.param(lambda spec, delta: sensitivity_sweep("eta", [1e-2], spec, delta=delta), id="eta-sweep"),
+    ],
+)
+def test_bad_fixed_delta_rejected_before_any_data(run, delta, monkeypatch):
+    builds = []
+    make = evaluation.make_transfer_data
+
+    def counting(spec):
+        builds.append(spec)
+        return make(spec)
+
+    monkeypatch.setattr(evaluation, "make_transfer_data", counting)
+    with pytest.raises(ValidationError, match="^minimum degree must be an integer") as excinfo:
+        run(SyntheticTransferSpec(n=60, p=40, seed=5), delta)
+    assert "\n" not in str(excinfo.value)
+    assert builds == []

@@ -9,10 +9,10 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import embimpute as ei
-from embimpute import manifold_graph, pipeline
+from embimpute import domain_geometry, manifold_graph, pipeline
 from embimpute.pipeline import _STAGES
 from test_domain_geometry import blocks_of
-from test_manifold_graph import ORACLE_INPUTS, directed_edges, lattice
+from test_manifold_graph import ORACLE_INPUTS, collinear, directed_edges, lattice
 
 
 def random_problem(seed, n=40, p=25, d=5, s=6):
@@ -21,6 +21,48 @@ def random_problem(seed, n=40, p=25, d=5, s=6):
     domain = ei.DomainMatrix(entities, rng.normal(size=(n, d)))
     table = ei.EmbeddingTable(s, {e: rng.normal(size=s) for e in entities[:p]})
     return domain, table
+
+
+def _gram_overflow(rng):
+    # |x|^2 overflows near 2^1022 d, while the offsets, near 2^491, keep
+    # every distance finite: the key stage falls back to the distance matrix
+    n, d = int(rng.integers(2, 31)), int(rng.integers(1, 5))
+    return 2.0**511 * (1.0 + 2.0**-20 * rng.normal(size=(n, d)))
+
+
+def _lattice(rng):
+    sides = rng.integers(2, 6, size=rng.integers(1, 4))
+    if np.prod(sides) < 3:
+        sides = np.append(sides, 2)
+    return rng.permutation(lattice(*sides)) * rng.choice([1.0, 0.1, 3.0])
+
+
+def _rows(rng, scale=1.0, offset=0.0):
+    n, d = int(rng.integers(2, 31)), int(rng.integers(1, 5))
+    return scale * rng.normal(size=(n, d)) + offset
+
+
+def _duplicated(rng):
+    base = _rows(rng)
+    return base[rng.integers(0, len(base), size=len(base) + int(rng.integers(1, 10)))]
+
+
+# randomized domains, 2 to 125 rows each, by kind
+GRAPH_INPUTS = {
+    "random": _rows,
+    "rounded": lambda rng: np.round(_rows(rng, 2.0)) / rng.choice([1.0, 4.0, 10.0]),
+    "lattice": _lattice,
+    "duplicated": _duplicated,
+    "identical": lambda rng: np.full((int(rng.integers(2, 31)), 3), rng.normal()),
+    "offset_1e6": lambda rng: _rows(rng, offset=1e6),
+    "scale_2^400": lambda rng: _rows(rng, 2.0**400),
+    "scale_2^-400": lambda rng: _rows(rng, 2.0**-400),
+    "gram_overflow": _gram_overflow,
+    # every distance underflows to 0: the graph follows index order (the
+    # distance matrix's own answer, which the pipeline keeps)
+    "collinear_1e-300": lambda rng: collinear(int(rng.integers(2, 31)), 1e-300),
+}
+RANDOMIZED_COUNT = 160  # inputs per kind; 1600 in all
 
 
 class TestImputeAligned:
@@ -36,20 +78,55 @@ class TestImputeAligned:
         assert result.iterations == expected.iterations
         assert list(timings) == ["distance", "graph", "weights", "iterate"]
 
-    @pytest.mark.parametrize("name", ["random_300_d4", "lattice_2d_shuffled", "tripled_rows"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
     @pytest.mark.parametrize("rows", [None, 7])
     def test_graph_equals_build_graph_on_cdist(self, name, rows, monkeypatch):
         make, deltas = ORACLE_INPUTS[name]
         data = make()
-        n, delta = len(data), max(deltas)
+        n = len(data)
         if rows:
             blocks_of(monkeypatch, rows, n)
         domain = ei.DomainMatrix(tuple(f"e{i}" for i in range(n)), data)
-        known = np.random.default_rng(64).normal(size=(n // 2, 3))
-        graph, *_ = ei.impute_aligned(domain, known, delta)
-        expected = ei.build_graph(cdist(data, data), delta)
-        assert np.array_equal(graph.indptr, expected.indptr)
-        assert np.array_equal(graph.indices, expected.indices)
+        # one free row, whose in-neighbors are all known: every graph,
+        # delta 1 on a lattice included, leaves it reachable
+        known = np.random.default_rng(64).normal(size=(n - 1, 3))
+        for delta in deltas:
+            graph, *_ = ei.impute_aligned(domain, known, delta)
+            expected = ei.build_graph(cdist(data, data), delta)
+            assert np.array_equal(graph.indptr, expected.indptr)
+            assert np.array_equal(graph.indices, expected.indices)
+
+    @pytest.mark.parametrize("kind", sorted(GRAPH_INPUTS))
+    def test_graph_equals_build_graph_on_cdist_randomized(self, kind, monkeypatch):
+        # the graph ranks Gram keys and reads cdist only where two keys are
+        # within the error margin; count those reads
+        reads = []
+
+        def counting_cdist(a, b, *args, **kwargs):
+            reads.append(len(a) * len(b))
+            return cdist(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(domain_geometry, "cdist", counting_cdist)
+        rng = np.random.default_rng(sorted(GRAPH_INPUTS).index(kind) + 80)
+        for i in range(RANDOMIZED_COUNT):
+            data = GRAPH_INPUTS[kind](rng)
+            n = len(data)
+            # delta 1, n - 1 and one between, in turn
+            delta = (1, n - 1, int(rng.integers(1, n)))[i % 3]
+            domain = ei.DomainMatrix(tuple(f"e{j}" for j in range(n)), data)
+            known = rng.normal(size=(n - 1, 2))
+            reads.clear()
+            graph, *_ = ei.impute_aligned(domain, known, delta)
+            expected = ei.build_graph(cdist(data, data), delta)
+            assert np.array_equal(graph.indptr, expected.indptr), (kind, i)
+            assert np.array_equal(graph.indices, expected.indices), (kind, i)
+            if kind == "random":
+                assert not reads, i
+            if kind == "lattice":
+                assert reads, i
+            if kind == "gram_overflow":
+                # the fallback's distance matrix, one cdist over all rows
+                assert reads[:1] == [n * n], i
 
     def test_impute_embeddings_is_align_then_impute_aligned(self):
         domain, table = random_problem(61)
@@ -88,7 +165,10 @@ class TestImputeEmbeddings:
         def never(*args):
             raise AssertionError("an O(n^2) stage ran before delta was checked")
 
-        monkeypatch.setattr(pipeline, "euclidean_distance_matrix", never)
+        # the key stage falls back to euclidean_distance_matrix, looked up in
+        # domain_geometry; the pipeline calls the key stage
+        monkeypatch.setattr(domain_geometry, "euclidean_distance_matrix", never)
+        monkeypatch.setattr(pipeline, "_squared_distance_keys", never)
         monkeypatch.setattr(manifold_graph, "_nearest", never)
         monkeypatch.setattr(manifold_graph, "_mst", never)
         domain, table = random_problem(65)  # n = 40
