@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +19,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
 
-_BLOCK_BYTES = 1 << 20  # bytes in one row block; the graph and k-NN cuts and the weight gathers share it
+_BLOCK_BYTES = 1 << 20  # bytes in one block: the key tiles, the graph and k-NN cuts and the weight gathers share it
 _MAX_MISSING_FRACTION = 0.20  # return rows missing more of their cells are dropped
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
@@ -72,52 +69,6 @@ class DomainMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
-
-
-def _finite(block: np.ndarray) -> np.ndarray:
-    # distances are non-negative, so NaN and overflow both reach the maximum
-    if not np.isfinite(block.max()):
-        raise ValidationError("distance matrix contains non-finite values")
-    return block
-
-
-def _run_blocks(work, starts, size: int) -> None:
-    """Call ``work(lo, buf)`` for every block start ``lo`` in ``starts``.
-
-    The blocks run on one thread per CPU in the process's affinity mask
-    (per CPU where the platform has none; at most one per block), or
-    inline when there is one block. ``buf`` is float64 scratch of ``size``
-    entries that no other block uses meanwhile. A block's exception is
-    raised here, and the blocks not yet started are cancelled.
-    """
-    starts = list(starts)
-    if len(starts) < 2:
-        for lo in starts:
-            work(lo, np.empty(size))
-        return
-    # the affinity mask is Linux-only; elsewhere every CPU counts
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(starts))
-    # buffers made by this thread: a block made and freed in a worker
-    # would stay resident in that worker's malloc arena after the call
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put(np.empty(size))
-
-    def run(lo):
-        buf = buffers.get()
-        try:
-            work(lo, buf)
-        finally:
-            # also after a failed block: a worker that has already started
-            # the next block waits for a buffer
-            buffers.put(buf)
-
-    with ThreadPoolExecutor(workers) as pool:
-        # map re-raises a worker's exception here and cancels the blocks
-        # not yet started
-        for _ in pool.map(run, starts):
-            pass
 
 
 def _nearest_columns(block: np.ndarray, r: int, buf: np.ndarray, margin: float = 0.0, exact=None) -> np.ndarray:
@@ -175,18 +126,13 @@ def _nearest_columns(block: np.ndarray, r: int, buf: np.ndarray, margin: float =
 def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distance matrix over entity rows.
 
-    Accepts a DomainMatrix or a bare (n, d) array. The result is finite and
-    symmetric with an exactly zero diagonal, and it has the same bits as
-    ``scipy.spatial.distance.cdist(X, X)``: no squared-distance shortcut.
-    Only the upper triangle is computed, in row blocks of
-    ``cdist(X[i:i + b], X[i:])`` that are mirrored into the lower one; the
-    blocks run on ``_run_blocks``'s threads (``cdist`` releases the GIL),
-    or as one inline ``cdist`` when one block covers the matrix. Distances
-    that overflow raise ``ValidationError``.
+    Accepts a DomainMatrix or a bare (n, d) array. The result is
+    ``scipy.spatial.distance.cdist(X, X)``, bit for bit: finite and
+    symmetric with an exactly zero diagonal, with no squared-distance
+    shortcut. Distances that overflow raise ``ValidationError``.
 
     The pipeline ranks its graph by ``_squared_distance_keys`` instead and
-    calls this only as that stage's fallback, where a key could overflow;
-    the result keeps ``cdist``'s bits for every caller.
+    calls this only as that stage's fallback, where a key could overflow.
     """
     if isinstance(domain, DomainMatrix):
         data = domain.data
@@ -197,24 +143,12 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
         bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1))
         if bad_rows.size:
             raise ValidationError(f"non-finite value in row {int(bad_rows[0])}")
-    n = data.shape[0]
-    if n < 2:
+    if data.shape[0] < 2:
         raise ValidationError("distance matrix needs at least 2 rows")
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    if rows >= n:
-        return _finite(cdist(data, data))
-
-    D = np.empty((n, n))
-
-    def fill(lo, buf):
-        m, w = min(rows, n - lo), n - lo
-        # cdist gives the same bits in either argument order, and blocks
-        # write disjoint parts of D apart from their own diagonal square
-        block = _finite(cdist(data[lo : lo + m], data[lo:], out=buf[: m * w].reshape(m, w)))
-        D[lo : lo + m, lo:] = block
-        D[lo:, lo : lo + m] = block.T
-
-    _run_blocks(fill, range(0, n, rows), rows * n)
+    D = cdist(data, data)
+    # distances are non-negative, so NaN and overflow both reach the maximum
+    if not np.isfinite(D.max()):
+        raise ValidationError("distance matrix contains non-finite values")
     return D
 
 

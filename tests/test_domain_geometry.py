@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -18,26 +16,18 @@ from test_manifold_graph import lattice
 OVERFLOW = "distance matrix contains non-finite values"
 
 
-def blocks_of(monkeypatch, rows, n):
-    """Shrink the block bound so that an n-row input splits into blocks of
-    ``rows`` rows."""
-    monkeypatch.setattr(domain_geometry, "_BLOCK_BYTES", 8 * n * rows)
-
-
 def overflowing_rows(n=6, d=3):
     # rows near 1e160: every squared difference overflows to infinity
     return 1e160 * np.random.default_rng(12).normal(size=(n, d))
 
 
-def overflow_in_block(n, rows, first):
+def overflow_at(n, first):
     """Rows near 0 plus rows ``first`` and ``first + 1`` at +-1e154: only
-    their own pair overflows, (2e154)^2 > 1.8e308, so only the block of
-    row ``first`` meets a non-finite distance."""
+    their own pair overflows, (2e154)^2 > 1.8e308."""
     data = np.random.default_rng(13).normal(size=(n, 3))
     data[first : first + 2, 0] = [1e154, -1e154]
     bad = np.argwhere(~np.isfinite(cdist(data, data)))
     assert sorted(map(tuple, bad.tolist())) == [(first, first + 1), (first + 1, first)]
-    assert first // rows == (first + 1) // rows > 0
     return data
 
 
@@ -132,74 +122,20 @@ class TestEuclideanDistanceMatrix:
             euclidean_distance_matrix(data)
 
 
-BLOCKED_INPUTS = {
-    # name: (input, rows per block)
-    "two_rows": (lambda: np.array([[0.0, 1.0], [3.0, -4.0]]), 1),
-    "ragged_last_block": (lambda: np.random.default_rng(14).normal(size=(37, 5)), 5),
-    "one_block_covers_all": (lambda: np.random.default_rng(15).normal(size=(10, 4)), 64),
-    "duplicate_rows": (lambda: np.tile(np.random.default_rng(16).normal(size=(15, 3)), (3, 1)), 4),
-    "lattice_ties": (lambda: lattice(7, 7), 6),
+DISTANCE_INPUTS = {
+    "two_rows": lambda: np.array([[0.0, 1.0], [3.0, -4.0]]),
+    "random_37x5": lambda: np.random.default_rng(14).normal(size=(37, 5)),
+    "random_10x4": lambda: np.random.default_rng(15).normal(size=(10, 4)),
+    "duplicate_rows": lambda: np.tile(np.random.default_rng(16).normal(size=(15, 3)), (3, 1)),
+    "lattice_ties": lambda: lattice(7, 7),
+    "random_2048x16": lambda: np.random.default_rng(17).normal(size=(2048, 16)),
 }
 
 
-class TestBlockedFill:
-    @pytest.mark.parametrize("name", sorted(BLOCKED_INPUTS))
-    def test_bits_equal_cdist(self, name, monkeypatch):
-        make, rows = BLOCKED_INPUTS[name]
-        data = make()
-        blocks_of(monkeypatch, rows, len(data))
-        assert np.array_equal(euclidean_distance_matrix(data), cdist(data, data))
-
-    def test_bits_equal_cdist_at_the_real_block_size(self):
-        data = np.random.default_rng(17).normal(size=(2048, 16))
-        assert 8 * 2048 * 2048 > domain_geometry._BLOCK_BYTES  # several blocks
-        assert np.array_equal(euclidean_distance_matrix(data), cdist(data, data))
-
-    def test_no_worker_outlives_the_call(self, monkeypatch):
-        data = np.random.default_rng(18).normal(size=(40, 3))
-        blocks_of(monkeypatch, 3, 40)
-        before = threading.active_count()
-        euclidean_distance_matrix(data)
-        assert threading.active_count() == before
-        with pytest.raises(ValidationError):
-            euclidean_distance_matrix(overflow_in_block(40, 3, 21))
-        assert threading.active_count() == before
-
-    def test_worker_error_reaches_the_caller_unchanged(self, monkeypatch):
-        data = np.random.default_rng(19).normal(size=(40, 3))
-        blocks_of(monkeypatch, 3, 40)
-        error = ValidationError("raised in a worker")
-        raised_in = []
-
-        def failing_cdist(a, b, **kwargs):
-            if len(b) < 40:  # any block but the first
-                raised_in.append(threading.current_thread())
-                raise error
-            return cdist(a, b, **kwargs)
-
-        monkeypatch.setattr(domain_geometry, "cdist", failing_cdist)
-        with pytest.raises(ValidationError) as info:
-            euclidean_distance_matrix(data)
-        assert info.value is error
-        assert threading.main_thread() not in raised_in
-
-
-    def test_failed_block_on_one_cpu_does_not_hang(self, monkeypatch):
-        # the single worker has started the next block by the time the
-        # failure reaches the caller; that block needs the failed one's buffer
-        monkeypatch.setattr(domain_geometry.os, "sched_getaffinity", lambda pid: {0})
-        blocks_of(monkeypatch, 3, 40)
-        with pytest.raises(ValidationError):
-            euclidean_distance_matrix(overflow_in_block(40, 3, 3))
-
-    @pytest.mark.parametrize("cpus", [None, 1, 3])
-    def test_platform_without_affinity_mask(self, cpus, monkeypatch):
-        # macOS and Windows have no sched_getaffinity; os.cpu_count() may
-        # also be None there
-        monkeypatch.delattr(domain_geometry.os, "sched_getaffinity")
-        monkeypatch.setattr(domain_geometry.os, "cpu_count", lambda: cpus)
-        data = np.random.default_rng(20).normal(size=(40, 3))
-        blocks_of(monkeypatch, 3, 40)
+class TestBitsEqualCdist:
+    @pytest.mark.parametrize("name", sorted(DISTANCE_INPUTS))
+    def test_bits_equal_cdist(self, name):
+        data = DISTANCE_INPUTS[name]()
         assert np.array_equal(euclidean_distance_matrix(data), cdist(data, data))
 
 
@@ -220,11 +156,9 @@ class TestSquaredDistanceKeys:
 
 
 class TestDistanceOverflow:
-    @pytest.mark.parametrize("rows", [None, 2])
-    def test_bare_array(self, rows, monkeypatch):
-        data = overflowing_rows()
-        if rows:
-            blocks_of(monkeypatch, rows, len(data))
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_bare_array(self, n):
+        data = overflowing_rows(n)
         with pytest.raises(ValidationError) as info:
             euclidean_distance_matrix(data)
         assert str(info.value) == OVERFLOW
@@ -235,10 +169,9 @@ class TestDistanceOverflow:
             euclidean_distance_matrix(domain)
         assert str(info.value) == OVERFLOW
 
-    @pytest.mark.parametrize("first", [20, 35])  # a middle block, the ragged last one
-    def test_offending_block_is_not_the_first(self, first, monkeypatch):
-        data = overflow_in_block(37, 5, first)
-        blocks_of(monkeypatch, 5, 37)
+    @pytest.mark.parametrize("first", [20, 35])  # middle rows, the last two
+    def test_one_overflowing_pair(self, first):
+        data = overflow_at(37, first)
         with pytest.raises(ValidationError) as info:
             euclidean_distance_matrix(data)
         assert str(info.value) == OVERFLOW

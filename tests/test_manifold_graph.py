@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import sys
+import threading
 from math import fsum
 
 import networkx as nx
@@ -458,18 +459,18 @@ class TestReferenceOracle:
     def test_two_inputs_span_several_row_blocks(self):
         for name in ("lattice_2d_shuffled_20", "tripled_rows_363"):
             n = len(ORACLE_INPUTS[name][0]())
-            assert 8 * n * n > domain_geometry._BLOCK_BYTES, name
+            assert 8 * n * n > manifold_graph._BLOCK_BYTES, name
 
     def test_a_delta_one_input_spans_several_row_blocks(self):
         n = len(ORACLE_INPUTS["lattice_2d_shuffled_30"][0]())
-        assert 8 * n * n > 4 * domain_geometry._BLOCK_BYTES
+        assert 8 * n * n > 4 * manifold_graph._BLOCK_BYTES
         assert ORACLE_INPUTS["lattice_2d_shuffled_30"][1] == (1,)
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
     @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
     def test_graph_equals_kruskal_and_full_sort(self, name, cpus, monkeypatch):
         # one worker, and two: row blocks of D are cut on one thread per CPU
-        monkeypatch.setattr(domain_geometry.os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(manifold_graph.os, "sched_getaffinity", lambda pid: cpus)
         make, deltas = ORACLE_INPUTS[name]
         D = euclidean_distance_matrix(make())
         mst = build_mst(D)
@@ -487,7 +488,7 @@ class TestReferenceOracle:
         # switch interval: a block written to the wrong rows, or not at
         # all, changes the graph
         D = euclidean_distance_matrix(np.random.default_rng(26).permutation(lattice(10, 12)))
-        monkeypatch.setattr(domain_geometry.os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(manifold_graph.os, "sched_getaffinity", lambda pid: set(range(8)))
         monkeypatch.setattr(manifold_graph, "_BLOCK_BYTES", 8 * 120 * 3)
         expected = reference_augment(reference_kruskal(D), D, 8)
         interval = sys.getswitchinterval()
@@ -509,6 +510,75 @@ class TestReferenceOracle:
 
 def symmetric_distances(n):
     return euclidean_distance_matrix(np.random.default_rng(21).normal(size=(n, 3)))
+
+
+def blocks_of(monkeypatch, rows, n):
+    """Shrink the block bounds so that the graph's cut splits an n-row
+    input into blocks of ``rows`` rows; the key stage's tiles shrink too."""
+    monkeypatch.setattr(domain_geometry, "_BLOCK_BYTES", 8 * n * rows)
+    monkeypatch.setattr(manifold_graph, "_BLOCK_BYTES", 8 * n * rows)
+
+
+def cut_failing_past_the_first_block(monkeypatch, D, error):
+    """Make the graph's cut of ``D`` raise ``error`` in every row block but
+    the first; returns the threads it raised in."""
+    raised_in = []
+    cut = manifold_graph._nearest_columns
+
+    def failing_cut(block, *args, **kwargs):
+        if block.ctypes.data != D.ctypes.data:  # not the block of row 0
+            raised_in.append(threading.current_thread())
+            raise error
+        return cut(block, *args, **kwargs)
+
+    monkeypatch.setattr(manifold_graph, "_nearest_columns", failing_cut)
+    return raised_in
+
+
+class TestBlockedCut:
+    """The cut's 3-row blocks of 40 points on ``_run_blocks``' pool."""
+
+    def test_no_worker_outlives_the_call(self, monkeypatch):
+        D = symmetric_distances(40)
+        blocks_of(monkeypatch, 3, 40)
+        before = threading.active_count()
+        build_graph(D, 4)
+        assert threading.active_count() == before
+        cut_failing_past_the_first_block(monkeypatch, D, ValidationError("a failed block"))
+        with pytest.raises(ValidationError):
+            build_graph(D, 4)
+        assert threading.active_count() == before
+
+    def test_worker_error_reaches_the_caller_unchanged(self, monkeypatch):
+        D = symmetric_distances(40)
+        blocks_of(monkeypatch, 3, 40)
+        error = ValidationError("raised in a worker")
+        raised_in = cut_failing_past_the_first_block(monkeypatch, D, error)
+        with pytest.raises(ValidationError) as info:
+            build_graph(D, 4)
+        assert info.value is error
+        assert raised_in and threading.main_thread() not in raised_in
+
+    def test_failed_block_on_one_cpu_does_not_hang(self, monkeypatch):
+        # the single worker has started the next block by the time the
+        # failure reaches the caller; that block needs the failed one's buffer
+        monkeypatch.setattr(manifold_graph.os, "sched_getaffinity", lambda pid: {0})
+        D = symmetric_distances(40)
+        blocks_of(monkeypatch, 3, 40)
+        cut_failing_past_the_first_block(monkeypatch, D, ValidationError("a failed block"))
+        with pytest.raises(ValidationError):
+            build_graph(D, 4)
+
+    @pytest.mark.parametrize("cpus", [None, 1, 3])
+    def test_platform_without_affinity_mask(self, cpus, monkeypatch):
+        # macOS and Windows have no sched_getaffinity; os.cpu_count() may
+        # also be None there
+        D = symmetric_distances(40)
+        expected = build_graph(D, 4)  # one block, inline
+        monkeypatch.delattr(manifold_graph.os, "sched_getaffinity")
+        monkeypatch.setattr(manifold_graph.os, "cpu_count", lambda: cpus)
+        blocks_of(monkeypatch, 3, 40)
+        assert directed_edges(build_graph(D, 4)) == directed_edges(expected)
 
 
 class TestDistanceValidation:

@@ -11,8 +11,7 @@ from scipy.spatial.distance import cdist
 import embimpute as ei
 from embimpute import domain_geometry, manifold_graph, pipeline
 from embimpute.pipeline import _STAGES
-from test_domain_geometry import blocks_of
-from test_manifold_graph import ORACLE_INPUTS, collinear, directed_edges, lattice
+from test_manifold_graph import ORACLE_INPUTS, blocks_of, collinear, directed_edges, lattice
 
 
 def random_problem(seed, n=40, p=25, d=5, s=6):
@@ -79,22 +78,36 @@ class TestImputeAligned:
         assert list(timings) == ["distance", "graph", "weights", "iterate"]
 
     @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
-    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("rows", [None, 3])
     def test_graph_equals_build_graph_on_cdist(self, name, rows, monkeypatch):
         make, deltas = ORACLE_INPUTS[name]
         data = make()
         n = len(data)
+        # the oracle at the real block size, before any shrinking
+        expected = {delta: ei.build_graph(cdist(data, data), delta) for delta in deltas}
+        blocks = []
         if rows:
+            # 3-row blocks split every input but two_points, so the cut
+            # runs on the pool and the tree's folds read many chunks
             blocks_of(monkeypatch, rows, n)
+            cut = manifold_graph._nearest_columns
+
+            def counting_cut(*args, **kwargs):
+                blocks.append(1)
+                return cut(*args, **kwargs)
+
+            monkeypatch.setattr(manifold_graph, "_nearest_columns", counting_cut)
         domain = ei.DomainMatrix(tuple(f"e{i}" for i in range(n)), data)
         # one free row, whose in-neighbors are all known: every graph,
         # delta 1 on a lattice included, leaves it reachable
         known = np.random.default_rng(64).normal(size=(n - 1, 3))
         for delta in deltas:
+            blocks.clear()
             graph, *_ = ei.impute_aligned(domain, known, delta)
-            expected = ei.build_graph(cdist(data, data), delta)
-            assert np.array_equal(graph.indptr, expected.indptr)
-            assert np.array_equal(graph.indices, expected.indices)
+            if rows:
+                assert len(blocks) == math.ceil(n / rows)
+            assert np.array_equal(graph.indptr, expected[delta].indptr)
+            assert np.array_equal(graph.indices, expected[delta].indices)
 
     @pytest.mark.parametrize("kind", sorted(GRAPH_INPUTS))
     def test_graph_equals_build_graph_on_cdist_randomized(self, kind, monkeypatch):
