@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .embedding_io import (
+    _check_serializable,
     load_domain_csv,
     load_embeddings,
     load_labels_csv,
@@ -66,6 +67,9 @@ def _cmd_impute(args) -> int:
     config = ImputationConfig(eta=args.eta, max_iter=args.max_iter, seed=args.seed)
     timings = {}
     domain = _timed(timings, "load", load_domain_csv, args.domain)
+    # every domain entity is written to --out, so an unwritable one fails
+    # before any stage runs
+    _check_serializable(domain.entities)
     table = _timed(timings, "load", load_embeddings, args.embeddings)
 
     run = impute_embeddings(domain, table, delta=args.delta, config=config)

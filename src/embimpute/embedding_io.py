@@ -97,7 +97,10 @@ def _read_text(path) -> str:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        # a leading byte-order mark, as spreadsheet programs write one, is
+        # not text; dropped after decoding, so an error names the byte in
+        # the file
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
 
@@ -196,13 +199,16 @@ def load_embeddings(path) -> EmbeddingTable:
     return EmbeddingTable(dim, entries)
 
 
+def _check_serializable(tokens) -> None:
+    """Raise unless every token can be the first field of a ``.vec`` line."""
+    for token in tokens:
+        if len(token.split()) != 1 or token != token.strip():
+            raise ValidationError(f"token {token!r} contains whitespace and cannot be serialized")
+
+
 def save_embeddings(table: EmbeddingTable, path) -> None:
     """Write header plus one line per token at full round-trip precision."""
-    for token in table.entries:
-        if len(token.split()) != 1 or token != token.strip():
-            raise ValidationError(
-                f"token {token!r} contains whitespace and cannot be serialized"
-            )
+    _check_serializable(table.entries)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table.entries)} {table.dim}\n")
         # one % operation per line; it gives the bytes of f"{v:.17g}"

@@ -20,7 +20,7 @@ exact values are read from it. Either way the graph is the one the
 exact distances define.
 
 One blocked cut (``_nearest_columns``) over the 1 MiB row blocks of the
-keys, on a thread per CPU (``_run_blocks``), takes every row's delta + 1
+keys, on a thread per CPU (``_nearest``), takes every row's delta + 1
 nearest columns by (distance, index), and both steps read it; a row
 whose keys near its (delta + 1)-th lie within 2M of each other is ranked
 on exact distances. The tree is the unique minimum under the strict
@@ -58,7 +58,7 @@ support, which is all the weight solver and ``is_connected`` read.
 from __future__ import annotations
 
 import os
-import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -140,62 +140,49 @@ class NeighborGraph:
         return self.indices.size
 
 
-def _run_blocks(work, starts, size: int) -> None:
-    """Call ``work(lo, buf)`` for every block start ``lo`` in ``starts``:
-    the row blocks of ``_nearest``'s cut, whose numpy partitions and sorts
-    release the GIL.
-
-    The blocks run on one thread per CPU in the process's affinity mask
-    (per CPU where the platform has none; at most one per block), or
-    inline when there is one block. ``buf`` is float64 scratch of ``size``
-    entries that no other block uses meanwhile. A block's exception is
-    raised here, and the blocks not yet started are cancelled.
-    """
-    starts = list(starts)
-    if len(starts) < 2:
-        for lo in starts:
-            work(lo, np.empty(size))
-        return
-    # the affinity mask is Linux-only; elsewhere every CPU counts
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(starts))
-    # buffers made by this thread: a block made and freed in a worker
-    # would stay resident in that worker's malloc arena after the call
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put(np.empty(size))
-
-    def run(lo):
-        buf = buffers.get()
-        try:
-            work(lo, buf)
-        finally:
-            # also after a failed block: a worker that has already started
-            # the next block waits for a buffer
-            buffers.put(buf)
-
-    with ThreadPoolExecutor(workers) as pool:
-        # map re-raises a worker's exception here and cancels the blocks
-        # not yet started
-        for _ in pool.map(run, starts):
-            pass
-
-
 def _nearest(keys: np.ndarray, r: int, margin: float, exact) -> np.ndarray:
     """Each row's ``r`` nearest columns in (exact value, column) order:
-    one ``_nearest_columns`` cut over the 1 MiB row blocks of ``keys``, on
-    ``_run_blocks``' threads."""
+    one ``_nearest_columns`` cut over the 1 MiB row blocks of ``keys``.
+
+    The cut's numpy partitions and sorts release the GIL, so the blocks
+    run on one thread per CPU in the process's affinity mask (per CPU
+    where the platform has none; at most one per block), or inline when
+    one block covers the keys. Each thread cuts its blocks in one float64
+    scratch block of its own. A block's exception is raised here, and the
+    blocks not yet started are cancelled.
+    """
     n = keys.shape[0]
     nearest = np.empty((n, r), dtype=np.int64)
     rows = max(1, _BLOCK_BYTES // (8 * n))
+    starts = range(0, n, rows)
+    # the affinity mask is Linux-only; elsewhere every CPU counts
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(starts))
+    # made by this thread before any block is cut, one per worker, which
+    # each worker takes once as it starts: a block made and freed in a
+    # worker would stay resident in that worker's malloc arena after the
+    # call, and the pool starts at most ``workers`` threads
+    blocks = [np.empty(rows * n) for _ in range(workers)]
+    scratch = threading.local()
 
-    def cut(lo, buf):
+    def lend():
+        scratch.buf = blocks.pop()
+
+    def cut(lo):
         def block_exact(block_rows, cols):
             return exact(lo + block_rows, cols)
 
-        nearest[lo : lo + rows] = _nearest_columns(keys[lo : lo + rows], r, buf, margin, block_exact)
+        nearest[lo : lo + rows] = _nearest_columns(keys[lo : lo + rows], r, scratch.buf, margin, block_exact)
 
-    _run_blocks(cut, range(0, n, rows), rows * n)
+    if len(starts) == 1:
+        lend()
+        cut(0)
+    else:
+        with ThreadPoolExecutor(workers, initializer=lend) as pool:
+            # map re-raises a worker's exception here and cancels the
+            # blocks not yet started
+            for _ in pool.map(cut, starts):
+                pass
     return nearest
 
 

@@ -14,6 +14,7 @@ from embimpute import (
     EmbeddingTable,
     ImputationConfig,
     SyntheticTransferSpec,
+    ValidationError,
     build_graph,
     graph_stats,
     impute_aligned,
@@ -393,6 +394,34 @@ def test_delta_checked_before_the_quadratic_stages(command, delta, fixture_files
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: minimum degree") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out.vec").exists()
+
+
+def test_unwritable_entity_fails_before_any_stage(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the imputation ran before the entity names were checked")
+
+    monkeypatch.setattr(cli, "impute_embeddings", never)
+    rng = np.random.default_rng(72)
+    entities = tuple(f"e{i}" for i in range(30))
+    entities = entities[:25] + ("e 25",) + entities[26:]
+    write_domain_csv(tmp_path / "domain.csv", DomainMatrix(entities, rng.normal(size=(30, 3))))
+    save_embeddings(EmbeddingTable(2, {e: rng.normal(size=2) for e in entities[:20]}), tmp_path / "known.vec")
+    with pytest.raises(ValidationError) as saved:  # the rule --out is written by
+        save_embeddings(EmbeddingTable(1, {"e 25": [0.0]}), tmp_path / "never.vec")
+    code = main(
+        [
+            "impute",
+            "--domain", str(tmp_path / "domain.csv"),
+            "--embeddings", str(tmp_path / "known.vec"),
+            "--out", str(tmp_path / "out.vec"),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {saved.value}\n"
+    assert captured.err == "error: token 'e 25' contains whitespace and cannot be serialized\n"
     assert not (tmp_path / "out.vec").exists()
 
 

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 
@@ -378,3 +379,55 @@ class TestNonUtf8Input:
             loader(path)
         offset = content.index(0xE9)
         assert str(info.value) == f"{path}: not valid UTF-8 (byte {offset})"
+
+
+def parsed(value):
+    """A loader's result as plain comparable values, NaN included."""
+    if isinstance(value, DomainMatrix):
+        return value.entities, value.data.tobytes()
+    if isinstance(value, EmbeddingTable):
+        return value.dim, {token: vec.tobytes() for token, vec in value.entries.items()}
+    if isinstance(value, tuple):  # load_returns_csv
+        return value[0], value[1].tobytes()
+    return value
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet programs write
+    one, is not part of the first line."""
+
+    CONTENT = [
+        pytest.param(load_domain_csv, b"aaa,1.0,2.0\nbbb,3.0,4.0\n", id="domain"),
+        # the csv module's path
+        pytest.param(load_domain_csv, b'"aaa",1.0,2.0\nbbb,3.0,4.0\n', id="domain_quoted"),
+        pytest.param(load_returns_csv, b"aaa,1.0,\nbbb,3.0,4.0\n", id="returns"),
+        pytest.param(load_embeddings, b"2 2\naaa 1.0 2.0\nbbb 3.0 4.0\n", id="vec_header"),
+        pytest.param(load_embeddings, b"aaa 1.0 2.0\nbbb 3.0 4.0\n", id="vec"),
+        pytest.param(load_labels_csv, b"entity,label\naaa,x\nbbb,y\n", id="labels"),
+    ]
+
+    @pytest.mark.parametrize("loader, content", CONTENT)
+    def test_parses_like_the_file_without_it(self, loader, content, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(content)
+        marked.write_bytes(codecs.BOM_UTF8 + content)
+        assert parsed(loader(marked)) == parsed(loader(plain))
+        assert "aaa" in str(parsed(loader(marked)))
+
+    def test_vec_header_still_counts(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_bytes(codecs.BOM_UTF8 + b"3 2\naaa 1.0 2.0\nbbb 3.0 4.0\n")
+        with pytest.raises(ValidationError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{path}: header declares 3 rows, found 2"
+
+    @pytest.mark.parametrize(
+        "loader", list(TestNonUtf8Input.CONTENT), ids=lambda f: f.__name__
+    )
+    def test_non_utf8_error_names_the_byte_in_the_file(self, loader, tmp_path):
+        path = tmp_path / "in.txt"
+        content = codecs.BOM_UTF8 + TestNonUtf8Input.CONTENT[loader]
+        path.write_bytes(content)
+        with pytest.raises(ValidationError) as info:
+            loader(path)
+        assert str(info.value) == f"{path}: not valid UTF-8 (byte {content.index(0xE9)})"

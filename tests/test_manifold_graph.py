@@ -536,7 +536,7 @@ def cut_failing_past_the_first_block(monkeypatch, D, error):
 
 
 class TestBlockedCut:
-    """The cut's 3-row blocks of 40 points on ``_run_blocks``' pool."""
+    """The cut's 3-row blocks of 40 points on ``_nearest``'s pool."""
 
     def test_no_worker_outlives_the_call(self, monkeypatch):
         D = symmetric_distances(40)
@@ -560,14 +560,39 @@ class TestBlockedCut:
         assert raised_in and threading.main_thread() not in raised_in
 
     def test_failed_block_on_one_cpu_does_not_hang(self, monkeypatch):
-        # the single worker has started the next block by the time the
-        # failure reaches the caller; that block needs the failed one's buffer
+        # the single worker may have started the next block, in the same
+        # scratch block, by the time the failure reaches the caller, which
+        # waits for that block and cancels the rest
         monkeypatch.setattr(manifold_graph.os, "sched_getaffinity", lambda pid: {0})
         D = symmetric_distances(40)
         blocks_of(monkeypatch, 3, 40)
         cut_failing_past_the_first_block(monkeypatch, D, ValidationError("a failed block"))
         with pytest.raises(ValidationError):
             build_graph(D, 4)
+
+    @pytest.mark.parametrize("cpus", [None, {0}, set(range(20))], ids=["mask", "one", "twenty"])
+    def test_each_worker_keeps_one_scratch_block(self, cpus, monkeypatch):
+        if cpus is not None:
+            monkeypatch.setattr(manifold_graph.os, "sched_getaffinity", lambda pid: cpus)
+        workers = min(len(manifold_graph.os.sched_getaffinity(0)), 14)  # ceil(40 / 3) blocks
+        D = symmetric_distances(40)
+        expected = build_graph(D, 4)  # one block, inline
+        blocks_of(monkeypatch, 3, 40)
+        used = set()  # (thread, scratch address) of every block cut
+        cut = manifold_graph._nearest_columns
+
+        def recording_cut(block, r, buf, *args):
+            used.add((threading.get_ident(), buf.ctypes.data))
+            return cut(block, r, buf, *args)
+
+        monkeypatch.setattr(manifold_graph, "_nearest_columns", recording_cut)
+        assert directed_edges(build_graph(D, 4)) == directed_edges(expected)
+        threads = {thread for thread, _ in used}
+        buffers = {address for _, address in used}
+        # one scratch block per thread, kept for every block it cuts
+        assert len(used) == len(threads) == len(buffers) <= workers
+        if cpus == {0}:
+            assert len(buffers) == 1
 
     @pytest.mark.parametrize("cpus", [None, 1, 3])
     def test_platform_without_affinity_mask(self, cpus, monkeypatch):
