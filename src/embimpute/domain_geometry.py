@@ -3,7 +3,12 @@
 The feature matrix describes each entity in the affinity space; pairwise
 Euclidean distances over its rows drive the neighbor-graph construction,
 ranked by Gram keys with exact ``cdist`` values wherever the keys are
-too close to decide.
+too close to decide. The keys are computed in float64, scaled by a power
+of two and stored as float32: each lies within a relative rho and an
+absolute M of the scaled square of its pair's distance, and ``_limit``
+says how far apart two keys must be to order their pairs for certain.
+``scipy.spatial`` is imported on the first ``cdist`` call, not with the
+package.
 A small preprocessing helper turns raw return series into a correlation
 matrix usable as such a feature matrix.
 """
@@ -15,7 +20,6 @@ import mmap
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
 
@@ -23,6 +27,14 @@ _BLOCK_BYTES = 1 << 20  # bytes in one block: the key tiles, the graph and k-NN 
 _MAX_MISSING_FRACTION = 0.20  # return rows missing more of their cells are dropped
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
+_FLOAT32_UNIT_ROUNDOFF = 2.0**-24
+_FLOAT32_SUBNORMAL = 2.0**-149
+# rho, the relative rounding of keys stored as each dtype: float32 keys
+# are rounded once more after M is counted, float64 keys never
+_STORAGE_ROUNDING = {
+    np.dtype(np.float32): 2 * _FLOAT32_UNIT_ROUNDOFF / (1 - _FLOAT32_UNIT_ROUNDOFF),
+    np.dtype(np.float64): 0.0,
+}
 # below it, 8 max|x|^2 is finite, so no Gram product, norm or sum overflows
 _GRAM_LIMIT = np.finfo(float).max / 8
 _HUGE_PAGE_BYTES = 1 << 22  # numpy advises huge pages from this size
@@ -71,27 +83,63 @@ class DomainMatrix:
         return self.data.shape[1]
 
 
+def cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.spatial.distance.cdist(a, b)``; ``scipy.spatial`` is
+    imported on the first call, so importing the package does not load it."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(a, b)
+
+
+def _limit(low, rho: float, margin: float):
+    """The key past which a pair ranks after the pair whose key is ``low``,
+    for certain: ``low (1 + rho) + 2 margin`` in float64, for a float or a
+    float64 array ``low``.
+
+    A key f stored with relative rounding u (rho = 2u / (1 - u)) lies
+    within u f + M of its pair's scaled exact square, M the margin, so f2
+    orders its pair after f1's when f2 (1 - u) - M > f1 (1 + u) + M. That
+    asks for 2 M u / (1 - u) more than this limit; the margin's slack
+    covers it and the rounding of this float64 sum.
+
+    Compare float32 keys with the limit rounded to the nearest float32: a
+    float32 lies at or below that exactly when it lies at or below the
+    limit or is that nearest value, one key more at most. Never compute
+    the limit from a float32 ``low``: float32 arithmetic (which a float32
+    array keeps with a Python float, under value-based casting and NEP 50
+    alike) rounds ``low + low rho`` back down to ``low``.
+    """
+    return low + (low * rho + 2 * margin)
+
+
 def _nearest_columns(block: np.ndarray, r: int, buf: np.ndarray, margin: float = 0.0, exact=None) -> np.ndarray:
     """Per row of ``block``, the columns of its ``r`` smallest values in
     (value, column) order: the first ``r`` of a stable argsort, without
-    sorting whole rows. ``buf`` is float64 scratch of at least
-    ``block.size`` entries; ``block`` is left as it is.
+    sorting whole rows. ``buf`` is scratch of ``block``'s dtype (float32
+    keys or float64 values) with at least ``block.size`` entries;
+    ``block`` is left as it is.
 
-    With a positive ``margin`` the values are keys, each within ``margin``
-    of the square of its pair's exact value (with 0, the exact values), so
-    two keys order their exact values only when they differ by more than
-    ``2 * margin``. A row whose first ``r + 1`` keys hold two that close
-    is ranked by (exact value, column) over its columns within
-    ``2 * margin`` of its r-th key, where ``exact(rows, cols)`` gives the
-    exact values of ``block[rows][:, cols]``.
+    With a positive ``margin`` the values are keys, each within the
+    relative rounding of ``block``'s dtype and the absolute ``margin`` of
+    the scaled square of its pair's exact value (with 0, the exact
+    values), so a key orders its pair after another's only when it lies
+    past that key's ``_limit``. A row whose first ``r + 1`` keys hold two
+    closer than that is ranked by (exact value, column) over its columns
+    within the limit of its r-th key, where ``exact(rows, cols)`` gives
+    the float64 exact values of ``block[rows][:, cols]``; that cut gets a
+    float64 scratch block of its own.
     """
     m, w = block.shape
     part = buf[: m * w].reshape(m, w)
     np.copyto(part, block)
     part.partition(r - 1, axis=1)
-    # every column up to 2 margin past a row's r-th smallest value, ties
-    # at it included, in row-major order
-    flat = np.flatnonzero(block <= part[:, r - 1 : r] + 2 * margin)
+    limit = part[:, r - 1 : r]
+    if margin:
+        rho = _STORAGE_ROUNDING[block.dtype]
+        limit = _limit(limit.astype(float), rho, margin).astype(block.dtype)
+    # every column up to the limit of a row's r-th smallest value, ties at
+    # it included, in row-major order
+    flat = np.flatnonzero(block <= limit)
     rows, cols = np.divmod(flat, w)
     first = np.searchsorted(rows, np.arange(m + 1))
     if not margin:
@@ -100,9 +148,9 @@ def _nearest_columns(block: np.ndarray, r: int, buf: np.ndarray, margin: float =
         cols = cols[np.lexsort((np.take(block, flat), rows))]
         return cols[first[:-1, None] + np.arange(r)]
 
-    # a row is in doubt when a column past its r-th lies within 2 margin
+    # a row is in doubt when a column past its r-th lies within the limit
     # of it; the others hold exactly r columns, ascending, and are in
-    # doubt when two of their keys lie within 2 margin
+    # doubt when one of their keys lies within the limit of the one before
     doubt = np.diff(first) > r
     sure = np.flatnonzero(~doubt)
     picked = ~doubt[rows]
@@ -110,16 +158,17 @@ def _nearest_columns(block: np.ndarray, r: int, buf: np.ndarray, margin: float =
     order = np.argsort(values, axis=1, kind="stable")
     head = np.empty((m, r), dtype=np.int64)
     head[sure] = np.take_along_axis(cols[picked].reshape(-1, r), order, axis=1)
-    gaps = np.diff(np.take_along_axis(values, order, axis=1), axis=1)
-    doubt[sure[(gaps <= 2 * margin).any(axis=1)]] = True
+    ranked = np.take_along_axis(values, order, axis=1).astype(float)
+    doubt[sure[(ranked[:, 1:] <= _limit(ranked[:, :-1], rho, margin)).any(axis=1)]] = True
     if doubt.any():
         # one exact read, no larger than the block: the rows in doubt
-        # over every column within 2 margin of one of them. A column past
+        # over every column within the limit of one of them. A column past
         # a row's own limit has an exact value above r others of that
         # row, so the cut of these exact values is the answer
         wanted = np.flatnonzero(np.bincount(cols[doubt[rows]], minlength=w))
         doubt = np.flatnonzero(doubt)
-        head[doubt] = wanted[_nearest_columns(exact(doubt, wanted), r, buf)]
+        values = exact(doubt, wanted)
+        head[doubt] = wanted[_nearest_columns(values, r, np.empty(values.size))]
     return head
 
 
@@ -157,9 +206,9 @@ def _entries(D: np.ndarray):
     return lambda rows, cols: D[np.ix_(rows, cols)]
 
 
-def _square_matrix(n: int) -> np.ndarray:
-    """An uninitialized n x n float64 matrix; from 4 MiB, on an anonymous
-    mapping of its own.
+def _square_matrix(n: int, dtype) -> np.ndarray:
+    """An uninitialized n x n matrix of ``dtype``; from 4 MiB, on an
+    anonymous mapping of its own.
 
     A large matrix is kept off the malloc heap: once glibc's mmap
     threshold has risen past its size, the heap would place it wherever
@@ -170,9 +219,9 @@ def _square_matrix(n: int) -> np.ndarray:
     the matrix is freed. A smaller one comes from the heap, where it
     reuses resident pages instead of faulting in fresh ones.
     """
-    size = 8 * n * n
+    size = np.dtype(dtype).itemsize * n * n
     if size < _HUGE_PAGE_BYTES:
-        return np.empty((n, n))
+        return np.empty((n, n), dtype)
     if hasattr(mmap, "MAP_PRIVATE"):
         # private, as malloc maps: shared anonymous memory takes no huge pages
         area = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
@@ -180,36 +229,46 @@ def _square_matrix(n: int) -> np.ndarray:
         area = mmap.mmap(-1, size)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         area.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(area, dtype=float).reshape(n, n)
+    return np.frombuffer(area, dtype=dtype).reshape(n, n)
 
 
 def _squared_distance_keys(domain: DomainMatrix):
     """Keys that rank the pairwise distances of ``domain``'s rows.
 
-    Returns ``(keys, margin, exact)``. ``keys`` is an n x n matrix of
-    |x|^2 + |y|^2 - 2 x.y, clipped at 0, with an exactly zero diagonal,
-    made by ``_square_matrix`` (from 4 MiB, off the malloc heap, so the
-    peak resident size does not depend on what earlier calls left there).
-    The upper triangle is computed in 1 MiB square tiles of
-    ``X[a] @ X[b].T``, on BLAS's threads in one Python loop; each tile is
-    finished in place and mirrored while it is in cache, and one tile that
-    covers the matrix is written straight into it. (Square tiles, not row
-    blocks: the mirrored write of a row block touches every row of the
-    matrix, that of a tile only a few hundred.)
+    Returns ``(keys, margin, exact)``. ``keys`` is an n x n float32 matrix
+    of (|x|^2 + |y|^2 - 2 x.y) 2^-e, clipped at 0, with an exactly zero
+    diagonal, made by ``_square_matrix`` (from 4 MiB, that is 1024 rows,
+    off the malloc heap, so the peak resident size does not depend on what
+    earlier calls left there). The upper triangle is computed in float64,
+    in 1 MiB square tiles of ``X[a] @ X[b].T`` on BLAS's threads in one
+    Python loop; each tile is finished in place, scaled by 2^-e and
+    rounded to float32, and stored and mirrored while it is in cache.
+    (Square tiles, not row blocks: the mirrored write of a row block
+    touches every row of the matrix, that of a tile only a few hundred.)
+    The power of two 2^-e puts 4 max|x|^2, which bounds every key, in
+    [1/2, 1) (below that where 4 max|x|^2 is subnormal: 2^-e is at most
+    2^1022), so scaling is exact but for float64 subnormals and no key
+    leaves float32's range.
 
-    ``margin`` bounds |key - cdist(x, y)^2| for every pair (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 3): the inner
-    products, norms and sums err by at most gamma_{d+2} (|x| + |y|)^2,
-    and ``cdist`` by gamma_{d+4} |x - y|^2, both under 4 gamma_{d+4}
-    max|x|^2 with gamma_m = m u / (1 - m u); one more gamma_{d+4} max|x|^2
-    covers the rounding of the comparisons against 2 margin, and an
-    absolute term the subnormal products. ``exact(rows, cols)`` is
-    ``cdist(X[rows], X[cols])``, which gives every pair the bits of
-    ``cdist(X, X)``.
+    ``margin`` is M, and each key f lies within u f + M of
+    cdist(x, y)^2 2^-e, with u = 2^-24 the float32 rounding
+    (``_STORAGE_ROUNDING`` holds rho = 2u / (1 - u); see ``_limit``).
+    Before scaling, the float64 key lies within
+    8 gamma_{d+4} max|x|^2 of cdist(x, y)^2 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3): the inner products, norms
+    and sums err by at most gamma_{d+2} (|x| + |y|)^2, and ``cdist`` by
+    gamma_{d+4} |x - y|^2, both under 4 gamma_{d+4} max|x|^2 with
+    gamma_m = m u / (1 - m u). M is that bound plus one more
+    gamma_{d+4} max|x|^2, which covers the rounding of the float64
+    limits, and an absolute term for the subnormal products, all scaled
+    by 2^-e, plus the float32 subnormal spacing, which covers the
+    absolute rounding of keys that scale or store below float32's normal
+    range. ``exact(rows, cols)`` is ``cdist(X[rows], X[cols])``, which
+    gives every pair the bits of ``cdist(X, X)``.
 
     When a key could overflow (8 max|x|^2 is not finite) the result is
-    ``euclidean_distance_matrix``'s D, a margin of 0 and reads from D, so
-    overflowing distances raise as they do there.
+    ``euclidean_distance_matrix``'s float64 D, a margin of 0 and reads
+    from D, so overflowing distances raise as they do there.
     """
     data = domain.data
     n, d = data.shape
@@ -218,25 +277,36 @@ def _squared_distance_keys(domain: DomainMatrix):
     if not top < _GRAM_LIMIT:
         D = euclidean_distance_matrix(domain)
         return D, 0.0, _entries(D)
-    keys = _square_matrix(n)
-    side = math.isqrt(_BLOCK_BYTES // 8)
-    buf = np.empty(side * side) if side < n else None
+    scale = math.ldexp(1.0, -max(math.frexp(4 * top)[1], -1022))
+    scaled_sq = sq * scale
+    keys = _square_matrix(n, np.float32)
+    side = min(n, math.isqrt(_BLOCK_BYTES // 8))
+    buf = np.empty(side * side)
+    # a tile that covers the keys is stored straight into them; the others
+    # through a contiguous float32 tile, as a transposed copy within the
+    # keys is slow
+    stored = keys.reshape(-1) if side == n else np.empty(side * side, dtype=np.float32)
     for lo in range(0, n, side):
         for left in range(lo, n, side):
             rows, cols = slice(lo, lo + side), slice(left, left + side)
             m, w = min(side, n - lo), min(side, n - left)
-            tile = keys if buf is None else buf[: m * w].reshape(m, w)
+            tile = buf[: m * w].reshape(m, w)
             np.matmul(data[rows], data[cols].T, out=tile)
-            tile *= -2.0
-            tile += sq[rows, None]
-            tile += sq[cols]
-            np.maximum(tile, 0.0, out=tile)
-            if buf is not None:
-                keys[rows, cols] = tile
-                keys[cols, rows] = tile.T
+            # finished in float64 with 2^-e folded into its terms, which
+            # gives the bits of scaling the finished tile (but for float64
+            # subnormals), then rounded once to float32 as it is clipped
+            tile *= -2.0 * scale
+            tile += scaled_sq[rows, None]
+            tile += scaled_sq[cols]
+            key_tile = stored[: m * w].reshape(m, w)
+            np.maximum(tile, 0.0, out=key_tile, casting="same_kind")
+            if side < n:
+                keys[rows, cols] = key_tile
+                if left > lo:  # a diagonal tile holds both triangles
+                    keys[cols, rows] = key_tile.T
     np.fill_diagonal(keys, 0.0)
     gamma = (d + 4) * _UNIT_ROUNDOFF / (1 - (d + 4) * _UNIT_ROUNDOFF)
-    margin = 9 * gamma * top + 8 * (d + 4) * _SMALLEST_SUBNORMAL
+    margin = (9 * gamma * top + 8 * (d + 4) * _SMALLEST_SUBNORMAL) * scale + _FLOAT32_SUBNORMAL
     return keys, margin, lambda rows, cols: cdist(data[rows], data[cols])
 
 

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .domain_geometry import _BLOCK_BYTES, DomainMatrix, _nearest_columns
+from .domain_geometry import _BLOCK_BYTES, DomainMatrix, _nearest_columns, cdist
 from .errors import ValidationError, _check_integer, _check_real
 from .imputation_engine import ImputationConfig, power_iterate
 from .manifold_graph import _DELTA

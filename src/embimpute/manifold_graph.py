@@ -7,14 +7,16 @@ always by smaller vertex index so identical inputs yield identical graphs.
 
 One builder (``_build``) reads three things: an n x n matrix of keys
 that rank the distances, a margin M, and ``exact(rows, cols)``, the exact
-distances of those pairs. Each key lies within M of the square of its
-pair's exact distance (M = 0: the keys are the exact distances), so two
-keys order their pairs for certain only when they differ by more than
-2M; every decision closer than that is made on exact distances. The
-pipeline and the CLI's ``graph-stats`` pass the Gram keys of
+distances of those pairs. Each key f lies within rho f + M of the
+scaled square of its pair's exact distance, with rho the relative
+rounding of the keys' dtype (M = 0 and float64: the keys are the exact
+distances), so a key orders its pair after another's for certain only
+past that key's ``_limit``, f (1 + rho) + 2M computed in float64; every
+decision closer than that is made on exact distances. The pipeline and
+the CLI's ``graph-stats`` pass the float32 Gram keys of
 ``domain_geometry._squared_distance_keys``, its margin and ``cdist``
-reads (or, where a key could overflow, ``euclidean_distance_matrix``'s D
-with M = 0). ``build_graph(D)``, ``build_mst`` and
+reads (or, where a key could overflow, ``euclidean_distance_matrix``'s
+float64 D with M = 0). ``build_graph(D)``, ``build_mst`` and
 ``augment_to_min_degree`` are the M = 0 case: the keys are ``D`` and the
 exact values are read from it. Either way the graph is the one the
 exact distances define.
@@ -22,28 +24,30 @@ exact distances define.
 One blocked cut (``_nearest_columns``) over the 1 MiB row blocks of the
 keys, on a thread per CPU (``_nearest``), takes every row's delta + 1
 nearest columns by (distance, index), and both steps read it; a row
-whose keys near its (delta + 1)-th lie within 2M of each other is ranked
-on exact distances. The tree is the unique minimum under the strict
+whose keys near its (delta + 1)-th lie within each other's limits is
+ranked on exact distances. The tree is the unique minimum under the strict
 total order (weight, smaller index, larger index), so it is the tree
 Kruskal's algorithm yields when it scans edges in that order. For a
 fixed vertex that order ranks its edges by (weight, other end), so a
 vertex's first column in the cut other than itself is its least edge,
 and that edge is a tree edge (Borůvka's first round). A dense Prim over
 the components these edges leave adds the rest: each joining vertex's
-row of keys updates the frontier's least keys once. The frontier
-vertices within 2M of the least key are the candidates. When one
-candidate has one tree end within 2M, that edge is next, read from the
-candidate's own row. Otherwise each candidate is watched: its least edge
-by (exact distance, tree end) is read once, by one ``exact`` call per
-1 MiB of keys near it, and folded with each later joining component,
-and the order picks among the candidates' least edges. Inside the package the
-tree passes as two endpoint arrays in no set order; only ``build_mst``
-sorts it and reads its weights into tuples. The augmentation takes each
-short vertex's new sources from the same cut.
+row of keys updates the frontier's least keys, kept in the keys' dtype,
+once. The frontier vertices within the limit of the least key are the
+candidates. When one candidate has one tree end within it, that edge is
+next, read from the candidate's own row. Otherwise each candidate is
+watched: its least edge by (exact distance, tree end) is read once, by
+one ``exact`` call per 1 MiB of keys near it, and folded with each later
+joining component, and the order picks among the candidates' least
+edges. Inside the package the tree passes as two endpoint arrays in no
+set order; only ``build_mst`` sorts it and reads its weights into
+tuples. The augmentation takes each short vertex's new sources from the
+same cut.
 
 The stage takes O(n^2) time, plus the exact reads: none where no two
-keys are that close (no row or step of the benchmark inputs), a few per
-row or step on tie-heavy inputs (lattices, duplicate rows); it
+keys are that close, at most one of about ten pairs per benchmark
+input, and a few per row or step on tie-heavy inputs (lattices,
+duplicate rows) and where float32 keys lie an ulp or two apart; it
 allocates nothing n x n beyond the keys. ``build_graph`` validates ``D``
 once; ``build_mst`` and ``augment_to_min_degree`` each validate their
 own input; the key stage's output is valid by construction. ``delta`` is
@@ -66,7 +70,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .domain_geometry import _BLOCK_BYTES, _entries, _nearest_columns
+from .domain_geometry import _BLOCK_BYTES, _STORAGE_ROUNDING, _entries, _limit, _nearest_columns
 from .errors import ValidationError, _check_integer
 
 # side of the square tiles the symmetry check compares
@@ -147,13 +151,13 @@ def _nearest(keys: np.ndarray, r: int, margin: float, exact) -> np.ndarray:
     The cut's numpy partitions and sorts release the GIL, so the blocks
     run on one thread per CPU in the process's affinity mask (per CPU
     where the platform has none; at most one per block), or inline when
-    one block covers the keys. Each thread cuts its blocks in one float64
-    scratch block of its own. A block's exception is raised here, and the
-    blocks not yet started are cancelled.
+    one block covers the keys. Each thread cuts its blocks in one scratch
+    block of its own, of the keys' dtype. A block's exception is raised
+    here, and the blocks not yet started are cancelled.
     """
     n = keys.shape[0]
     nearest = np.empty((n, r), dtype=np.int64)
-    rows = max(1, _BLOCK_BYTES // (8 * n))
+    rows = max(1, _BLOCK_BYTES // (keys.itemsize * n))
     starts = range(0, n, rows)
     # the affinity mask is Linux-only; elsewhere every CPU counts
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -162,7 +166,7 @@ def _nearest(keys: np.ndarray, r: int, margin: float, exact) -> np.ndarray:
     # each worker takes once as it starts: a block made and freed in a
     # worker would stay resident in that worker's malloc arena after the
     # call, and the pool starts at most ``workers`` threads
-    blocks = [np.empty(rows * n) for _ in range(workers)]
+    blocks = [np.empty(rows * n, dtype=keys.dtype) for _ in range(workers)]
     scratch = threading.local()
 
     def lend():
@@ -205,10 +209,11 @@ def _mst(keys: np.ndarray, nearest: np.ndarray, margin: float, exact) -> tuple[n
     order = np.argsort(label, kind="stable")
     bounds = np.searchsorted(label[order], np.arange(count + 1)).tolist()
 
-    # Prim over the components. best_w[v]: least key from the tree to v;
-    # tree vertices hold NaN, which fails every comparison and which fmin
-    # skips, so they are never picked or updated again
-    best_w = np.full(n, np.inf)
+    # Prim over the components. best_w[v]: least key from the tree to v,
+    # in the keys' dtype; tree vertices hold NaN, which fails every
+    # comparison and which fmin skips, so they are never picked or updated
+    # again
+    best_w = np.full(n, np.inf, dtype=keys.dtype)
     in_tree = np.zeros(n, dtype=bool)
     # a frontier vertex that has been a candidate among several is
     # watched: its least edge by (exact weight, tree end) is kept in
@@ -218,7 +223,7 @@ def _mst(keys: np.ndarray, nearest: np.ndarray, margin: float, exact) -> tuple[n
     least_u = np.empty(n, dtype=np.int64)
     src = np.empty(count - 1, dtype=np.int64)
     dst = np.empty(count - 1, dtype=np.int64)
-    slack = 2 * float(margin)
+    rho = _STORAGE_ROUNDING[keys.dtype]
     joining = label[0]
     for step in range(count - 1):
         members = order[bounds[joining] : bounds[joining + 1]]
@@ -228,11 +233,13 @@ def _mst(keys: np.ndarray, nearest: np.ndarray, margin: float, exact) -> tuple[n
         in_tree[members] = True
         watched[members] = False
         if watched.any():
-            _fold_edges(keys, watched.nonzero()[0], np.sort(members), best_w, least_w, least_u, slack, exact)
+            _fold_edges(keys, watched.nonzero()[0], np.sort(members), best_w, least_w, least_u, margin, exact)
 
-        # only frontier vertices within 2 margin of the least key can hold
-        # the least edge, and only through tree ends within 2 margin
-        limit = np.fmin.reduce(best_w) + slack
+        # only frontier vertices within the limit of the least key can
+        # hold the least edge, and only through tree ends within it. The
+        # limit is a Python float, which a comparison with float32 keys
+        # rounds to the nearest float32 (see _limit)
+        limit = _limit(float(np.fmin.reduce(best_w)), rho, margin)
         cand = (best_w <= limit).nonzero()[0]
         v = cand[0]
         if cand.size == 1:
@@ -245,7 +252,7 @@ def _mst(keys: np.ndarray, nearest: np.ndarray, margin: float, exact) -> tuple[n
             fresh = cand[~watched[cand]]
             if fresh.size:
                 least_w[fresh] = np.inf
-                _fold_edges(keys, fresh, in_tree.nonzero()[0], best_w, least_w, least_u, slack, exact)
+                _fold_edges(keys, fresh, in_tree.nonzero()[0], best_w, least_w, least_u, margin, exact)
                 watched[fresh] = True
             # a vertex's least edge by (weight, tree end) is its least by
             # (weight, lo, hi) too, so the least of the candidates' least
@@ -267,16 +274,17 @@ def _least_edges(frontier: np.ndarray, ends: np.ndarray, exact) -> tuple[np.ndar
     return weights[np.arange(frontier.size), first], ends[first]
 
 
-def _fold_edges(keys, frontier, tree, best_w, least_w, least_u, slack, exact) -> None:
+def _fold_edges(keys, frontier, tree, best_w, least_w, least_u, margin, exact) -> None:
     """Fold the edges from the ascending ``tree`` vertices into the least
     edges of the ``frontier`` vertices, in 1 MiB chunks of tree columns.
-    A tree vertex more than ``slack`` (2 margin) above a frontier vertex's
-    least key is never its least edge, so only the others are read
-    exactly."""
-    span = max(1, _BLOCK_BYTES // (8 * frontier.size))
+    A tree vertex past the ``_limit`` of a frontier vertex's least key is
+    never its least edge, so only the others are read exactly."""
+    low = best_w[frontier, None].astype(float)
+    limits = _limit(low, _STORAGE_ROUNDING[keys.dtype], margin).astype(keys.dtype)
+    span = max(1, _BLOCK_BYTES // (keys.itemsize * frontier.size))
     for lo in range(0, tree.size, span):
         ends = tree[lo : lo + span]
-        near = keys[np.ix_(frontier, ends)] <= best_w[frontier, None] + slack
+        near = keys[np.ix_(frontier, ends)] <= limits
         rows = frontier[near.any(axis=1)]
         if rows.size:
             w, u = _least_edges(rows, ends[near.any(axis=0)], exact)

@@ -1,3 +1,7 @@
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -132,6 +136,17 @@ DISTANCE_INPUTS = {
 }
 
 
+class TestCdistImport:
+    def test_scipy_spatial_loads_on_the_first_cdist_call(self):
+        code = (
+            "import sys, embimpute, embimpute.cli\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy.spatial')]\n"
+            "assert embimpute.domain_geometry.cdist([[0.0]], [[3.0]]).tolist() == [[3.0]]\n"
+            "assert 'scipy.spatial.distance' in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+
 class TestBitsEqualCdist:
     @pytest.mark.parametrize("name", sorted(DISTANCE_INPUTS))
     def test_bits_equal_cdist(self, name):
@@ -140,17 +155,22 @@ class TestBitsEqualCdist:
 
 
 class TestSquaredDistanceKeys:
-    # 723 rows: the keys just under 4 MiB, from the heap; 725: just over,
-    # on a mapping of their own
-    @pytest.mark.parametrize("n, owned", [(723, False), (725, True)])
+    # 1023 rows: float32 keys just under 4 MiB, from the heap; 1024:
+    # exactly 4 MiB, on a mapping of their own
+    @pytest.mark.parametrize("n, owned", [(1023, False), (1024, True)])
     def test_keys_within_margin_of_cdist_squared(self, n, owned):
         data = np.random.default_rng(n).normal(size=(n, 5))
         keys, margin, exact = domain_geometry._squared_distance_keys(DomainMatrix(range(n), data))
+        assert keys.dtype == np.float32 and keys.nbytes == 4 * n * n
         assert (keys.base is not None) == owned  # np.empty owns its data
         assert keys.flags.writeable and keys.shape == (n, n)
         assert not np.diagonal(keys).any()
+        # 2^-e puts 4 max|x|^2 in [1/2, 1)
+        scale = 2.0 ** -math.frexp(4 * np.einsum("ij,ij->i", data, data).max())[1]
         D = cdist(data, data)
-        assert np.abs(keys - D**2).max() <= margin
+        # stored with relative rounding u = rho / 2 (1 - u) <= rho / 2
+        rho = domain_geometry._STORAGE_ROUNDING[keys.dtype]
+        assert np.all(np.abs(keys - D**2 * scale) <= rho / 2 * keys + margin)
         rows, cols = np.array([0, n - 1]), np.arange(0, n, 7)
         assert np.array_equal(exact(rows, cols), D[np.ix_(rows, cols)])
 

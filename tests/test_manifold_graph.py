@@ -124,6 +124,25 @@ def collinear(n, scale):
     return scale * steps[:, None] * np.array([1.0, 2.0])
 
 
+def ulp_chain(n):
+    """n points on a line, shuffled, whose k-th gap is (1 + 2^-23)^(k/2):
+    a point's squared distances to its two neighbors, 1 + (k - 1) 2^-23
+    and 1 + k 2^-23 or so, are one float32 ulp apart as keys and some
+    10^4 float64 margins, with no two equal."""
+    gaps = (1 + 2.0**-23) ** (np.arange(n - 1) / 2)
+    return np.random.default_rng(32).permutation(np.concatenate([[0.0], np.cumsum(gaps)]))[:, None]
+
+
+def tiny_clusters():
+    """Unit-scale points around two clusters at the origin, of spread
+    1e-25 and 3e-20: their scaled squared distances fall to zero and into
+    float32's subnormal range."""
+    rng = np.random.default_rng(33)
+    return rng.permutation(
+        np.vstack([rng.normal(size=(16, 3)), 1e-25 * rng.normal(size=(8, 3)), 3e-20 * rng.normal(size=(8, 3))])
+    )
+
+
 ORACLE_INPUTS = {
     "random_300_d4": (lambda: np.random.default_rng(19).normal(size=(300, 4)), (1, 4, 8)),
     "lattice_2d": (lambda: lattice(15, 15), (4, 8)),
@@ -160,7 +179,14 @@ ORACLE_INPUTS = {
         lambda: np.random.default_rng(27).permutation(lattice(30, 30)),
         (1,),
     ),
+    # the next two read exact distances where float32 keys cannot decide
+    "float32_ulp_apart": (lambda: ulp_chain(30), (1, 4, 8)),
+    "tiny_clusters": (tiny_clusters, (1, 4, 8)),
+    # |x|^2 near 1e40, past float32's range before the keys are scaled
+    "entries_1e20": (lambda: 1e20 * np.random.default_rng(34).normal(size=(40, 3)), (1, 4, 8)),
 }
+# inputs whose float32 keys must send some decision to exact distances
+EXACT_READ_INPUTS = ("float32_ulp_apart", "tiny_clusters")
 
 
 BASE_20 = np.random.default_rng(31).normal(size=(20, 3))
@@ -512,11 +538,13 @@ def symmetric_distances(n):
     return euclidean_distance_matrix(np.random.default_rng(21).normal(size=(n, 3)))
 
 
-def blocks_of(monkeypatch, rows, n):
+def blocks_of(monkeypatch, rows, n, itemsize):
     """Shrink the block bounds so that the graph's cut splits an n-row
-    input into blocks of ``rows`` rows; the key stage's tiles shrink too."""
-    monkeypatch.setattr(domain_geometry, "_BLOCK_BYTES", 8 * n * rows)
-    monkeypatch.setattr(manifold_graph, "_BLOCK_BYTES", 8 * n * rows)
+    input of ``itemsize``-byte entries (8 for a distance matrix, 4 for the
+    pipeline's float32 keys) into blocks of ``rows`` rows; the key stage's
+    tiles shrink too."""
+    monkeypatch.setattr(domain_geometry, "_BLOCK_BYTES", itemsize * n * rows)
+    monkeypatch.setattr(manifold_graph, "_BLOCK_BYTES", itemsize * n * rows)
 
 
 def cut_failing_past_the_first_block(monkeypatch, D, error):
@@ -540,7 +568,7 @@ class TestBlockedCut:
 
     def test_no_worker_outlives_the_call(self, monkeypatch):
         D = symmetric_distances(40)
-        blocks_of(monkeypatch, 3, 40)
+        blocks_of(monkeypatch, 3, 40, 8)
         before = threading.active_count()
         build_graph(D, 4)
         assert threading.active_count() == before
@@ -551,7 +579,7 @@ class TestBlockedCut:
 
     def test_worker_error_reaches_the_caller_unchanged(self, monkeypatch):
         D = symmetric_distances(40)
-        blocks_of(monkeypatch, 3, 40)
+        blocks_of(monkeypatch, 3, 40, 8)
         error = ValidationError("raised in a worker")
         raised_in = cut_failing_past_the_first_block(monkeypatch, D, error)
         with pytest.raises(ValidationError) as info:
@@ -565,7 +593,7 @@ class TestBlockedCut:
         # waits for that block and cancels the rest
         monkeypatch.setattr(manifold_graph.os, "sched_getaffinity", lambda pid: {0})
         D = symmetric_distances(40)
-        blocks_of(monkeypatch, 3, 40)
+        blocks_of(monkeypatch, 3, 40, 8)
         cut_failing_past_the_first_block(monkeypatch, D, ValidationError("a failed block"))
         with pytest.raises(ValidationError):
             build_graph(D, 4)
@@ -577,7 +605,7 @@ class TestBlockedCut:
         workers = min(len(manifold_graph.os.sched_getaffinity(0)), 14)  # ceil(40 / 3) blocks
         D = symmetric_distances(40)
         expected = build_graph(D, 4)  # one block, inline
-        blocks_of(monkeypatch, 3, 40)
+        blocks_of(monkeypatch, 3, 40, 8)
         used = set()  # (thread, scratch address) of every block cut
         cut = manifold_graph._nearest_columns
 
@@ -602,7 +630,7 @@ class TestBlockedCut:
         expected = build_graph(D, 4)  # one block, inline
         monkeypatch.delattr(manifold_graph.os, "sched_getaffinity")
         monkeypatch.setattr(manifold_graph.os, "cpu_count", lambda: cpus)
-        blocks_of(monkeypatch, 3, 40)
+        blocks_of(monkeypatch, 3, 40, 8)
         assert directed_edges(build_graph(D, 4)) == directed_edges(expected)
 
 
@@ -643,3 +671,79 @@ class TestDistanceValidation:
         D[where] = value
         with pytest.raises(ValidationError, match=message):
             build_graph(D, 2)
+
+
+class TestFloat32KeyLimits:
+    """The limits of float32 keys, computed in float64: the largest
+    float32 within a key's limit is in doubt, and the next one is not.
+    Here float32 arithmetic would compute a limit one float32 short."""
+
+    RHO = domain_geometry._STORAGE_ROUNDING[np.dtype(np.float32)]
+    MARGIN = 1e-14
+    LOW = np.float32(4.18e-15)
+
+    def boundary(self):
+        """The largest float32 within the limit of ``LOW``, and the next."""
+        limit = float(self.LOW) + (float(self.LOW) * self.RHO + 2 * self.MARGIN)
+        last = np.float32(limit)
+        assert float(last) <= limit  # rounded down: the next is past the limit
+        low = np.array([self.LOW])
+        # a float32 array keeps float32 arithmetic with Python floats, under
+        # value-based casting and NEP 50 alike
+        assert (low + (low * self.RHO + 2 * self.MARGIN))[0] < last
+        return last, np.nextafter(last, np.float32(1))
+
+    @pytest.mark.parametrize("r", [1, 2])  # the r-th key's limit; the gap after the first
+    @pytest.mark.parametrize("past", [False, True])
+    def test_cut_doubts_the_last_key_within_the_limit(self, r, past):
+        later = self.boundary()[past]
+        block = np.array([[self.LOW, later, 0.5, 0.5]], dtype=np.float32)
+        distances = np.array([[0.2, 0.1, 0.9, 0.9]])  # the later column is nearer
+        reads = []
+
+        def exact(rows, cols):
+            reads.append(cols.tolist())
+            return distances[np.ix_(rows, cols)]
+
+        head = domain_geometry._nearest_columns(block, r, np.empty(4, np.float32), self.MARGIN, exact)
+        if past:
+            assert not reads
+            assert head.tolist() == [[0, 1][:r]]
+        else:
+            assert reads == [[0, 1]]
+            assert head.tolist() == [[1, 0][:r]]
+
+    # the boundary key on a second candidate's edge, on a second tree end
+    # of the one candidate, or on both kinds, where only the fold's limit
+    # of vertex 2 reads the tree end 1
+    @pytest.mark.parametrize(
+        "boundary, bridge",
+        [([(1, 3)], (1, 3)), ([(1, 2)], (1, 2)), ([(1, 2), (0, 3)], (1, 2))],
+        ids=["candidate", "end", "fold"],
+    )
+    @pytest.mark.parametrize("past", [False, True])
+    def test_prim_takes_the_last_key_within_the_limit(self, boundary, bridge, past):
+        # two seed pairs, (0, 1) and (2, 3), joined by the edge (0, 2) of
+        # the least key or, within its limit, by a boundary edge of smaller
+        # exact distance; every other edge is far on both counts
+        later = self.boundary()[past]
+        keys = np.full((4, 4), 0.5, dtype=np.float32)
+        distances = np.full((4, 4), 0.9)
+        edges = {(0, 1): (0.0, 0.01), (2, 3): (0.0, 0.01), (0, 2): (self.LOW, 0.2)}
+        edges.update({edge: (later, {(1, 3): 0.1, (1, 2): 0.05, (0, 3): 0.1}[edge]) for edge in boundary})
+        for (u, v), (key, distance) in edges.items():
+            keys[u, v] = keys[v, u] = key
+            distances[u, v] = distances[v, u] = distance
+        np.fill_diagonal(keys, 0.0)
+        np.fill_diagonal(distances, 0.0)
+        reads = []
+
+        def exact(rows, cols):
+            reads.append(1)
+            return distances[np.ix_(rows, cols)]
+
+        nearest = np.array([[0, 1], [1, 0], [2, 3], [3, 2]])
+        src, dst = manifold_graph._mst(keys, nearest, self.MARGIN, exact)
+        tree = {tuple(sorted(edge)) for edge in zip(src.tolist(), dst.tolist())}
+        assert tree - {(0, 1), (2, 3)} == {(0, 2) if past else bridge}
+        assert bool(reads) != past

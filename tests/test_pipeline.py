@@ -11,7 +11,7 @@ from scipy.spatial.distance import cdist
 import embimpute as ei
 from embimpute import domain_geometry, manifold_graph, pipeline
 from embimpute.pipeline import _STAGES
-from test_manifold_graph import ORACLE_INPUTS, blocks_of, collinear, directed_edges, lattice
+from test_manifold_graph import EXACT_READ_INPUTS, ORACLE_INPUTS, blocks_of, collinear, directed_edges, lattice
 
 
 def random_problem(seed, n=40, p=25, d=5, s=6):
@@ -85,11 +85,19 @@ class TestImputeAligned:
         n = len(data)
         # the oracle at the real block size, before any shrinking
         expected = {delta: ei.build_graph(cdist(data, data), delta) for delta in deltas}
+        reads = []
+
+        def counting_cdist(a, b):
+            reads.append(1)
+            return cdist(a, b)
+
+        monkeypatch.setattr(domain_geometry, "cdist", counting_cdist)
         blocks = []
         if rows:
-            # 3-row blocks split every input but two_points, so the cut
-            # runs on the pool and the tree's folds read many chunks
-            blocks_of(monkeypatch, rows, n)
+            # 3-row blocks of float32 keys split every input but
+            # two_points, so the cut runs on the pool and the tree's folds
+            # read many chunks
+            blocks_of(monkeypatch, rows, n, 4)
             cut = manifold_graph._nearest_columns
 
             def counting_cut(*args, **kwargs):
@@ -103,9 +111,12 @@ class TestImputeAligned:
         known = np.random.default_rng(64).normal(size=(n - 1, 3))
         for delta in deltas:
             blocks.clear()
+            reads.clear()
             graph, *_ = ei.impute_aligned(domain, known, delta)
             if rows:
                 assert len(blocks) == math.ceil(n / rows)
+            if name in EXACT_READ_INPUTS:
+                assert reads, delta
             assert np.array_equal(graph.indptr, expected[delta].indptr)
             assert np.array_equal(graph.indices, expected[delta].indices)
 
