@@ -114,7 +114,7 @@ def _cmd_impute(args) -> int:
 
 def _cmd_graph_stats(args) -> int:
     domain = load_domain_csv(args.domain)
-    graph = _neighbor_graph(domain, args.delta, {})
+    graph, _ = _neighbor_graph(domain, args.delta, {})
     stats = graph_stats(graph)
     for key in ("vertices", "edges", "min_in_degree", "max_in_degree"):
         print(f"{key}={stats[key]}")

@@ -3,10 +3,16 @@
 The feature matrix describes each entity in the affinity space; pairwise
 Euclidean distances over its rows drive the neighbor-graph construction,
 ranked by Gram keys with exact ``cdist`` values wherever the keys are
-too close to decide. The keys are computed in float64, scaled by a power
-of two and stored as float32: each lies within a relative rho and an
-absolute M of the scaled square of its pair's distance, and ``_limit``
-says how far apart two keys must be to order their pairs for certain.
+too close to decide. ``_unit_scaled`` first multiplies the rows by the
+one power of two that puts their largest |value| in [1, 2); the graph,
+the simplex weights and the k-NN score all read rows scaled so. That
+changes no distance's rank and no weight (but where a value is
+subnormal), and no square overflows or underflows merely because the
+rows are very large or very small.
+The keys are computed in float64 and stored as float32: each lies within
+a relative rho and an absolute M of the square of its pair's distance,
+and ``_limit`` says how far apart two keys must be to order their pairs
+for certain.
 ``scipy.spatial`` is imported on the first ``cdist`` call, not with the
 package.
 A small preprocessing helper turns raw return series into a correlation
@@ -35,8 +41,6 @@ _STORAGE_ROUNDING = {
     np.dtype(np.float32): 2 * _FLOAT32_UNIT_ROUNDOFF / (1 - _FLOAT32_UNIT_ROUNDOFF),
     np.dtype(np.float64): 0.0,
 }
-# below it, 8 max|x|^2 is finite, so no Gram product, norm or sum overflows
-_GRAM_LIMIT = np.finfo(float).max / 8
 _HUGE_PAGE_BYTES = 1 << 22  # numpy advises huge pages from this size
 
 
@@ -91,13 +95,31 @@ def cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cdist(a, b)
 
 
+def _unit_scaled(data: np.ndarray) -> np.ndarray:
+    """``data`` times the power of two that puts its largest |value| in
+    [1, 2); ``data`` itself, not a copy, when that value already lies
+    there or is 0. A correlation matrix, whose diagonal is exactly 1,
+    comes back as it is.
+
+    The scaling is exact but where a value is or becomes subnormal, so
+    distances keep their ranks and the simplex weights their bits. After
+    it no square overflows, and the square of an offset underflows only
+    below about 2^-511, where distinct rows read as equal.
+    """
+    # no |data| temporary: max and min allocate nothing n x d; with no
+    # columns the top is 0
+    top = max(data.max(initial=0.0), -data.min(initial=0.0))
+    e = math.frexp(top)[1]  # top = m 2^e with m in [1/2, 1)
+    return data if top == 0 or e == 1 else np.ldexp(data, 1 - e)
+
+
 def _limit(low, rho: float, margin: float):
     """The key past which a pair ranks after the pair whose key is ``low``,
     for certain: ``low (1 + rho) + 2 margin`` in float64, for a float or a
     float64 array ``low``.
 
     A key f stored with relative rounding u (rho = 2u / (1 - u)) lies
-    within u f + M of its pair's scaled exact square, M the margin, so f2
+    within u f + M of its pair's exact square, M the margin, so f2
     orders its pair after f1's when f2 (1 - u) - M > f1 (1 + u) + M. That
     asks for 2 M u / (1 - u) more than this limit; the margin's slack
     covers it and the rounding of this float64 sum.
@@ -121,7 +143,7 @@ def _nearest_columns(block: np.ndarray, r: int, buf: np.ndarray, margin: float =
 
     With a positive ``margin`` the values are keys, each within the
     relative rounding of ``block``'s dtype and the absolute ``margin`` of
-    the scaled square of its pair's exact value (with 0, the exact
+    the square of its pair's exact value (with 0, the exact
     values), so a key orders its pair after another's only when it lies
     past that key's ``_limit``. A row whose first ``r + 1`` keys hold two
     closer than that is ranked by (exact value, column) over its columns
@@ -178,10 +200,13 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
     Accepts a DomainMatrix or a bare (n, d) array. The result is
     ``scipy.spatial.distance.cdist(X, X)``, bit for bit: finite and
     symmetric with an exactly zero diagonal, with no squared-distance
-    shortcut. Distances that overflow raise ``ValidationError``.
+    shortcut. Distances that overflow raise ``ValidationError``, and
+    offsets below about 1e-154 square to 0, so such rows read as equal.
 
-    The pipeline ranks its graph by ``_squared_distance_keys`` instead and
-    calls this only as that stage's fallback, where a key could overflow.
+    The pipeline does not call it: it ranks its graph by
+    ``_squared_distance_keys`` over ``_unit_scaled`` rows, whose
+    distances neither overflow nor underflow merely because of the
+    domain's scale.
     """
     if isinstance(domain, DomainMatrix):
         data = domain.data
@@ -201,14 +226,9 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
     return D
 
 
-def _entries(D: np.ndarray):
-    """Exact values read from a matrix: ``exact(rows, cols)`` is ``D[rows][:, cols]``."""
-    return lambda rows, cols: D[np.ix_(rows, cols)]
-
-
-def _square_matrix(n: int, dtype) -> np.ndarray:
-    """An uninitialized n x n matrix of ``dtype``; from 4 MiB, on an
-    anonymous mapping of its own.
+def _off_heap(shape, dtype) -> np.ndarray:
+    """An uninitialized array of ``shape`` and ``dtype``; from 4 MiB, on
+    an anonymous mapping of its own.
 
     A large matrix is kept off the malloc heap: once glibc's mmap
     threshold has risen past its size, the heap would place it wherever
@@ -219,9 +239,9 @@ def _square_matrix(n: int, dtype) -> np.ndarray:
     the matrix is freed. A smaller one comes from the heap, where it
     reuses resident pages instead of faulting in fresh ones.
     """
-    size = np.dtype(dtype).itemsize * n * n
+    size = np.dtype(dtype).itemsize * math.prod(shape)
     if size < _HUGE_PAGE_BYTES:
-        return np.empty((n, n), dtype)
+        return np.empty(shape, dtype)
     if hasattr(mmap, "MAP_PRIVATE"):
         # private, as malloc maps: shared anonymous memory takes no huge pages
         area = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
@@ -229,57 +249,47 @@ def _square_matrix(n: int, dtype) -> np.ndarray:
         area = mmap.mmap(-1, size)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         area.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(area, dtype=dtype).reshape(n, n)
+    return np.frombuffer(area, dtype=dtype).reshape(shape)
 
 
-def _squared_distance_keys(domain: DomainMatrix):
-    """Keys that rank the pairwise distances of ``domain``'s rows.
+def _squared_distance_keys(data: np.ndarray):
+    """Keys that rank the pairwise distances of the rows of ``data``, a
+    C-contiguous float64 matrix such as ``DomainMatrix.data``.
+
+    Requires every |value| below 2, as ``_unit_scaled`` leaves it: then
+    8 max|x|^2 < 32 d, so no Gram product, norm or sum overflows, and
+    every key, at most 4 max|x|^2 < 16 d, fits in float32.
 
     Returns ``(keys, margin, exact)``. ``keys`` is an n x n float32 matrix
-    of (|x|^2 + |y|^2 - 2 x.y) 2^-e, clipped at 0, with an exactly zero
-    diagonal, made by ``_square_matrix`` (from 4 MiB, that is 1024 rows,
+    of |x|^2 + |y|^2 - 2 x.y, clipped at 0, with an exactly zero
+    diagonal, made by ``_off_heap`` (from 4 MiB, that is 1024 rows,
     off the malloc heap, so the peak resident size does not depend on what
     earlier calls left there). The upper triangle is computed in float64,
     in 1 MiB square tiles of ``X[a] @ X[b].T`` on BLAS's threads in one
-    Python loop; each tile is finished in place, scaled by 2^-e and
-    rounded to float32, and stored and mirrored while it is in cache.
-    (Square tiles, not row blocks: the mirrored write of a row block
-    touches every row of the matrix, that of a tile only a few hundred.)
-    The power of two 2^-e puts 4 max|x|^2, which bounds every key, in
-    [1/2, 1) (below that where 4 max|x|^2 is subnormal: 2^-e is at most
-    2^1022), so scaling is exact but for float64 subnormals and no key
-    leaves float32's range.
+    Python loop; each tile is finished in place, rounded to float32, and
+    stored and mirrored while it is in cache. (Square tiles, not row
+    blocks: the mirrored write of a row block touches every row of the
+    matrix, that of a tile only a few hundred.)
 
     ``margin`` is M, and each key f lies within u f + M of
-    cdist(x, y)^2 2^-e, with u = 2^-24 the float32 rounding
+    cdist(x, y)^2, with u = 2^-24 the float32 rounding
     (``_STORAGE_ROUNDING`` holds rho = 2u / (1 - u); see ``_limit``).
-    Before scaling, the float64 key lies within
+    Before rounding, the float64 key lies within
     8 gamma_{d+4} max|x|^2 of cdist(x, y)^2 (Higham, *Accuracy and
     Stability of Numerical Algorithms*, ch. 3): the inner products, norms
     and sums err by at most gamma_{d+2} (|x| + |y|)^2, and ``cdist`` by
     gamma_{d+4} |x - y|^2, both under 4 gamma_{d+4} max|x|^2 with
     gamma_m = m u / (1 - m u). M is that bound plus one more
     gamma_{d+4} max|x|^2, which covers the rounding of the float64
-    limits, and an absolute term for the subnormal products, all scaled
-    by 2^-e, plus the float32 subnormal spacing, which covers the
-    absolute rounding of keys that scale or store below float32's normal
-    range. ``exact(rows, cols)`` is ``cdist(X[rows], X[cols])``, which
-    gives every pair the bits of ``cdist(X, X)``.
-
-    When a key could overflow (8 max|x|^2 is not finite) the result is
-    ``euclidean_distance_matrix``'s float64 D, a margin of 0 and reads
-    from D, so overflowing distances raise as they do there.
+    limits, an absolute term for float64 subnormal products, and the
+    float32 subnormal spacing, which covers the absolute rounding of keys
+    stored below float32's normal range. ``exact(rows, cols)`` is
+    ``cdist(X[rows], X[cols])``, which gives every pair the bits of
+    ``cdist(X, X)``.
     """
-    data = domain.data
     n, d = data.shape
-    sq = np.einsum("ij,ij->i", data, data)  # inf where a norm overflows; einsum does not warn
-    top = sq.max()
-    if not top < _GRAM_LIMIT:
-        D = euclidean_distance_matrix(domain)
-        return D, 0.0, _entries(D)
-    scale = math.ldexp(1.0, -max(math.frexp(4 * top)[1], -1022))
-    scaled_sq = sq * scale
-    keys = _square_matrix(n, np.float32)
+    sq = np.einsum("ij,ij->i", data, data)
+    keys = _off_heap((n, n), np.float32)
     side = min(n, math.isqrt(_BLOCK_BYTES // 8))
     buf = np.empty(side * side)
     # a tile that covers the keys is stored straight into them; the others
@@ -292,12 +302,11 @@ def _squared_distance_keys(domain: DomainMatrix):
             m, w = min(side, n - lo), min(side, n - left)
             tile = buf[: m * w].reshape(m, w)
             np.matmul(data[rows], data[cols].T, out=tile)
-            # finished in float64 with 2^-e folded into its terms, which
-            # gives the bits of scaling the finished tile (but for float64
-            # subnormals), then rounded once to float32 as it is clipped
-            tile *= -2.0 * scale
-            tile += scaled_sq[rows, None]
-            tile += scaled_sq[cols]
+            # finished in float64, then rounded once to float32 as it is
+            # clipped
+            tile *= -2.0
+            tile += sq[rows, None]
+            tile += sq[cols]
             key_tile = stored[: m * w].reshape(m, w)
             np.maximum(tile, 0.0, out=key_tile, casting="same_kind")
             if side < n:
@@ -306,7 +315,7 @@ def _squared_distance_keys(domain: DomainMatrix):
                     keys[cols, rows] = key_tile.T
     np.fill_diagonal(keys, 0.0)
     gamma = (d + 4) * _UNIT_ROUNDOFF / (1 - (d + 4) * _UNIT_ROUNDOFF)
-    margin = (9 * gamma * top + 8 * (d + 4) * _SMALLEST_SUBNORMAL) * scale + _FLOAT32_SUBNORMAL
+    margin = 9 * gamma * sq.max() + 8 * (d + 4) * _SMALLEST_SUBNORMAL + _FLOAT32_SUBNORMAL
     return keys, margin, lambda rows, cols: cdist(data[rows], data[cols])
 
 

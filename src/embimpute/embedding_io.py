@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_geometry import DomainMatrix
+from .domain_geometry import DomainMatrix, _off_heap
 from .errors import ValidationError, _check_integer
 
 
@@ -226,16 +226,20 @@ def align(domain: DomainMatrix, table: EmbeddingTable) -> AlignedProblem:
     """
     present = [i for i, e in enumerate(domain.entities) if e in table.entries]
     absent = [i for i, e in enumerate(domain.entities) if e not in table.entries]
-    p = len(present)
-    if p == 0:
+    if not present:
         raise ValidationError(
             "no anchors: none of the domain entities has a known embedding"
         )
     permutation = np.array(present + absent, dtype=np.int64)
     order = tuple(domain.entities[i] for i in permutation)
-    aligned = DomainMatrix(order, domain.data[permutation])
-    known = np.array([table.entries[tok] for tok in order[:p]])
-    return AlignedProblem(aligned, known, permutation)
+    # off the heap, as the graph's keys are, so that where earlier calls
+    # left free heap does not decide the peak resident size; every index
+    # is in range, and "clip" writes straight into it where "raise" would
+    # buffer a second copy
+    rows = _off_heap(domain.data.shape, float)
+    np.take(domain.data, permutation, axis=0, out=rows, mode="clip")
+    known = np.array([table.entries[tok] for tok in order[: len(present)]])
+    return AlignedProblem(DomainMatrix(order, rows), known, permutation)
 
 
 def merge_imputed(table: EmbeddingTable, problem: AlignedProblem, result) -> EmbeddingTable:

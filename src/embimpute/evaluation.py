@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_geometry import _BLOCK_BYTES, DomainMatrix, _nearest_columns, cdist
+from .domain_geometry import _BLOCK_BYTES, DomainMatrix, _nearest_columns, _unit_scaled, cdist
 from .errors import ValidationError, _check_integer, _check_real
 from .imputation_engine import ImputationConfig, power_iterate
 from .manifold_graph import _DELTA
@@ -108,8 +108,12 @@ def knn_accuracy(data: LabeledEmbeddings, k: int, subset=None) -> float:
     Each point is classified by majority vote of its k nearest other
     points in the full set, by Euclidean distance. Vote ties resolve to
     the label with the closest neighbor, then to the smaller label code;
-    equal distances resolve to the smaller point index. The subset is
-    scored in row blocks of about ``_BLOCK_BYTES`` of distances.
+    equal distances resolve to the smaller point index. The distances
+    are taken between the vectors scaled by the power of two that puts
+    their largest |value| in [1, 2) (``_unit_scaled``), so no square
+    overflows, and vectors multiplied by 2^k score the same unless one
+    of their values is subnormal. The subset is scored in row blocks of
+    about ``_BLOCK_BYTES`` of distances.
     """
     m = data.vectors.shape[0]
     k = _check_integer(k, "k", 1, m - 1)  # each point needs k others
@@ -128,6 +132,7 @@ def knn_accuracy(data: LabeledEmbeddings, k: int, subset=None) -> float:
         if subset.min() < 0 or subset.max() >= m:
             raise ValidationError("subset index out of range")
 
+    vectors = _unit_scaled(data.vectors)
     n_labels = len(data.label_names)
     rows = max(1, _BLOCK_BYTES // (8 * m))
     buf = np.empty(min(rows, subset.size) * m)
@@ -135,7 +140,7 @@ def knn_accuracy(data: LabeledEmbeddings, k: int, subset=None) -> float:
     for lo in range(0, subset.size, rows):
         points = subset[lo : lo + rows]
         b = points.size
-        dists = cdist(data.vectors[points], data.vectors)
+        dists = cdist(vectors[points], vectors)
         head = _nearest_columns(dists, k + 1, buf)
         # each row holds its own point once: drop it from the first k + 1
         # ranks, or drop rank k when a tie at distance 0 ranked it later

@@ -8,18 +8,17 @@ always by smaller vertex index so identical inputs yield identical graphs.
 One builder (``_build``) reads three things: an n x n matrix of keys
 that rank the distances, a margin M, and ``exact(rows, cols)``, the exact
 distances of those pairs. Each key f lies within rho f + M of the
-scaled square of its pair's exact distance, with rho the relative
-rounding of the keys' dtype (M = 0 and float64: the keys are the exact
-distances), so a key orders its pair after another's for certain only
-past that key's ``_limit``, f (1 + rho) + 2M computed in float64; every
-decision closer than that is made on exact distances. The pipeline and
-the CLI's ``graph-stats`` pass the float32 Gram keys of
-``domain_geometry._squared_distance_keys``, its margin and ``cdist``
-reads (or, where a key could overflow, ``euclidean_distance_matrix``'s
-float64 D with M = 0). ``build_graph(D)``, ``build_mst`` and
-``augment_to_min_degree`` are the M = 0 case: the keys are ``D`` and the
-exact values are read from it. Either way the graph is the one the
-exact distances define.
+square of its pair's exact distance, with rho the relative rounding of
+the keys' dtype (M = 0 and float64: the keys are the exact distances),
+so a key orders its pair after another's for certain only past that
+key's ``_limit``, f (1 + rho) + 2M computed in float64; every decision
+closer than that is made on exact distances. The pipeline and the CLI's
+``graph-stats`` always pass the float32 Gram keys of
+``domain_geometry._squared_distance_keys`` over the unit-scaled domain
+rows, its margin and ``cdist`` reads of those rows. ``build_graph(D)``,
+``build_mst`` and ``augment_to_min_degree`` are the M = 0 case: the keys
+are ``D`` and the exact values are read from it. Either way the graph is
+the one the exact distances define.
 
 One blocked cut (``_nearest_columns``) over the 1 MiB row blocks of the
 keys, on a thread per CPU (``_nearest``), takes every row's delta + 1
@@ -70,7 +69,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .domain_geometry import _BLOCK_BYTES, _STORAGE_ROUNDING, _entries, _limit, _nearest_columns
+from .domain_geometry import _BLOCK_BYTES, _STORAGE_ROUNDING, _limit, _nearest_columns
 from .errors import ValidationError, _check_integer
 
 # side of the square tiles the symmetry check compares
@@ -99,6 +98,11 @@ def _validated_distances(D) -> np.ndarray:
             if not np.array_equal(D[i : i + b, j : j + b], D[j : j + b, i : i + b].T):
                 raise ValidationError("distance matrix must be symmetric")
     return D
+
+
+def _entries(D: np.ndarray):
+    """Exact values read from a matrix: ``exact(rows, cols)`` is ``D[rows][:, cols]``."""
+    return lambda rows, cols: D[np.ix_(rows, cols)]
 
 
 @dataclass(frozen=True)

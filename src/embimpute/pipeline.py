@@ -1,4 +1,13 @@
-"""End-to-end imputation shared by the library API and the CLI."""
+"""End-to-end imputation shared by the library API and the CLI.
+
+Every domain reaches the graph through ``_neighbor_graph``, which first
+multiplies its rows by the power of two that puts their largest |value|
+in [1, 2) (``domain_geometry._unit_scaled``). The graph and the simplex
+weights both read those rows: distances keep their ranks and the weights
+are scale-free, so nothing is scaled back, and a domain multiplied by
+2^k gives the same graph, weights and vectors, bit for bit, unless one
+of its values is subnormal at either scale.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_geometry import DomainMatrix, _squared_distance_keys
+from .domain_geometry import DomainMatrix, _squared_distance_keys, _unit_scaled
 from .embedding_io import AlignedProblem, EmbeddingTable, align, merge_imputed
 from .errors import _check_integer
 from .imputation_engine import ImputationConfig, ImputationResult, power_iterate
@@ -35,13 +44,18 @@ def _timed(timings: dict[str, float], stage: str, fn, *args):
     return value
 
 
-def _neighbor_graph(domain: DomainMatrix, delta: int, timings: dict[str, float]) -> NeighborGraph:
-    """Check ``delta``, then time the ``distance`` and ``graph`` stages into ``timings``."""
+def _neighbor_graph(domain: DomainMatrix, delta: int, timings: dict[str, float]) -> tuple[NeighborGraph, DomainMatrix]:
+    """Check ``delta``, unit-scale the domain, then time the ``distance``
+    and ``graph`` stages into ``timings``. Returns the graph and the
+    unit-scaled domain, ``domain`` itself when its rows need no scaling."""
     delta = _check_integer(delta, "minimum degree", 1, domain.n - 1)
-    keys, margin, exact = _timed(timings, "distance", _squared_distance_keys, domain)
+    data = _unit_scaled(domain.data)
+    if data is not domain.data:
+        domain = DomainMatrix(domain.entities, data)
+    keys, margin, exact = _timed(timings, "distance", _squared_distance_keys, data)
     # valid by construction: the checks of the public build_graph would
     # only reread the n x n matrix
-    return _timed(timings, "graph", _build, keys, margin, exact, delta)
+    return _timed(timings, "graph", _build, keys, margin, exact, delta), domain
 
 
 def impute_aligned(
@@ -61,7 +75,7 @@ def impute_aligned(
     timings.
     """
     timings = {}
-    graph = _neighbor_graph(domain, delta, timings)
+    graph, domain = _neighbor_graph(domain, delta, timings)
     # by their public names, so a tracer that wraps them sees the stages
     weights = _timed(timings, "weights", assemble_weight_matrix, graph, domain, len(known))
     result = _timed(timings, "iterate", power_iterate, weights, known, config)

@@ -26,7 +26,7 @@ from embimpute import (
 )
 from embimpute import cli, domain_geometry, manifold_graph, pipeline
 from embimpute.cli import main
-from test_domain_geometry import OVERFLOW, overflowing_rows
+from test_domain_geometry import overflowing_rows
 from test_pipeline import DEGENERATE_INPUTS, _degenerate_problem, _random_rows, unknown_twins
 
 
@@ -360,18 +360,36 @@ class TestImputeCommand:
 
 
 @pytest.mark.parametrize("command", ["impute", "graph-stats"])
-def test_overflowing_distances_are_one_line_error(command, tmp_path, capsys):
+def test_overflowing_distances_run_as_unit_scaled_rows(command, tmp_path, capsys):
+    # every distance of these rows overflows; the CLI ranks the unit-scaled
+    # rows, so its output is that of those rows written out
     entities = tuple(f"e{i}" for i in range(6))
-    write_domain_csv(tmp_path / "domain.csv", DomainMatrix(entities, overflowing_rows()))
-    args = [command, "--domain", str(tmp_path / "domain.csv"), "--delta", "2"]
+    rows = overflowing_rows()
+    save_embeddings(EmbeddingTable(2, {e: [1.0, 2.0 * i] for i, e in enumerate(entities[:3])}), tmp_path / "known.vec")
+    outputs = []
+    for name, data in (("raw", rows), ("unit", domain_geometry._unit_scaled(rows))):
+        write_domain_csv(tmp_path / f"{name}.csv", DomainMatrix(entities, data))
+        args = [command, "--domain", str(tmp_path / f"{name}.csv"), "--delta", "2"]
+        if command == "impute":
+            args += ["--embeddings", str(tmp_path / "known.vec"), "--out", str(tmp_path / f"{name}.vec")]
+        assert main(args) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
     if command == "impute":
-        save_embeddings(EmbeddingTable(2, {e: [1.0, 2.0] for e in entities[:3]}), tmp_path / "known.vec")
-        args += ["--embeddings", str(tmp_path / "known.vec"), "--out", str(tmp_path / "out.vec")]
-    code = main(args)
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == f"error: {OVERFLOW}\n"
+        assert (tmp_path / "raw.vec").read_bytes() == (tmp_path / "unit.vec").read_bytes()
+    else:
+        assert "connected=true\n" in outputs[0].out
+
+
+def test_graph_stats_of_a_domain_times_2_to_600(fixture_files, capsys):
+    tmp_path, domain, _, domain_csv, _ = fixture_files
+    write_domain_csv(tmp_path / "big.csv", DomainMatrix(domain.entities, np.ldexp(domain.data, 600)))
+    printed = []
+    for path in (domain_csv, tmp_path / "big.csv"):
+        assert main(["graph-stats", "--domain", str(path), "--delta", "5"]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert printed[0].out.startswith("vertices=50\n")
 
 
 @pytest.mark.parametrize("command", ["impute", "graph-stats"])
@@ -380,8 +398,7 @@ def test_delta_checked_before_the_quadratic_stages(command, delta, fixture_files
     def never(*args):
         raise AssertionError("an O(n^2) stage ran before delta was checked")
 
-    # the key stage falls back to euclidean_distance_matrix, looked up in
-    # domain_geometry; the pipeline calls the key stage
+    # the pipeline calls the key stage, and never the distance matrix
     monkeypatch.setattr(domain_geometry, "euclidean_distance_matrix", never)
     monkeypatch.setattr(pipeline, "_squared_distance_keys", never)
     monkeypatch.setattr(manifold_graph, "_nearest", never)
@@ -465,14 +482,20 @@ class TestDegenerateInputsThroughFiles:
         assert proc.stderr.count("\n") == 1 and "row 298 among them" in proc.stderr
         assert not (tmp_path / "out.vec").exists()
 
-    def test_overflowing_distances_are_one_line_error(self, tmp_path, capsys):
-        domain, table = _degenerate_problem(_random_rows(73, 30, 3, 1e154), 15)
-        code = main(self._write(tmp_path, domain, table))
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not (tmp_path / "out.vec").exists()
-        assert not (tmp_path / "run.txt").exists()
+    def test_overflowing_distances_match_unit_scaled_rows(self, tmp_path):
+        # every distance of these rows overflows; the library run on the
+        # unit-scaled rows gives the CLI's bytes
+        rows = _random_rows(73, 30, 3, 1e154)
+        domain, table = _degenerate_problem(rows, 15)
+        assert main(self._write(tmp_path, domain, table)) == 0
+
+        expected = tmp_path / "expected.vec"
+        unit, _ = _degenerate_problem(domain_geometry._unit_scaled(rows), 15)
+        save_embeddings(impute_embeddings(unit, table).table, expected)
+        assert (tmp_path / "out.vec").read_bytes() == expected.read_bytes()
+        manifest = (tmp_path / "run.txt").read_text()
+        for counter in ("lstsq_fallbacks", "uniform_fallbacks", "capped_rows"):
+            assert f"{counter}=0\n" in manifest
 
 
 class TestOtherCommands:

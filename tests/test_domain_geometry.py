@@ -154,23 +154,55 @@ class TestBitsEqualCdist:
         assert np.array_equal(euclidean_distance_matrix(data), cdist(data, data))
 
 
+class TestUnitScaled:
+    @pytest.mark.parametrize("top", [1.0, 1.5, -1.0, -2.0 + 2.0**-52])
+    def test_rows_in_range_are_not_copied(self, top):
+        data = np.array([[0.25, top], [-0.5, 0.0]])
+        assert domain_geometry._unit_scaled(data) is data
+
+    def test_zero_and_empty_matrices_are_not_copied(self):
+        for data in (np.zeros((3, 2)), np.zeros((3, 0))):
+            assert domain_geometry._unit_scaled(data) is data
+
+    def test_correlation_domain_is_not_copied(self):
+        returns = np.random.default_rng(10).normal(size=(6, 40))
+        domain = correlation_domain_matrix(tuple("abcdef"), returns)
+        assert domain_geometry._unit_scaled(domain.data) is domain.data
+
+    @pytest.mark.parametrize("k", [-1074, -1000, -520, -1, 1, 5, 520, 1023])
+    def test_largest_value_lands_in_one_to_two(self, k):
+        # 1.5 * 2^k, or the smallest subnormal: scaled by 2^(1 - e) exactly
+        data = np.ldexp(np.array([[1.5, -0.75], [0.0, 1.25]]), k)
+        scaled = domain_geometry._unit_scaled(data)
+        assert scaled is not data
+        top = np.abs(scaled).max()
+        assert 1.0 <= top < 2.0
+        if k > -1022:
+            assert np.array_equal(scaled, [[1.5, -0.75], [0.0, 1.25]])
+        assert np.array_equal(np.ldexp(scaled, math.frexp(np.abs(data).max())[1] - 1), data)
+
+    def test_negative_extreme_sets_the_scale(self):
+        data = np.array([[3.0, -12.0]])
+        assert np.array_equal(domain_geometry._unit_scaled(data), [[0.375, -1.5]])
+
+
 class TestSquaredDistanceKeys:
     # 1023 rows: float32 keys just under 4 MiB, from the heap; 1024:
     # exactly 4 MiB, on a mapping of their own
     @pytest.mark.parametrize("n, owned", [(1023, False), (1024, True)])
     def test_keys_within_margin_of_cdist_squared(self, n, owned):
-        data = np.random.default_rng(n).normal(size=(n, 5))
-        keys, margin, exact = domain_geometry._squared_distance_keys(DomainMatrix(range(n), data))
+        # the key stage's precondition: every |value| below 2
+        data = domain_geometry._unit_scaled(np.random.default_rng(n).normal(size=(n, 5)))
+        assert np.abs(data).max() < 2.0
+        keys, margin, exact = domain_geometry._squared_distance_keys(data)
         assert keys.dtype == np.float32 and keys.nbytes == 4 * n * n
         assert (keys.base is not None) == owned  # np.empty owns its data
         assert keys.flags.writeable and keys.shape == (n, n)
         assert not np.diagonal(keys).any()
-        # 2^-e puts 4 max|x|^2 in [1/2, 1)
-        scale = 2.0 ** -math.frexp(4 * np.einsum("ij,ij->i", data, data).max())[1]
         D = cdist(data, data)
         # stored with relative rounding u = rho / 2 (1 - u) <= rho / 2
         rho = domain_geometry._STORAGE_ROUNDING[keys.dtype]
-        assert np.all(np.abs(keys - D**2 * scale) <= rho / 2 * keys + margin)
+        assert np.all(np.abs(keys - D**2) <= rho / 2 * keys + margin)
         rows, cols = np.array([0, n - 1]), np.arange(0, n, 7)
         assert np.array_equal(exact(rows, cols), D[np.ix_(rows, cols)])
 
@@ -196,13 +228,20 @@ class TestDistanceOverflow:
             euclidean_distance_matrix(data)
         assert str(info.value) == OVERFLOW
 
-    def test_impute_embeddings(self):
+    def test_impute_embeddings_runs_on_unit_scaled_rows(self):
+        # the distance matrix of these rows overflows (above); the
+        # pipeline ranks the unit-scaled rows, whose distances do not
         entities = tuple(f"e{i}" for i in range(6))
-        domain = DomainMatrix(entities, overflowing_rows())
-        table = EmbeddingTable(2, {e: [1.0, 2.0] for e in entities[:3]})
-        with pytest.raises(ValidationError) as info:
-            impute_embeddings(domain, table, delta=2)
-        assert str(info.value) == OVERFLOW
+        table = EmbeddingTable(2, {e: [1.0, 2.0 * i] for i, e in enumerate(entities[:3])})
+        data = overflowing_rows()
+        runs = [
+            impute_embeddings(DomainMatrix(entities, rows), table, delta=2)
+            for rows in (data, domain_geometry._unit_scaled(data))
+        ]
+        assert runs[0].result.Y.tobytes() == runs[1].result.Y.tobytes()
+        assert (runs[0].weights.matrix != runs[1].weights.matrix).nnz == 0
+        assert np.array_equal(runs[0].graph.indptr, runs[1].graph.indptr)
+        assert np.array_equal(runs[0].graph.indices, runs[1].graph.indices)
 
 
 class TestCorrelationDomainMatrix:

@@ -1,6 +1,7 @@
 import codecs
 import csv
 import dataclasses
+import mmap
 
 import numpy as np
 import pytest
@@ -207,6 +208,19 @@ class TestAlign:
         inverse = np.argsort(problem.permutation)
         assert tuple(problem.order[i] for i in inverse) == entities
         assert np.array_equal(problem.domain.data[inverse], domain.data)
+
+    @pytest.mark.parametrize("rows, mapped", [(1023, False), (1024, True)])
+    def test_rows_from_4_mib_are_copied_off_the_heap(self, rows, mapped):
+        # 512 float64 columns: 1024 rows are exactly 4 MiB
+        rng = np.random.default_rng(55)
+        entities = tuple(f"e{i}" for i in range(rows))
+        domain = DomainMatrix(entities, rng.normal(size=(rows, 512)))
+        problem = align(domain, random_table(rng, entities[1::3], 2))
+        assert np.array_equal(problem.domain.data, domain.data[problem.permutation])
+        base = problem.domain.data
+        while isinstance(base, (np.ndarray, memoryview)):
+            base = base.obj if isinstance(base, memoryview) else base.base
+        assert isinstance(base, mmap.mmap) == mapped
 
 
     def test_order_and_counts_follow_domain_and_known(self):

@@ -152,6 +152,18 @@ class TestKnnAccuracy:
                 monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * m * rows)
             assert knn_accuracy(data, k, subset) == knn_reference(data, k, subset)
 
+    @pytest.mark.parametrize("k", [-1000, -600, -520, -3, 5, 520, 600, 1000])
+    def test_power_of_two_changes_no_score(self, k):
+        # the squares of these distances underflow from 2^-520 down and
+        # overflow from 2^520 up; the score ranks unit-scaled vectors
+        rng = np.random.default_rng(0)
+        vectors, labels = rng.normal(size=(200, 6)), rng.integers(4, size=200)
+        scores = [
+            knn_accuracy(LabeledEmbeddings(v, labels, tuple("abcd")), 5)
+            for v in (vectors, np.ldexp(vectors, k))
+        ]
+        assert scores[0] == scores[1] == knn_oracle(vectors, labels, 5, range(200))
+
     def test_values_pinned_on_exact_ties(self):
         # the values knn_accuracy gave before its column cut moved to
         # domain_geometry, on tie-heavy grids and on a 30 x 30 lattice

@@ -3,6 +3,7 @@ import importlib
 import math
 import pickle
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ def random_problem(seed, n=40, p=25, d=5, s=6):
 
 
 def _gram_overflow(rng):
-    # |x|^2 overflows near 2^1022 d, while the offsets, near 2^491, keep
-    # every distance finite: the key stage falls back to the distance matrix
+    # |x|^2 would overflow near 2^1022 d, while the offsets, near 2^491,
+    # keep every distance finite; unit-scaled, the offsets are near 2^-20
+    # of rows near 1, so the keys cancel to a few bits and decisions are
+    # often made on exact distances
     n, d = int(rng.integers(2, 31)), int(rng.integers(1, 5))
     return 2.0**511 * (1.0 + 2.0**-20 * rng.normal(size=(n, d)))
 
@@ -57,8 +60,8 @@ GRAPH_INPUTS = {
     "scale_2^400": lambda rng: _rows(rng, 2.0**400),
     "scale_2^-400": lambda rng: _rows(rng, 2.0**-400),
     "gram_overflow": _gram_overflow,
-    # every distance underflows to 0: the graph follows index order (the
-    # distance matrix's own answer, which the pipeline keeps)
+    # every distance of the rows as given underflows to 0; unit-scaled,
+    # none does
     "collinear_1e-300": lambda rng: collinear(int(rng.integers(2, 31)), 1e-300),
 }
 RANDOMIZED_COUNT = 160  # inputs per kind; 1600 in all
@@ -83,8 +86,11 @@ class TestImputeAligned:
         make, deltas = ORACLE_INPUTS[name]
         data = make()
         n = len(data)
-        # the oracle at the real block size, before any shrinking
-        expected = {delta: ei.build_graph(cdist(data, data), delta) for delta in deltas}
+        # the oracle on the rows the pipeline ranks, at the real block
+        # size, before any shrinking; only collinear_1e-300 has distances
+        # that unit scaling changes the ranks of
+        unit = domain_geometry._unit_scaled(data)
+        expected = {delta: ei.build_graph(cdist(unit, unit), delta) for delta in deltas}
         reads = []
 
         def counting_cdist(a, b):
@@ -122,15 +128,21 @@ class TestImputeAligned:
 
     @pytest.mark.parametrize("kind", sorted(GRAPH_INPUTS))
     def test_graph_equals_build_graph_on_cdist_randomized(self, kind, monkeypatch):
-        # the graph ranks Gram keys and reads cdist only where two keys are
-        # within the error margin; count those reads
+        # the graph ranks Gram keys of the unit-scaled rows and reads cdist
+        # of those rows only where two keys are within the error margin;
+        # count those reads
         reads = []
 
         def counting_cdist(a, b, *args, **kwargs):
+            assert max(np.abs(a).max(), np.abs(b).max()) < 2.0
             reads.append(len(a) * len(b))
             return cdist(a, b, *args, **kwargs)
 
+        def never(*args):
+            raise AssertionError("the pipeline called the distance matrix")
+
         monkeypatch.setattr(domain_geometry, "cdist", counting_cdist)
+        monkeypatch.setattr(domain_geometry, "euclidean_distance_matrix", never)
         rng = np.random.default_rng(sorted(GRAPH_INPUTS).index(kind) + 80)
         for i in range(RANDOMIZED_COUNT):
             data = GRAPH_INPUTS[kind](rng)
@@ -141,16 +153,14 @@ class TestImputeAligned:
             known = rng.normal(size=(n - 1, 2))
             reads.clear()
             graph, *_ = ei.impute_aligned(domain, known, delta)
-            expected = ei.build_graph(cdist(data, data), delta)
+            unit = domain_geometry._unit_scaled(data)
+            expected = ei.build_graph(cdist(unit, unit), delta)
             assert np.array_equal(graph.indptr, expected.indptr), (kind, i)
             assert np.array_equal(graph.indices, expected.indices), (kind, i)
             if kind == "random":
                 assert not reads, i
             if kind == "lattice":
                 assert reads, i
-            if kind == "gram_overflow":
-                # the fallback's distance matrix, one cdist over all rows
-                assert reads[:1] == [n * n], i
 
     def test_impute_embeddings_is_align_then_impute_aligned(self):
         domain, table = random_problem(61)
@@ -189,8 +199,7 @@ class TestImputeEmbeddings:
         def never(*args):
             raise AssertionError("an O(n^2) stage ran before delta was checked")
 
-        # the key stage falls back to euclidean_distance_matrix, looked up in
-        # domain_geometry; the pipeline calls the key stage
+        # the pipeline calls the key stage, and never the distance matrix
         monkeypatch.setattr(domain_geometry, "euclidean_distance_matrix", never)
         monkeypatch.setattr(pipeline, "_squared_distance_keys", never)
         monkeypatch.setattr(manifold_graph, "_nearest", never)
@@ -250,11 +259,16 @@ class TestDegenerateInputs:
         w = run.weights
         assert (w.lstsq_fallbacks, w.uniform_fallbacks, w.capped_rows) == (0, 0, 0)
 
-    def test_overflowing_distances_are_one_line_error(self):
-        domain, table = _degenerate_problem(_random_rows(73, 30, 3, 1e154), 15)
-        with pytest.raises(ei.ValidationError, match="non-finite") as info:
-            ei.impute_embeddings(domain, table)
-        assert "\n" not in str(info.value)
+    def test_overflowing_distances_impute_as_unit_scaled_rows(self):
+        rows = _random_rows(73, 30, 3, 1e154)
+        assert not np.isfinite(cdist(rows, rows)).all()
+        runs = [
+            ei.impute_embeddings(*_degenerate_problem(r, 15))
+            for r in (rows, domain_geometry._unit_scaled(rows))
+        ]
+        assert_same_run(*runs)
+        w = runs[0].weights
+        assert (w.lstsq_fallbacks, w.uniform_fallbacks, w.capped_rows) == (0, 0, 0)
 
     def test_unknown_twins_are_named(self):
         domain, table = unknown_twins()
@@ -274,6 +288,83 @@ class TestDegenerateInputs:
         with pytest.raises(ei.ConvergenceError, match="unreachable") as info:
             ei.impute_embeddings(domain, table, delta=domain.n - 1)
         assert "\n" not in str(info.value)
+
+
+def assert_same_run(run, expected):
+    """Two ``PipelineRun``s with the same graph, weights and vectors, bit for bit."""
+    assert np.array_equal(run.graph.indptr, expected.graph.indptr)
+    assert np.array_equal(run.graph.indices, expected.graph.indices)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(run.weights.matrix, name), getattr(expected.weights.matrix, name)
+        assert got.tobytes() == want.tobytes(), name
+    assert run.result.Y.tobytes() == expected.result.Y.tobytes()
+
+
+# domains for the power-of-two tests: rounded rows hold exact ties, and a
+# 1-feature domain orders its rows on a line
+SCALE_INPUTS = {
+    "random_60x5": lambda: _random_rows(76, 60, 5),
+    "rounded_60x3": lambda: np.round(_random_rows(77, 60, 3, 4.0)) / 4,
+    "one_feature_40": lambda: _random_rows(78, 40, 1),
+}
+# every exponent keeps these rows normal and finite, and the outer ones
+# lie past both ends (about +-511) of where their squares stay normal
+SCALE_EXPONENTS = (-1000, -997, -520, -300, -3, 5, 300, 520, 1000)
+
+
+class TestScaleExact:
+    """A domain multiplied by 2^k gives the unscaled run, bit for bit."""
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    @pytest.mark.parametrize("name", sorted(SCALE_INPUTS))
+    def test_power_of_two_changes_no_bit(self, name, k, tmp_path):
+        rows = SCALE_INPUTS[name]()
+        p = len(rows) // 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = [
+                ei.impute_embeddings(*_degenerate_problem(r, p), delta=4)
+                for r in (rows, np.ldexp(rows, k))
+            ]
+        assert_same_run(*runs)
+        files = [tmp_path / "unscaled.vec", tmp_path / "scaled.vec"]
+        for run, path in zip(runs, files):
+            ei.save_embeddings(run.table, path)
+        assert files[0].read_bytes() == files[1].read_bytes()
+
+    def test_collinear_rows_at_1e_300(self):
+        # every squared offset of these rows underflows to 0: ranked as
+        # given, by index order alone, every imputed entity gets (0, 1)
+        k = np.arange(12.0)
+        rows = k[:, None] * np.array([1.0, 2.0]) * 1e-300
+        table = ei.EmbeddingTable(2, {f"e{i:03d}": [i, 1.0] for i in range(6)})
+        runs = [
+            ei.impute_embeddings(ei.DomainMatrix(tuple(f"e{i:03d}" for i in range(12)), r), table)
+            for r in (rows, domain_geometry._unit_scaled(rows))
+        ]
+        assert_same_run(*runs)
+        assert len({tuple(runs[0].result.Y[i]) for i in range(6, 12)}) == 6
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 2.0**-520], ids=["1e-170", "1e-160", "2^-520"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiny_domains(self, seed, scale):
+        # the squared offsets underflow at 1e-170, and the weight gather's
+        # products are subnormal at 1e-160 and 2^-520
+        rng = np.random.default_rng(seed)
+        rows, known = rng.normal(size=(20, 3)), rng.normal(size=(10, 4))
+        entities = tuple(f"e{i}" for i in range(20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want, unscaled = (
+                ei.impute_aligned(ei.DomainMatrix(entities, r), known, 2)
+                for r in (rows * scale, domain_geometry._unit_scaled(rows * scale), rows)
+            )
+        assert np.array_equal(got[0].indptr, want[0].indptr)
+        assert np.array_equal(got[0].indices, want[0].indices)
+        assert (got[1].matrix != want[1].matrix).nnz == 0
+        assert got[2].Y.tobytes() == want[2].Y.tobytes()
+        # 1e-170 and 1e-160 round the rows: the answer moves by rounding only
+        assert np.abs(got[2].Y - unscaled[2].Y).max() < 1e-12
 
 
 # a field of each of the package's 13 dataclasses, with a value that got
