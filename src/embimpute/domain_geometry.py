@@ -327,6 +327,8 @@ def correlation_domain_matrix(entities, returns: np.ndarray) -> DomainMatrix:
     cells are filled with the per-column mean of observed values.
     Row i of the result is row i of the Pearson correlation matrix of the
     filled series, so the output is square over the retained entities.
+    Returns multiplied by a power of two give the same bits, but where a
+    value is or becomes subnormal.
     """
     entities = [str(e) for e in entities]
     R = np.array(returns, dtype=float)
@@ -367,7 +369,9 @@ def correlation_domain_matrix(entities, returns: np.ndarray) -> DomainMatrix:
             "correlation is undefined"
         )
 
-    corr = np.corrcoef(filled)
+    # one power of two commutes exactly with corrcoef's mean, products,
+    # square roots and divisions, and keeps its squares in range
+    corr = np.corrcoef(_unit_scaled(filled))
     np.fill_diagonal(corr, 1.0)
     np.clip(corr, -1.0, 1.0, out=corr)
     return DomainMatrix(kept_entities, corr)

@@ -20,13 +20,13 @@ rows, its margin and ``cdist`` reads of those rows. ``build_graph(D)``,
 are ``D`` and the exact values are read from it. Either way the graph is
 the one the exact distances define.
 
-One blocked cut (``_nearest_columns``) over the 1 MiB row blocks of the
-keys, on a thread per CPU (``_nearest``), takes every row's delta + 1
-nearest columns by (distance, index), and both steps read it; a row
-whose keys near its (delta + 1)-th lie within each other's limits is
-ranked on exact distances. The tree is the unique minimum under the strict
-total order (weight, smaller index, larger index), so it is the tree
-Kruskal's algorithm yields when it scans edges in that order. For a
+One blocked cut (``_nearest``: ``_nearest_columns`` over each 1 MiB row
+block of the keys in turn, all in one scratch block) takes every row's
+delta + 1 nearest columns by (distance, index), and both steps read it;
+a row whose keys near its (delta + 1)-th lie within each other's limits
+is ranked on exact distances. The tree is the unique minimum under the
+strict total order (weight, smaller index, larger index), so it is the
+tree Kruskal's algorithm yields when it scans edges in that order. For a
 fixed vertex that order ranks its edges by (weight, other end), so a
 vertex's first column in the cut other than itself is its least edge,
 and that edge is a tree edge (Borůvka's first round). A dense Prim over
@@ -60,9 +60,6 @@ support, which is all the weight solver and ``is_connected`` read.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,47 +147,18 @@ class NeighborGraph:
 
 def _nearest(keys: np.ndarray, r: int, margin: float, exact) -> np.ndarray:
     """Each row's ``r`` nearest columns in (exact value, column) order:
-    one ``_nearest_columns`` cut over the 1 MiB row blocks of ``keys``.
-
-    The cut's numpy partitions and sorts release the GIL, so the blocks
-    run on one thread per CPU in the process's affinity mask (per CPU
-    where the platform has none; at most one per block), or inline when
-    one block covers the keys. Each thread cuts its blocks in one scratch
-    block of its own, of the keys' dtype. A block's exception is raised
-    here, and the blocks not yet started are cancelled.
-    """
+    one ``_nearest_columns`` cut per 1 MiB row block of ``keys``, every
+    block in the same scratch block of the keys' dtype."""
     n = keys.shape[0]
     nearest = np.empty((n, r), dtype=np.int64)
-    rows = max(1, _BLOCK_BYTES // (keys.itemsize * n))
-    starts = range(0, n, rows)
-    # the affinity mask is Linux-only; elsewhere every CPU counts
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(starts))
-    # made by this thread before any block is cut, one per worker, which
-    # each worker takes once as it starts: a block made and freed in a
-    # worker would stay resident in that worker's malloc arena after the
-    # call, and the pool starts at most ``workers`` threads
-    blocks = [np.empty(rows * n, dtype=keys.dtype) for _ in range(workers)]
-    scratch = threading.local()
-
-    def lend():
-        scratch.buf = blocks.pop()
-
-    def cut(lo):
+    rows = min(n, max(1, _BLOCK_BYTES // (keys.itemsize * n)))
+    buf = np.empty(rows * n, dtype=keys.dtype)
+    for lo in range(0, n, rows):
+        # the cut numbers its rows from the block's first; exact from row 0
         def block_exact(block_rows, cols):
             return exact(lo + block_rows, cols)
 
-        nearest[lo : lo + rows] = _nearest_columns(keys[lo : lo + rows], r, scratch.buf, margin, block_exact)
-
-    if len(starts) == 1:
-        lend()
-        cut(0)
-    else:
-        with ThreadPoolExecutor(workers, initializer=lend) as pool:
-            # map re-raises a worker's exception here and cancels the
-            # blocks not yet started
-            for _ in pool.map(cut, starts):
-                pass
+        nearest[lo : lo + rows] = _nearest_columns(keys[lo : lo + rows], r, buf, margin, block_exact)
     return nearest
 
 

@@ -43,8 +43,8 @@ is that one-row call into the same code. A singular system makes the
 stacked call raise; the group's systems are then solved one at a time,
 and each singular one goes to ``lstsq``. The Gram gather (k·d values per
 row, in the distance stage's 1 MiB blocks) and the lockstep state (k·k
-per row, 512 KiB) are blocked separately so the extra memory stays near
-1.5 MiB whatever n and d are.
+per row, 1 MiB) are blocked separately so the extra memory stays near
+2 MiB whatever n and d are.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .manifold_graph import NeighborGraph
 _DUAL_TOL = 1e-10  # reduced-gradient threshold, relative to the row's max diag(G)
 _FEAS_TOL = 1e-12  # absolute: weights lie in [0, 1] whatever the scale
 _ROW_SUM_TOL = 1e-12
-_STATE_BYTES = 1 << 19  # Gram matrices advanced together (k·k per row)
+_STATE_BYTES = 1 << 20  # Gram matrices advanced together (k·k per row)
 # a non-finite value in a row's vectors reaches some G_jj, as do overflowing products
 _NOT_POSED = "non-finite Gram matrix: a neighbor offset or its products are not finite"
 

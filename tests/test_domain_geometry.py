@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,16 @@ class TestCorrelationDomainMatrix:
         returns = np.vstack([np.ones(10), np.arange(10.0)])
         with pytest.raises(ValidationError, match="'flat'"):
             correlation_domain_matrix(["flat", "ok"], returns)
+
+    @pytest.mark.parametrize("k", [-1000, -600, -520, -300, 300, 520, 600, 1000])
+    def test_returns_times_a_power_of_two_give_the_same_bits(self, k):
+        returns = 0.01 * np.random.default_rng(0).normal(size=(50, 200))
+        entities = [f"e{i}" for i in range(50)]
+        expected = correlation_domain_matrix(entities, returns).data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in dot, no 0/0
+            scaled = correlation_domain_matrix(entities, returns * 2.0**k).data
+        assert scaled.tobytes() == expected.tobytes()
 
     def test_unit_diagonal_and_range(self):
         rng = np.random.default_rng(9)

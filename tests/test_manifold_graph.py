@@ -1,6 +1,5 @@
 import heapq
 import itertools
-import sys
 import threading
 from math import fsum
 
@@ -174,7 +173,8 @@ ORACLE_INPUTS = {
     # at 1e-300 the squared offsets underflow, so every distance is 0 too
     "collinear_1e-300": (lambda: collinear(30, 1e-300), (1, 2, 15, 29)),
     "collinear_1e150": (lambda: collinear(30, 1e150), (1, 2, 15, 29)),
-    # seven 1 MiB row blocks: the tree's two-column cut runs on the pool
+    # seven 1 MiB row blocks, all cut in one scratch block at delta 1,
+    # where the cut takes its fewest columns, two
     "lattice_2d_shuffled_30": (
         lambda: np.random.default_rng(27).permutation(lattice(30, 30)),
         (1,),
@@ -492,13 +492,16 @@ class TestReferenceOracle:
         assert 8 * n * n > 4 * manifold_graph._BLOCK_BYTES
         assert ORACLE_INPUTS["lattice_2d_shuffled_30"][1] == (1,)
 
-    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    @pytest.mark.parametrize("rows", [None, 3])
     @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
-    def test_graph_equals_kruskal_and_full_sort(self, name, cpus, monkeypatch):
-        # one worker, and two: row blocks of D are cut on one thread per CPU
-        monkeypatch.setattr(manifold_graph.os, "sched_getaffinity", lambda pid: cpus)
+    def test_graph_equals_kruskal_and_full_sort(self, name, rows, monkeypatch):
         make, deltas = ORACLE_INPUTS[name]
         D = euclidean_distance_matrix(make())
+        if rows:
+            # 3-row blocks: the cut takes every input but two_points block
+            # by block, in one scratch block, and the tree's folds read
+            # many chunks
+            blocks_of(monkeypatch, rows, len(D), 8)
         mst = build_mst(D)
         reference_mst = reference_kruskal(D)
         assert mst == reference_mst
@@ -509,22 +512,13 @@ class TestReferenceOracle:
                 assert np.array_equal(graph.indptr, indptr)
                 assert np.array_equal(graph.indices, np.concatenate(incoming))
 
-    def test_many_blocks_on_more_workers_than_cores(self, monkeypatch):
-        # 3-row blocks of a tie-heavy lattice on 8 workers with a short
-        # switch interval: a block written to the wrong rows, or not at
-        # all, changes the graph
+    def test_three_row_blocks_of_a_tie_heavy_lattice(self, monkeypatch):
+        # 40 blocks: a block written to the wrong rows, or not at all,
+        # changes the graph
         D = euclidean_distance_matrix(np.random.default_rng(26).permutation(lattice(10, 12)))
-        monkeypatch.setattr(manifold_graph.os, "sched_getaffinity", lambda pid: set(range(8)))
         monkeypatch.setattr(manifold_graph, "_BLOCK_BYTES", 8 * 120 * 3)
         expected = reference_augment(reference_kruskal(D), D, 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            graphs = [build_graph(D, 8) for _ in range(5)]
-        finally:
-            sys.setswitchinterval(interval)
-        for graph in graphs:
-            assert np.array_equal(graph.indices, np.concatenate(expected))
+        assert np.array_equal(build_graph(D, 8).indices, np.concatenate(expected))
 
     def test_ring_centre_ties_resolve_to_smaller_indices(self):
         D = euclidean_distance_matrix(ring_around_centre())
@@ -564,74 +558,39 @@ def cut_failing_past_the_first_block(monkeypatch, D, error):
 
 
 class TestBlockedCut:
-    """The cut's 3-row blocks of 40 points on ``_nearest``'s pool."""
+    """The cut's 3-row blocks of 40 points, cut in turn by ``_nearest``."""
 
-    def test_no_worker_outlives_the_call(self, monkeypatch):
+    def test_three_row_blocks_give_the_one_block_graph(self, monkeypatch):
+        D = symmetric_distances(40)
+        expected = build_graph(D, 4)  # one block
+        blocks_of(monkeypatch, 3, 40, 8)
+        assert directed_edges(build_graph(D, 4)) == directed_edges(expected)
+
+    def test_block_error_reaches_the_caller_unchanged(self, monkeypatch):
         D = symmetric_distances(40)
         blocks_of(monkeypatch, 3, 40, 8)
-        before = threading.active_count()
-        build_graph(D, 4)
-        assert threading.active_count() == before
-        cut_failing_past_the_first_block(monkeypatch, D, ValidationError("a failed block"))
-        with pytest.raises(ValidationError):
-            build_graph(D, 4)
-        assert threading.active_count() == before
-
-    def test_worker_error_reaches_the_caller_unchanged(self, monkeypatch):
-        D = symmetric_distances(40)
-        blocks_of(monkeypatch, 3, 40, 8)
-        error = ValidationError("raised in a worker")
+        error = ValidationError("raised in the second block")
         raised_in = cut_failing_past_the_first_block(monkeypatch, D, error)
         with pytest.raises(ValidationError) as info:
             build_graph(D, 4)
         assert info.value is error
-        assert raised_in and threading.main_thread() not in raised_in
+        # raised once, on the calling thread: no later block is cut
+        assert raised_in == [threading.current_thread()]
 
-    def test_failed_block_on_one_cpu_does_not_hang(self, monkeypatch):
-        # the single worker may have started the next block, in the same
-        # scratch block, by the time the failure reaches the caller, which
-        # waits for that block and cancels the rest
-        monkeypatch.setattr(manifold_graph.os, "sched_getaffinity", lambda pid: {0})
+    def test_every_block_is_cut_in_one_scratch_block(self, monkeypatch):
         D = symmetric_distances(40)
         blocks_of(monkeypatch, 3, 40, 8)
-        cut_failing_past_the_first_block(monkeypatch, D, ValidationError("a failed block"))
-        with pytest.raises(ValidationError):
-            build_graph(D, 4)
-
-    @pytest.mark.parametrize("cpus", [None, {0}, set(range(20))], ids=["mask", "one", "twenty"])
-    def test_each_worker_keeps_one_scratch_block(self, cpus, monkeypatch):
-        if cpus is not None:
-            monkeypatch.setattr(manifold_graph.os, "sched_getaffinity", lambda pid: cpus)
-        workers = min(len(manifold_graph.os.sched_getaffinity(0)), 14)  # ceil(40 / 3) blocks
-        D = symmetric_distances(40)
-        expected = build_graph(D, 4)  # one block, inline
-        blocks_of(monkeypatch, 3, 40, 8)
-        used = set()  # (thread, scratch address) of every block cut
+        scratch = []  # (address, dtype) of the scratch of every block cut
         cut = manifold_graph._nearest_columns
 
         def recording_cut(block, r, buf, *args):
-            used.add((threading.get_ident(), buf.ctypes.data))
+            scratch.append((buf.ctypes.data, buf.dtype))
             return cut(block, r, buf, *args)
 
         monkeypatch.setattr(manifold_graph, "_nearest_columns", recording_cut)
-        assert directed_edges(build_graph(D, 4)) == directed_edges(expected)
-        threads = {thread for thread, _ in used}
-        buffers = {address for _, address in used}
-        # one scratch block per thread, kept for every block it cuts
-        assert len(used) == len(threads) == len(buffers) <= workers
-        if cpus == {0}:
-            assert len(buffers) == 1
-
-    @pytest.mark.parametrize("cpus", [None, 1, 3])
-    def test_platform_without_affinity_mask(self, cpus, monkeypatch):
-        # macOS and Windows have no sched_getaffinity; os.cpu_count() may
-        # also be None there
-        D = symmetric_distances(40)
-        expected = build_graph(D, 4)  # one block, inline
-        monkeypatch.delattr(manifold_graph.os, "sched_getaffinity")
-        monkeypatch.setattr(manifold_graph.os, "cpu_count", lambda: cpus)
-        blocks_of(monkeypatch, 3, 40, 8)
-        assert directed_edges(build_graph(D, 4)) == directed_edges(expected)
+        build_graph(D, 4)
+        assert len(scratch) == 14  # ceil(40 / 3) blocks
+        assert set(scratch) == {(scratch[0][0], np.dtype(float))}
 
 
 class TestDistanceValidation:

@@ -101,8 +101,8 @@ class TestImputeAligned:
         blocks = []
         if rows:
             # 3-row blocks of float32 keys split every input but
-            # two_points, so the cut runs on the pool and the tree's folds
-            # read many chunks
+            # two_points, so the cut runs block by block and the tree's
+            # folds read many chunks
             blocks_of(monkeypatch, rows, n, 4)
             cut = manifold_graph._nearest_columns
 
