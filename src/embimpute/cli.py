@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _check_integer
 from .embedding_io import (
     _check_serializable,
     load_domain_csv,
@@ -114,7 +114,8 @@ def _cmd_impute(args) -> int:
 
 def _cmd_graph_stats(args) -> int:
     domain = load_domain_csv(args.domain)
-    graph, _ = _neighbor_graph(domain, args.delta, {})
+    delta = _check_integer(args.delta, "minimum degree", 1, domain.n - 1)
+    graph, _ = _neighbor_graph(domain, delta, {})
     stats = graph_stats(graph)
     for key in ("vertices", "edges", "min_in_degree", "max_in_degree"):
         print(f"{key}={stats[key]}")

@@ -134,12 +134,11 @@ def _limit(low, rho: float, margin: float):
     return low + (low * rho + 2 * margin)
 
 
-def _nearest_columns(block: np.ndarray, r: int, buf: np.ndarray, margin: float = 0.0, exact=None) -> np.ndarray:
+def _nearest_columns(block: np.ndarray, r: int, margin: float = 0.0, exact=None) -> np.ndarray:
     """Per row of ``block``, the columns of its ``r`` smallest values in
     (value, column) order: the first ``r`` of a stable argsort, without
-    sorting whole rows. ``buf`` is scratch of ``block``'s dtype (float32
-    keys or float64 values) with at least ``block.size`` entries;
-    ``block`` is left as it is.
+    sorting whole rows. ``block`` (float32 keys or float64 values) is
+    left as it is: the partition works on a copy.
 
     With a positive ``margin`` the values are keys, each within the
     relative rounding of ``block``'s dtype and the absolute ``margin`` of
@@ -148,14 +147,10 @@ def _nearest_columns(block: np.ndarray, r: int, buf: np.ndarray, margin: float =
     past that key's ``_limit``. A row whose first ``r + 1`` keys hold two
     closer than that is ranked by (exact value, column) over its columns
     within the limit of its r-th key, where ``exact(rows, cols)`` gives
-    the float64 exact values of ``block[rows][:, cols]``; that cut gets a
-    float64 scratch block of its own.
+    the float64 exact values of ``block[rows][:, cols]``.
     """
     m, w = block.shape
-    part = buf[: m * w].reshape(m, w)
-    np.copyto(part, block)
-    part.partition(r - 1, axis=1)
-    limit = part[:, r - 1 : r]
+    limit = np.partition(block, r - 1, axis=1)[:, r - 1 : r]
     if margin:
         rho = _STORAGE_ROUNDING[block.dtype]
         limit = _limit(limit.astype(float), rho, margin).astype(block.dtype)
@@ -190,7 +185,7 @@ def _nearest_columns(block: np.ndarray, r: int, buf: np.ndarray, margin: float =
         wanted = np.flatnonzero(np.bincount(cols[doubt[rows]], minlength=w))
         doubt = np.flatnonzero(doubt)
         values = exact(doubt, wanted)
-        head[doubt] = wanted[_nearest_columns(values, r, np.empty(values.size))]
+        head[doubt] = wanted[_nearest_columns(values, r)]
     return head
 
 
@@ -290,29 +285,21 @@ def _squared_distance_keys(data: np.ndarray):
     n, d = data.shape
     sq = np.einsum("ij,ij->i", data, data)
     keys = _off_heap((n, n), np.float32)
-    side = min(n, math.isqrt(_BLOCK_BYTES // 8))
-    buf = np.empty(side * side)
-    # a tile that covers the keys is stored straight into them; the others
-    # through a contiguous float32 tile, as a transposed copy within the
-    # keys is slow
-    stored = keys.reshape(-1) if side == n else np.empty(side * side, dtype=np.float32)
+    side = math.isqrt(_BLOCK_BYTES // 8)
     for lo in range(0, n, side):
         for left in range(lo, n, side):
             rows, cols = slice(lo, lo + side), slice(left, left + side)
-            m, w = min(side, n - lo), min(side, n - left)
-            tile = buf[: m * w].reshape(m, w)
-            np.matmul(data[rows], data[cols].T, out=tile)
-            # finished in float64, then rounded once to float32 as it is
-            # clipped
+            tile = data[rows] @ data[cols].T
+            # finished in float64, then rounded once to float32 after it
+            # is clipped; stored through a contiguous float32 tile, as a
+            # transposed copy within the keys is slow
             tile *= -2.0
             tile += sq[rows, None]
             tile += sq[cols]
-            key_tile = stored[: m * w].reshape(m, w)
-            np.maximum(tile, 0.0, out=key_tile, casting="same_kind")
-            if side < n:
-                keys[rows, cols] = key_tile
-                if left > lo:  # a diagonal tile holds both triangles
-                    keys[cols, rows] = key_tile.T
+            key_tile = np.maximum(tile, 0.0, out=tile).astype(np.float32)
+            keys[rows, cols] = key_tile
+            if left > lo:  # a diagonal tile holds both triangles
+                keys[cols, rows] = key_tile.T
     np.fill_diagonal(keys, 0.0)
     gamma = (d + 4) * _UNIT_ROUNDOFF / (1 - (d + 4) * _UNIT_ROUNDOFF)
     margin = 9 * gamma * sq.max() + 8 * (d + 4) * _SMALLEST_SUBNORMAL + _FLOAT32_SUBNORMAL

@@ -194,8 +194,6 @@ def load_embeddings(path) -> EmbeddingTable:
         raise ValidationError(
             f"{path}: header declares {declared_rows} rows, found {len(entries)}"
         )
-    if dim is None:
-        raise ValidationError(f"{path}: cannot infer dimension from an empty file")
     return EmbeddingTable(dim, entries)
 
 

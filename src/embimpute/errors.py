@@ -3,6 +3,8 @@
 import numbers
 import operator
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """An input violates a documented precondition."""
@@ -14,9 +16,11 @@ class ConvergenceError(RuntimeError):
 
 def _check_integer(value, name: str, low: int, high: int | None = None) -> int:
     """``value`` as an int; raise ValidationError unless it is an integer
-    in [low, high], or at least ``low`` when ``high`` is None."""
+    in [low, high], or at least ``low`` when ``high`` is None. A bool,
+    Python's or numpy's, is not an integer here: ``operator.index`` takes
+    ``True`` as 1, and numpy 1.x takes ``np.True_`` as 1 too."""
     try:
-        number = operator.index(value)
+        number = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
         number = None
     if number is None or number < low:

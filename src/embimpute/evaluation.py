@@ -135,13 +135,12 @@ def knn_accuracy(data: LabeledEmbeddings, k: int, subset=None) -> float:
     vectors = _unit_scaled(data.vectors)
     n_labels = len(data.label_names)
     rows = max(1, _BLOCK_BYTES // (8 * m))
-    buf = np.empty(min(rows, subset.size) * m)
     correct = 0
     for lo in range(0, subset.size, rows):
         points = subset[lo : lo + rows]
         b = points.size
         dists = cdist(vectors[points], vectors)
-        head = _nearest_columns(dists, k + 1, buf)
+        head = _nearest_columns(dists, k + 1)
         # each row holds its own point once: drop it from the first k + 1
         # ranks, or drop rank k when a tie at distance 0 ranked it later
         keep = head != points[:, None]

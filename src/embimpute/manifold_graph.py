@@ -21,10 +21,10 @@ are ``D`` and the exact values are read from it. Either way the graph is
 the one the exact distances define.
 
 One blocked cut (``_nearest``: ``_nearest_columns`` over each 1 MiB row
-block of the keys in turn, all in one scratch block) takes every row's
-delta + 1 nearest columns by (distance, index), and both steps read it;
-a row whose keys near its (delta + 1)-th lie within each other's limits
-is ranked on exact distances. The tree is the unique minimum under the
+block of the keys in turn) takes every row's delta + 1 nearest columns
+by (distance, index), and both steps read it; a row whose keys near its
+(delta + 1)-th lie within each other's limits is ranked on exact
+distances. The tree is the unique minimum under the
 strict total order (weight, smaller index, larger index), so it is the
 tree Kruskal's algorithm yields when it scans edges in that order. For a
 fixed vertex that order ranks its edges by (weight, other end), so a
@@ -147,18 +147,17 @@ class NeighborGraph:
 
 def _nearest(keys: np.ndarray, r: int, margin: float, exact) -> np.ndarray:
     """Each row's ``r`` nearest columns in (exact value, column) order:
-    one ``_nearest_columns`` cut per 1 MiB row block of ``keys``, every
-    block in the same scratch block of the keys' dtype."""
+    one ``_nearest_columns`` cut per 1 MiB row block of ``keys``, in
+    turn."""
     n = keys.shape[0]
     nearest = np.empty((n, r), dtype=np.int64)
-    rows = min(n, max(1, _BLOCK_BYTES // (keys.itemsize * n)))
-    buf = np.empty(rows * n, dtype=keys.dtype)
+    rows = max(1, _BLOCK_BYTES // (keys.itemsize * n))
     for lo in range(0, n, rows):
         # the cut numbers its rows from the block's first; exact from row 0
         def block_exact(block_rows, cols):
             return exact(lo + block_rows, cols)
 
-        nearest[lo : lo + rows] = _nearest_columns(keys[lo : lo + rows], r, buf, margin, block_exact)
+        nearest[lo : lo + rows] = _nearest_columns(keys[lo : lo + rows], r, margin, block_exact)
     return nearest
 
 

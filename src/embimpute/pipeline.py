@@ -19,7 +19,7 @@ import numpy as np
 from .domain_geometry import DomainMatrix, _squared_distance_keys, _unit_scaled
 from .embedding_io import AlignedProblem, EmbeddingTable, align, merge_imputed
 from .errors import _check_integer
-from .imputation_engine import ImputationConfig, ImputationResult, power_iterate
+from .imputation_engine import ImputationConfig, ImputationResult, _validated_known, power_iterate
 from .manifold_graph import _DELTA, NeighborGraph, _build
 from .weight_solver import WeightMatrix, assemble_weight_matrix
 
@@ -45,10 +45,10 @@ def _timed(timings: dict[str, float], stage: str, fn, *args):
 
 
 def _neighbor_graph(domain: DomainMatrix, delta: int, timings: dict[str, float]) -> tuple[NeighborGraph, DomainMatrix]:
-    """Check ``delta``, unit-scale the domain, then time the ``distance``
-    and ``graph`` stages into ``timings``. Returns the graph and the
-    unit-scaled domain, ``domain`` itself when its rows need no scaling."""
-    delta = _check_integer(delta, "minimum degree", 1, domain.n - 1)
+    """Unit-scale the domain, then time the ``distance`` and ``graph``
+    stages into ``timings``; ``delta`` is already checked against
+    ``domain.n``. Returns the graph and the unit-scaled domain, ``domain``
+    itself when its rows need no scaling."""
     data = _unit_scaled(domain.data)
     if data is not domain.data:
         domain = DomainMatrix(domain.entities, data)
@@ -72,9 +72,14 @@ def impute_aligned(
     unknown rows, and diffuses from the frozen known vectors. Returns the
     graph, the frozen weights (the known rows are identity rows), the
     result and the ``distance``, ``graph``, ``weights`` and ``iterate``
-    timings.
+    timings. ``delta`` and then ``known`` are checked before any stage.
     """
     timings = {}
+    delta = _check_integer(delta, "minimum degree", 1, domain.n - 1)
+    # power_iterate checks known again; checking here too reports a bad
+    # known before the distance stage rather than after the weights
+    known = _validated_known(known)
+    _check_integer(len(known), "known-row count", 1, domain.n)
     graph, domain = _neighbor_graph(domain, delta, timings)
     # by their public names, so a tracer that wraps them sees the stages
     weights = _timed(timings, "weights", assemble_weight_matrix, graph, domain, len(known))

@@ -42,8 +42,8 @@ bit-identical to solving the rows one at a time; ``solve_row_weights``
 is that one-row call into the same code. A singular system makes the
 stacked call raise; the group's systems are then solved one at a time,
 and each singular one goes to ``lstsq``. The Gram gather (k·d values per
-row, in the distance stage's 1 MiB blocks) and the lockstep state (k·k
-per row, 1 MiB) are blocked separately so the extra memory stays near
+row) and the lockstep state (k·k per row) are blocked separately, each
+in the distance stage's 1 MiB blocks, so the extra memory stays near
 2 MiB whatever n and d are.
 """
 
@@ -61,7 +61,6 @@ from .manifold_graph import NeighborGraph
 _DUAL_TOL = 1e-10  # reduced-gradient threshold, relative to the row's max diag(G)
 _FEAS_TOL = 1e-12  # absolute: weights lie in [0, 1] whatever the scale
 _ROW_SUM_TOL = 1e-12
-_STATE_BYTES = 1 << 20  # Gram matrices advanced together (k·k per row)
 # a non-finite value in a row's vectors reaches some G_jj, as do overflowing products
 _NOT_POSED = "non-finite Gram matrix: a neighbor offset or its products are not finite"
 
@@ -342,7 +341,7 @@ def assemble_weight_matrix(
     for k in np.flatnonzero(np.bincount(degrees)).tolist():
         rows_k = n_known + np.flatnonzero(degrees == k)
         slots_k = start[rows_k][:, None] + np.arange(k)
-        state_rows = max(1, _STATE_BYTES // (8 * k * k))
+        state_rows = max(1, _BLOCK_BYTES // (8 * k * k))
         gather_rows = max(1, _BLOCK_BYTES // (8 * k * d))
         for lo in range(0, rows_k.size, state_rows):
             slots = slots_k[lo : lo + state_rows]

@@ -182,9 +182,8 @@ class TestKnnAccuracy:
         points = rng.integers(0, 3, size=(40, 2)).astype(float)
         dists = cdist(points[:15], points)
         order = np.argsort(dists, axis=1, kind="stable")
-        buf = np.empty(dists.size)
         for r in range(1, 41):
-            assert np.array_equal(domain_geometry._nearest_columns(dists, r, buf), order[:, :r])
+            assert np.array_equal(domain_geometry._nearest_columns(dists, r), order[:, :r])
         assert np.array_equal(dists, cdist(points[:15], points))  # left as it was
 
     def test_non_integer_k_rejected(self):

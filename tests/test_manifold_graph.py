@@ -173,8 +173,8 @@ ORACLE_INPUTS = {
     # at 1e-300 the squared offsets underflow, so every distance is 0 too
     "collinear_1e-300": (lambda: collinear(30, 1e-300), (1, 2, 15, 29)),
     "collinear_1e150": (lambda: collinear(30, 1e150), (1, 2, 15, 29)),
-    # seven 1 MiB row blocks, all cut in one scratch block at delta 1,
-    # where the cut takes its fewest columns, two
+    # seven 1 MiB row blocks, cut in turn at delta 1, where the cut
+    # takes its fewest columns, two
     "lattice_2d_shuffled_30": (
         lambda: np.random.default_rng(27).permutation(lattice(30, 30)),
         (1,),
@@ -499,8 +499,7 @@ class TestReferenceOracle:
         D = euclidean_distance_matrix(make())
         if rows:
             # 3-row blocks: the cut takes every input but two_points block
-            # by block, in one scratch block, and the tree's folds read
-            # many chunks
+            # by block, and the tree's folds read many chunks
             blocks_of(monkeypatch, rows, len(D), 8)
         mst = build_mst(D)
         reference_mst = reference_kruskal(D)
@@ -577,21 +576,6 @@ class TestBlockedCut:
         # raised once, on the calling thread: no later block is cut
         assert raised_in == [threading.current_thread()]
 
-    def test_every_block_is_cut_in_one_scratch_block(self, monkeypatch):
-        D = symmetric_distances(40)
-        blocks_of(monkeypatch, 3, 40, 8)
-        scratch = []  # (address, dtype) of the scratch of every block cut
-        cut = manifold_graph._nearest_columns
-
-        def recording_cut(block, r, buf, *args):
-            scratch.append((buf.ctypes.data, buf.dtype))
-            return cut(block, r, buf, *args)
-
-        monkeypatch.setattr(manifold_graph, "_nearest_columns", recording_cut)
-        build_graph(D, 4)
-        assert len(scratch) == 14  # ceil(40 / 3) blocks
-        assert set(scratch) == {(scratch[0][0], np.dtype(float))}
-
 
 class TestDistanceValidation:
     TILE = manifold_graph._SYMMETRY_TILE
@@ -664,7 +648,7 @@ class TestFloat32KeyLimits:
             reads.append(cols.tolist())
             return distances[np.ix_(rows, cols)]
 
-        head = domain_geometry._nearest_columns(block, r, np.empty(4, np.float32), self.MARGIN, exact)
+        head = domain_geometry._nearest_columns(block, r, self.MARGIN, exact)
         if past:
             assert not reads
             assert head.tolist() == [[0, 1][:r]]

@@ -162,6 +162,26 @@ class TestImputeAligned:
             if kind == "lattice":
                 assert reads, i
 
+    @pytest.mark.parametrize(
+        "known, message",
+        [
+            (np.empty((0, 3)), "known-row count must be an integer >= 1, got 0"),
+            (np.ones(3), "known vectors must form a (p, s) matrix"),
+            (np.full((5, 3), np.nan), "known vectors contain non-finite values"),
+            (np.ones((41, 3)), "known-row count must be an integer in [1, 40], got 41"),
+        ],
+        ids=["no_rows", "one_d", "nan", "more_rows_than_domain"],
+    )
+    def test_known_checked_before_the_distance_stage(self, known, message, monkeypatch):
+        def never(*args):
+            raise AssertionError("the distance stage ran before known was checked")
+
+        monkeypatch.setattr(pipeline, "_squared_distance_keys", never)
+        domain, _ = random_problem(66)  # n = 40
+        with pytest.raises(ei.ValidationError) as info:
+            ei.impute_aligned(domain, known, 4)
+        assert str(info.value) == message
+
     def test_impute_embeddings_is_align_then_impute_aligned(self):
         domain, table = random_problem(61)
         run = ei.impute_embeddings(domain, table, delta=4)

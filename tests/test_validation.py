@@ -123,6 +123,20 @@ CASES = {
         "neighbor matrix must be 2-D",
     ),
     "assemble_size_mismatch": (_size_mismatch, "graph has 3 vertices but domain matrix has 2 rows"),
+    # operator.index takes True as 1; neither bool type is an integer here
+    "impute_delta_bool": (
+        lambda path: ei.impute_embeddings(_two_entities(), ei.EmbeddingTable(1, {"a": [1.0]}), delta=True),
+        "minimum degree must be an integer >= 1, got True",
+    ),
+    "max_iter_bool": (lambda path: ei.ImputationConfig(max_iter=True), "max_iter must be an integer >= 1, got True"),
+    "seed_numpy_bool": (
+        lambda path: ei.ImputationConfig(seed=np.False_),
+        f"seed must be an integer >= 0, got {np.False_!r}",
+    ),
+    "knn_k_bool": (
+        lambda path: ei.knn_accuracy(_labeled(np.eye(3), [0, 1, 0]), True),
+        "k must be an integer >= 1, got True",
+    ),
 }
 
 

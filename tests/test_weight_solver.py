@@ -597,16 +597,16 @@ class TestLockstepMatchesPerRowReference:
             assert 40 + i in in_neighbors(graph, i).tolist()
         assert_rows_match_reference(graph, domain, W)
 
-    @pytest.mark.parametrize("gather_bytes, state_bytes", [(1, 1), (100_000, 8_000)])
-    def test_blocking_does_not_change_results(self, monkeypatch, gather_bytes, state_bytes):
-        # rows wide enough to need several default gathers, against one row
-        # per block, and against blocks of about 6 rows gathered 3 at a time
+    @pytest.mark.parametrize("block_bytes", [1, 8_000, 100_000])
+    def test_blocking_does_not_change_results(self, monkeypatch, block_bytes):
+        # rows wide enough to need several default gathers, against
+        # smaller blocks: one row per block at 1 byte, about 6 rows gathered
+        # one at a time at 8 000, tens of rows gathered 3 at a time at 100 000
         rng = np.random.default_rng(35)
         X = rng.normal(size=(120, 300))
         graph, domain, W = assembled(X, 12)
         assert_rows_match_reference(graph, domain, W)
-        monkeypatch.setattr(weight_solver, "_BLOCK_BYTES", gather_bytes)
-        monkeypatch.setattr(weight_solver, "_STATE_BYTES", state_bytes)
+        monkeypatch.setattr(weight_solver, "_BLOCK_BYTES", block_bytes)
         blocked = assemble_weight_matrix(graph, domain)
         assert np.array_equal(blocked.matrix.indptr, W.matrix.indptr)
         assert np.array_equal(blocked.matrix.indices, W.matrix.indices)
