@@ -113,10 +113,17 @@ def _unit_scaled(data: np.ndarray) -> np.ndarray:
     return data if top == 0 or e == 1 else np.ldexp(data, 1 - e)
 
 
-def _limit(low, rho: float, margin: float):
+def _tile_side() -> int:
+    """Side of the square float64 tiles of one block (362 for 1 MiB): the
+    key stage's Gram tiles and the graph's symmetry check take them."""
+    return math.isqrt(_BLOCK_BYTES // 8)
+
+
+def _limit(low, dtype, margin: float):
     """The key past which a pair ranks after the pair whose key is ``low``,
-    for certain: ``low (1 + rho) + 2 margin`` in float64, for a float or a
-    float64 array ``low``.
+    for certain: ``low (1 + rho) + 2 margin`` computed in float64 from a
+    ``low`` of any dtype, rho = ``_STORAGE_ROUNDING[dtype]``, and rounded
+    to ``dtype``, the dtype of the keys it is compared with.
 
     A key f stored with relative rounding u (rho = 2u / (1 - u)) lies
     within u f + M of its pair's exact square, M the margin, so f2
@@ -124,14 +131,15 @@ def _limit(low, rho: float, margin: float):
     asks for 2 M u / (1 - u) more than this limit; the margin's slack
     covers it and the rounding of this float64 sum.
 
-    Compare float32 keys with the limit rounded to the nearest float32: a
-    float32 lies at or below that exactly when it lies at or below the
-    limit or is that nearest value, one key more at most. Never compute
-    the limit from a float32 ``low``: float32 arithmetic (which a float32
-    array keeps with a Python float, under value-based casting and NEP 50
-    alike) rounds ``low + low rho`` back down to ``low``.
+    A float32 key lies at or below the limit rounded to the nearest
+    float32 exactly when it lies at or below the float64 limit or is that
+    nearest value: one key more at most, which is then decided on exact
+    values. The sum is never taken in float32: float32 arithmetic (which a
+    float32 array keeps with a Python float, under value-based casting and
+    NEP 50 alike) rounds ``low + low rho`` back down to ``low``.
     """
-    return low + (low * rho + 2 * margin)
+    low = np.asarray(low, dtype=float)
+    return (low + (low * _STORAGE_ROUNDING[np.dtype(dtype)] + 2 * margin)).astype(dtype)
 
 
 def _nearest_columns(block: np.ndarray, r: int, margin: float = 0.0, exact=None) -> np.ndarray:
@@ -152,8 +160,7 @@ def _nearest_columns(block: np.ndarray, r: int, margin: float = 0.0, exact=None)
     m, w = block.shape
     limit = np.partition(block, r - 1, axis=1)[:, r - 1 : r]
     if margin:
-        rho = _STORAGE_ROUNDING[block.dtype]
-        limit = _limit(limit.astype(float), rho, margin).astype(block.dtype)
+        limit = _limit(limit, block.dtype, margin)
     # every column up to the limit of a row's r-th smallest value, ties at
     # it included, in row-major order
     flat = np.flatnonzero(block <= limit)
@@ -175,8 +182,8 @@ def _nearest_columns(block: np.ndarray, r: int, margin: float = 0.0, exact=None)
     order = np.argsort(values, axis=1, kind="stable")
     head = np.empty((m, r), dtype=np.int64)
     head[sure] = np.take_along_axis(cols[picked].reshape(-1, r), order, axis=1)
-    ranked = np.take_along_axis(values, order, axis=1).astype(float)
-    doubt[sure[(ranked[:, 1:] <= _limit(ranked[:, :-1], rho, margin)).any(axis=1)]] = True
+    ranked = np.take_along_axis(values, order, axis=1)
+    doubt[sure[(ranked[:, 1:] <= _limit(ranked[:, :-1], block.dtype, margin)).any(axis=1)]] = True
     if doubt.any():
         # one exact read, no larger than the block: the rows in doubt
         # over every column within the limit of one of them. A column past
@@ -285,7 +292,7 @@ def _squared_distance_keys(data: np.ndarray):
     n, d = data.shape
     sq = np.einsum("ij,ij->i", data, data)
     keys = _off_heap((n, n), np.float32)
-    side = math.isqrt(_BLOCK_BYTES // 8)
+    side = _tile_side()
     for lo in range(0, n, side):
         for left in range(lo, n, side):
             rows, cols = slice(lo, lo + side), slice(left, left + side)

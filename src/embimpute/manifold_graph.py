@@ -11,14 +11,14 @@ distances of those pairs. Each key f lies within rho f + M of the
 square of its pair's exact distance, with rho the relative rounding of
 the keys' dtype (M = 0 and float64: the keys are the exact distances),
 so a key orders its pair after another's for certain only past that
-key's ``_limit``, f (1 + rho) + 2M computed in float64; every decision
-closer than that is made on exact distances. The pipeline and the CLI's
-``graph-stats`` always pass the float32 Gram keys of
-``domain_geometry._squared_distance_keys`` over the unit-scaled domain
-rows, its margin and ``cdist`` reads of those rows. ``build_graph(D)``,
-``build_mst`` and ``augment_to_min_degree`` are the M = 0 case: the keys
-are ``D`` and the exact values are read from it. Either way the graph is
-the one the exact distances define.
+key's ``_limit``, f (1 + rho) + 2M computed in float64 and rounded to
+the keys' dtype; every decision closer than that is made on exact
+distances. The pipeline and the CLI's ``graph-stats`` always pass the
+float32 Gram keys of ``domain_geometry._squared_distance_keys`` over the
+unit-scaled domain rows, its margin and ``cdist`` reads of those rows.
+``build_graph(D)``, ``build_mst`` and ``augment_to_min_degree`` are the
+M = 0 case: the keys are ``D`` and the exact values are read from it.
+Either way the graph is the one the exact distances define.
 
 One blocked cut (``_nearest``: ``_nearest_columns`` over each 1 MiB row
 block of the keys in turn) takes every row's delta + 1 nearest columns
@@ -66,11 +66,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .domain_geometry import _BLOCK_BYTES, _STORAGE_ROUNDING, _limit, _nearest_columns
+from .domain_geometry import _BLOCK_BYTES, _limit, _nearest_columns, _tile_side
 from .errors import ValidationError, _check_integer
 
-# side of the square tiles the symmetry check compares
-_SYMMETRY_TILE = 256
 # the minimum in-degree every entry point defaults to, the CLI's included
 _DELTA = 8
 
@@ -89,7 +87,7 @@ def _validated_distances(D) -> np.ndarray:
     if np.diagonal(D).any():
         raise ValidationError("distance matrix must have a zero diagonal")
     # tile by tile, so the transpose is read in cache-sized blocks
-    n, b = D.shape[0], _SYMMETRY_TILE
+    n, b = D.shape[0], _tile_side()
     for i in range(0, n, b):
         for j in range(i, n, b):
             if not np.array_equal(D[i : i + b, j : j + b], D[j : j + b, i : i + b].T):
@@ -194,7 +192,6 @@ def _mst(keys: np.ndarray, nearest: np.ndarray, margin: float, exact) -> tuple[n
     least_u = np.empty(n, dtype=np.int64)
     src = np.empty(count - 1, dtype=np.int64)
     dst = np.empty(count - 1, dtype=np.int64)
-    rho = _STORAGE_ROUNDING[keys.dtype]
     joining = label[0]
     for step in range(count - 1):
         members = order[bounds[joining] : bounds[joining + 1]]
@@ -207,10 +204,8 @@ def _mst(keys: np.ndarray, nearest: np.ndarray, margin: float, exact) -> tuple[n
             _fold_edges(keys, watched.nonzero()[0], np.sort(members), best_w, least_w, least_u, margin, exact)
 
         # only frontier vertices within the limit of the least key can
-        # hold the least edge, and only through tree ends within it. The
-        # limit is a Python float, which a comparison with float32 keys
-        # rounds to the nearest float32 (see _limit)
-        limit = _limit(float(np.fmin.reduce(best_w)), rho, margin)
+        # hold the least edge, and only through tree ends within it
+        limit = _limit(np.fmin.reduce(best_w), keys.dtype, margin)
         cand = (best_w <= limit).nonzero()[0]
         v = cand[0]
         if cand.size == 1:
@@ -250,8 +245,7 @@ def _fold_edges(keys, frontier, tree, best_w, least_w, least_u, margin, exact) -
     edges of the ``frontier`` vertices, in 1 MiB chunks of tree columns.
     A tree vertex past the ``_limit`` of a frontier vertex's least key is
     never its least edge, so only the others are read exactly."""
-    low = best_w[frontier, None].astype(float)
-    limits = _limit(low, _STORAGE_ROUNDING[keys.dtype], margin).astype(keys.dtype)
+    limits = _limit(best_w[frontier, None], keys.dtype, margin)
     span = max(1, _BLOCK_BYTES // (keys.itemsize * frontier.size))
     for lo in range(0, tree.size, span):
         ends = tree[lo : lo + span]

@@ -13,14 +13,17 @@ row starts at its best vertex, the e_j of least G_jj, with only j free,
 and grows its support the way Lawson and Hanson's NNLS and Wolfe's
 minimum-norm-point method do: a coordinate enters while its reduced
 gradient is below -1e-10 times the row's largest diagonal entry of G, so
-the path depends neither on the domain's scale nor on its offset. Each
-row's G is first scaled by the power of two that puts that entry in
-[1/2, 1), so no KKT solve overflows. Optimal supports are small (a few
-of k), so this takes few sweeps on small systems, and a support grown
-this way stays affinely independent, so its KKT systems are not singular
-in exact arithmetic. The weights are an optimum, but where k exceeds the
-affine rank of the neighbors' vectors the optimum need not be unique;
-they are the one this path reaches.
+the path depends neither on the domain's scale nor on its offset. The
+rows are read as ``_unit_scaled`` leaves them, every |value| below 2, so
+no offset product overflows. Each row's G is then scaled by the power of
+two that puts its largest diagonal entry in [1/2, 1): its KKT systems
+border G with ones, so this puts G on their scale and gives a row the
+same bits whatever power of two scales its vectors. Optimal supports are
+small (a few of k), so this takes few sweeps on small systems, and a
+support grown this way stays affinely independent, so its KKT systems
+are not singular in exact arithmetic. The weights are an optimum, but
+where k exceeds the affine rank of the neighbors' vectors the optimum
+need not be unique; they are the one this path reaches.
 
 Only the rows the diffusion reads are solved. Given ``n_known``,
 ``assemble_weight_matrix`` writes the first ``n_known`` rows, the known
@@ -54,15 +57,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .domain_geometry import _BLOCK_BYTES, DomainMatrix
+from .domain_geometry import _BLOCK_BYTES, DomainMatrix, _unit_scaled
 from .errors import ValidationError, _check_integer
 from .manifold_graph import NeighborGraph
 
 _DUAL_TOL = 1e-10  # reduced-gradient threshold, relative to the row's max diag(G)
 _FEAS_TOL = 1e-12  # absolute: weights lie in [0, 1] whatever the scale
 _ROW_SUM_TOL = 1e-12
-# a non-finite value in a row's vectors reaches some G_jj, as do overflowing products
-_NOT_POSED = "non-finite Gram matrix: a neighbor offset or its products are not finite"
 
 
 @dataclass(frozen=True)
@@ -149,11 +150,6 @@ def _stacked_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
     return x
-
-
-def _posed(G: np.ndarray) -> np.ndarray:
-    """Which stacked rows have a finite Gram matrix."""
-    return np.isfinite(G).all(axis=(1, 2))
 
 
 def _kkt_solutions(G, rows, free_idx):
@@ -270,8 +266,9 @@ def solve_row_weights(x: np.ndarray, neighbor_matrix: np.ndarray) -> np.ndarray:
     result is non-negative, sums to one, and no feasible reweighting can
     lower the reconstruction residual. Falls back to uniform weights only
     if the solver yields an unusable (non-finite or zero-sum) vector. A
-    problem whose Gram matrix is not finite, from a non-finite input or
-    overflowing offset products, is rejected.
+    non-finite input is rejected; otherwise the vectors are read
+    unit-scaled, so any power of two on them gives the same weights,
+    but where a value is subnormal.
     """
     x = np.asarray(x, dtype=float)
     M = np.asarray(neighbor_matrix, dtype=float)
@@ -286,12 +283,12 @@ def solve_row_weights(x: np.ndarray, neighbor_matrix: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: target has {x.size} features, neighbors have {M.shape[1]}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        offsets = M - x
-        G = (offsets @ offsets.T)[None]
-    if not _posed(G)[0]:
-        raise ValidationError(_NOT_POSED)
-    W, _ = _simplex_rows(G)
+    rows = np.vstack([M, x])
+    if not np.isfinite(rows).all():
+        raise ValidationError("non-finite value in the target or neighbor vectors")
+    rows = _unit_scaled(rows)
+    offsets = rows[:k] - rows[k]
+    W, _ = _simplex_rows((offsets @ offsets.T)[None])
     return W[0]
 
 
@@ -318,8 +315,10 @@ def assemble_weight_matrix(
     the module docstring); a row's zero weights are left out of the sparse
     support, so a vertex may end up with no weight in any other row (see
     ``WeightMatrix.zero_weight_columns``). A solved row with no
-    in-neighbor, then one whose Gram matrix is not finite, is rejected by
-    its first index.
+    in-neighbor, then a domain row with a non-finite value, is rejected
+    by its first index. The rows are read unit-scaled, as the pipeline
+    passes them, so any power of two on the domain gives the same bits,
+    but where a value is subnormal.
     """
     if graph.n != domain.n:
         raise ValidationError(
@@ -332,12 +331,16 @@ def assemble_weight_matrix(
     if not degrees.all():
         i = n_known + int(np.argmin(degrees))  # the first zero
         raise ValidationError(f"row {i} ({domain.entities[i]}): at least one neighbor is required")
+    # the data is not copied, so it may have changed since it was validated
+    if not np.isfinite(X).all():
+        i = int(np.argmin(np.isfinite(X).all(axis=1)))  # the first non-finite row
+        raise ValidationError(f"row {i} ({domain.entities[i]}): non-finite value")
+    X = _unit_scaled(X)
 
     # candidate weights laid out like the graph: row i owns [start[i], start[i+1])
     start, sources = graph.indptr, graph.indices
     values = np.empty(sources.size)
     counts = np.zeros(3, dtype=np.int64)
-    unposed = n  # first row whose Gram matrix is not finite; n while there is none
     for k in np.flatnonzero(np.bincount(degrees)).tolist():
         rows_k = n_known + np.flatnonzero(degrees == k)
         slots_k = start[rows_k][:, None] + np.arange(k)
@@ -347,23 +350,15 @@ def assemble_weight_matrix(
             slots = slots_k[lo : lo + state_rows]
             rows = rows_k[lo : lo + state_rows]
             G = np.empty((rows.size, k, k))
-            with np.errstate(over="ignore", invalid="ignore"):
-                for a in range(0, rows.size, gather_rows):
-                    part = slice(a, a + gather_rows)
-                    M = X[sources[slots[part]]]
-                    M -= X[rows[part], None, :]
-                    np.matmul(M, M.transpose(0, 2, 1), out=G[part])
+            for a in range(0, rows.size, gather_rows):
+                part = slice(a, a + gather_rows)
+                M = X[sources[slots[part]]]
+                M -= X[rows[part], None, :]
+                np.matmul(M, M.transpose(0, 2, 1), out=G[part])
             del M  # free the gathered vectors before the block solves
-            posed = _posed(G)
-            if not posed.all():
-                unposed = min(unposed, int(rows[~posed][0]))
-                continue
             W, block_counts = _simplex_rows(G)
             values[slots] = W
             counts += block_counts
-
-    if unposed < n:
-        raise ValidationError(f"row {unposed} ({domain.entities[unposed]}): {_NOT_POSED}")
 
     # the solved rows in the graph's layout (known slots unwritten) under identity rows
     free = sparse.csr_matrix((values, sources, start), shape=(n, n))[n_known:]

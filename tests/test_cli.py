@@ -310,12 +310,10 @@ class TestImputeCommand:
         assert captured.err.startswith("error:") or "No such file" in captured.err
 
     def test_domain_far_from_the_origin_imputes(self, tmp_path):
-        # rows near 1e155 that differ by about 1e140: the products of the
-        # vectors themselves, near 1e310, are not finite, but the weights
-        # are posed on the neighbors' offsets from each row, whose products
-        # stay near 1e280; this input used to stop with an overflow error.
-        # Finite distances bound those offsets, so through impute a
-        # non-finite Gram matrix is out of reach.
+        # rows near 1e155 that differ by about 1e140, whose own products,
+        # near 1e310, are not finite: the weights are posed on the
+        # neighbors' offsets from each row and read the rows unit-scaled,
+        # as the graph does, so no product overflows
         rng = np.random.default_rng(71)
         entities = tuple(f"e{i:02d}" for i in range(40))
         domain = DomainMatrix(entities, 1e155 + 1e140 * rng.normal(size=(40, 3)))

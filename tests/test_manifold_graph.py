@@ -578,7 +578,7 @@ class TestBlockedCut:
 
 
 class TestDistanceValidation:
-    TILE = manifold_graph._SYMMETRY_TILE
+    TILE = domain_geometry._tile_side()
     N = 2 * TILE + TILE // 3  # not a multiple of the tile size
 
     @pytest.mark.parametrize(
