@@ -67,6 +67,38 @@ def textbook_pearson(filled):
     return out
 
 
+def spreadsheet_fill(returns):
+    """The rows kept at the 20% missing threshold, as a mask, and their
+    series with each missing cell filled by the mean of its column's
+    observed values over those rows."""
+    keep = np.isnan(returns).mean(axis=1) <= 0.2
+    filled = returns[keep].copy()
+    for t in range(filled.shape[1]):
+        col = filled[:, t]
+        observed = col[~np.isnan(col)]
+        col[np.isnan(col)] = observed.mean()
+    return keep, filled
+
+
+def squared_distance_bound(n, T):
+    """``correlation_domain_matrix``'s bound, 16 (n + T) n u, on how far a
+    squared distance of its rows, over 4^s, lies from that of the rows of
+    the correlation matrix C."""
+    return 16 * (n + T) * n * 2.0**-53
+
+
+def assert_pearson_geometry(data, filled):
+    """The rows of ``data`` lie in [1, 2) in |value| and are 2^s times rows
+    with the pairwise distances of the rows of the two-pass Pearson matrix
+    of ``filled``, within the bound on squared distances."""
+    assert 1.0 <= np.abs(data).max() < 2.0
+    C = textbook_pearson(filled)
+    # the row norms are C's times 2^s, up to rounding
+    s = round(math.log2(np.linalg.norm(data, axis=1).max() / np.linalg.norm(C, axis=1).max()))
+    gap = np.abs(np.ldexp(cdist(data, data), -s) ** 2 - cdist(C, C) ** 2).max()
+    assert gap <= squared_distance_bound(*filled.shape), (gap, s)
+
+
 class TestDomainMatrix:
     def test_rejects_single_entity(self):
         with pytest.raises(ValidationError):
@@ -166,9 +198,10 @@ class TestUnitScaled:
             assert domain_geometry._unit_scaled(data) is data
 
     def test_correlation_domain_is_not_copied(self):
-        returns = np.random.default_rng(10).normal(size=(6, 40))
-        domain = correlation_domain_matrix(tuple("abcdef"), returns)
-        assert domain_geometry._unit_scaled(domain.data) is domain.data
+        for shape in ((6, 40), (40, 6)):  # C's rows, then the factor
+            returns = np.random.default_rng(10).normal(size=shape)
+            domain = correlation_domain_matrix([f"e{i}" for i in range(shape[0])], returns)
+            assert domain_geometry._unit_scaled(domain.data) is domain.data, shape
 
     @pytest.mark.parametrize("k", [-1074, -1000, -520, -1, 1, 5, 520, 1023])
     def test_largest_value_lands_in_one_to_two(self, k):
@@ -245,34 +278,68 @@ class TestDistanceOverflow:
         assert np.array_equal(runs[0].graph.indices, runs[1].graph.indices)
 
 
+def correlated_returns(n, T, kind, seed=7):
+    """(n, T) returns: independent series, or one common factor plus a
+    third as much noise, whose correlation rows reach |C_i| near sqrt(n), so
+    that the factor's 2^s is below 1. Every third row misses one cell, at
+    most 1/T of it, so no row is dropped."""
+    rng = np.random.default_rng(seed)
+    returns = rng.normal(size=(n, T))
+    if kind == "one_factor":
+        returns = rng.normal(size=T) + returns / 3
+    rows = np.arange(0, n, 3)
+    returns[rows, rows % T] = np.nan
+    return returns
+
+
 class TestCorrelationDomainMatrix:
     def test_perfectly_correlated_pair(self):
         a = np.linspace(0.0, 1.0, 20)
-        dm = correlation_domain_matrix(["x", "y"], np.vstack([a, 2 * a + 1]))
-        assert np.allclose(dm.data, 1.0)
-        assert euclidean_distance_matrix(dm)[0, 1] < 1e-12
+        returns = np.vstack([a, 2 * a + 1])
+        dm = correlation_domain_matrix(["x", "y"], returns)
+        assert_pearson_geometry(dm.data, returns)
+        assert euclidean_distance_matrix(dm)[0, 1] ** 2 <= squared_distance_bound(2, 20)
 
     def test_anticorrelated_pair(self):
         a = np.sin(np.arange(30.0))
-        dm = correlation_domain_matrix(["x", "y"], np.vstack([a, -a]))
-        assert np.allclose(dm.data, [[1, -1], [-1, 1]], atol=1e-12)
+        returns = np.vstack([a, -a])
+        dm = correlation_domain_matrix(["x", "y"], returns)
+        assert_pearson_geometry(dm.data, returns)
 
-    def test_matches_twopass_oracle_with_missing(self):
-        rng = np.random.default_rng(7)
-        returns = rng.normal(size=(5, 50))
-        mask = rng.random((5, 50)) < 0.10
-        masked = returns.copy()
-        masked[mask] = np.nan
+    # the factor at T < n / 2 and at T = n / 2, its widest; C's rows at
+    # T = n / 2 + 1, T = n - 1, T = n and T = n + 1
+    @pytest.mark.parametrize("T", [10, 12, 13, 23, 24, 25])
+    @pytest.mark.parametrize("kind", ["independent", "one_factor"])
+    def test_distances_match_twopass_oracle_with_missing(self, kind, T):
+        returns = correlated_returns(24, T, kind)
+        keep, filled = spreadsheet_fill(returns)
+        assert keep.all()
+        dm = correlation_domain_matrix([f"e{i}" for i in range(24)], returns)
+        assert_pearson_geometry(dm.data, filled)
+        # the factor where 2T <= n: r <= T - 1, the centering's zero
+        # eigenvalue cut; C's n columns, unit diagonal, where 2T > n
+        assert dm.data.shape == (24, T - 1 if 2 * T <= 24 else 24)
+        if 2 * T > 24:
+            assert np.array_equal(np.diagonal(dm.data), np.ones(24))
 
-        # spreadsheet-style fill: per-column mean of observed values
-        filled = masked.copy()
-        for t in range(50):
-            col = filled[:, t]
-            observed = col[~np.isnan(col)]
-            col[np.isnan(col)] = observed.mean()
+    def test_cut_drops_the_rounding_of_a_low_rank_factor(self):
+        # 60 series spanned by 5 factors over 30 days: Z^T Z has rank 5,
+        # and its 25 other eigenvalues are rounding, well under the cut
+        rng = np.random.default_rng(13)
+        returns = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 30))
+        dm = correlation_domain_matrix([f"e{i}" for i in range(60)], returns)
+        assert dm.data.shape == (60, 5)
+        assert_pearson_geometry(dm.data, returns)
 
-        dm = correlation_domain_matrix(["a", "b", "c", "d", "e"], masked)
-        assert np.abs(dm.data - textbook_pearson(filled)).max() < 1e-10
+    def test_tiny_series_keeps_its_correlations(self):
+        # one series 2^-700 times the others: its centered squares would
+        # underflow at the common scale, so each row takes its own first
+        returns = correlated_returns(16, 8, "one_factor", seed=14)
+        returns[5] *= 2.0**-700
+        dm = correlation_domain_matrix([f"e{i}" for i in range(16)], returns)
+        _, filled = spreadsheet_fill(returns)
+        filled[5] *= 2.0**700  # correlation ignores a row's own scale
+        assert_pearson_geometry(dm.data, filled)
 
     def test_drops_rows_over_missing_threshold(self):
         rng = np.random.default_rng(8)
@@ -299,19 +366,12 @@ class TestCorrelationDomainMatrix:
     def test_returns_times_a_power_of_two_give_the_same_bits(self, k):
         returns = 0.01 * np.random.default_rng(0).normal(size=(50, 200))
         entities = [f"e{i}" for i in range(50)]
-        expected = correlation_domain_matrix(entities, returns).data
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no overflow in dot, no 0/0
-            scaled = correlation_domain_matrix(entities, returns * 2.0**k).data
-        assert scaled.tobytes() == expected.tobytes()
-
-    def test_unit_diagonal_and_range(self):
-        rng = np.random.default_rng(9)
-        returns = rng.normal(size=(8, 40))
-        returns[rng.random((8, 40)) < 0.05] = np.nan
-        dm = correlation_domain_matrix([f"e{i}" for i in range(8)], returns)
-        assert np.array_equal(np.diagonal(dm.data), np.ones(8))
-        assert dm.data.min() >= -1.0 and dm.data.max() <= 1.0
+        for T in (20, 200):  # the factor, then C's rows
+            expected = correlation_domain_matrix(entities, returns[:, :T]).data
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no overflow in dot, no 0/0
+                scaled = correlation_domain_matrix(entities, returns[:, :T] * 2.0**k).data
+            assert scaled.tobytes() == expected.tobytes(), T
 
     def test_missing_threshold_is_not_a_parameter(self):
         returns = np.random.default_rng(12).normal(size=(3, 10))

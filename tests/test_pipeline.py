@@ -12,6 +12,7 @@ from scipy.spatial.distance import cdist
 import embimpute as ei
 from embimpute import domain_geometry, manifold_graph, pipeline
 from embimpute.pipeline import _STAGES
+from test_domain_geometry import spreadsheet_fill, squared_distance_bound
 from test_manifold_graph import EXACT_READ_INPUTS, ORACLE_INPUTS, blocks_of, collinear, directed_edges, lattice
 
 
@@ -385,6 +386,111 @@ class TestScaleExact:
         assert got[2].Y.tobytes() == want[2].Y.tobytes()
         # 1e-170 and 1e-160 round the rows: the answer moves by rounding only
         assert np.abs(got[2].Y - unscaled[2].Y).max() < 1e-12
+
+
+def corr_files_inputs(seed, n=1200, T=500, sectors=12, dim=300):
+    """The returns and known table of the benchmark's ``corr_files``
+    workload at ``seed``, drawn in its order from its stream: a market and
+    12 sector factors plus noise, 2% empty cells, 8 rows pushed over the
+    20% drop threshold, and known vectors around sector centers for 60% of
+    the kept entities. The returns are printed to 8 significant digits, as
+    its CSV holds them."""
+    rng = np.random.default_rng([seed, 1])
+    sector = rng.integers(sectors, size=n)
+    market = rng.normal(0.0, 0.01, T)
+    factors = rng.normal(0.0, 0.01, (sectors, T))
+    beta = rng.uniform(0.5, 1.5, n)
+    loading = rng.uniform(0.3, 1.0, n)
+    returns = (
+        beta[:, None] * market
+        + loading[:, None] * factors[sector]
+        + rng.normal(0.0, 0.015, (n, T))
+    )
+    missing = rng.random((n, T)) < 0.02
+    sparse_rows = rng.choice(n, 8, replace=False)
+    missing[sparse_rows] |= rng.random((8, T)) < 0.3
+    returns = np.array([float(f"{v:.8g}") for v in returns.ravel().tolist()]).reshape(n, T)
+    returns[missing] = np.nan
+    kept = np.flatnonzero(missing.mean(axis=1) <= 0.20)
+    pick = kept[np.sort(rng.permutation(len(kept))[: int(0.6 * len(kept))])]
+    centers = rng.normal(0.0, 1.0, (sectors, dim))
+    vectors = centers[sector[pick]] + rng.normal(0.0, 1.5, (len(pick), dim))
+    entities = [f"S{i:05d}" for i in range(n)]
+    return entities, returns, ei.EmbeddingTable(dim, {entities[i]: v for i, v in zip(pick, vectors)})
+
+
+def random_returns(rng, n, T):
+    """(n, T) independent returns with 3% empty cells, and known vectors
+    for the first half of the entities."""
+    returns = rng.normal(size=(n, T))
+    returns[rng.random((n, T)) < 0.03] = np.nan
+    entities = [f"e{i:03d}" for i in range(n)]
+    return entities, returns, ei.EmbeddingTable(5, {e: rng.normal(size=5) for e in entities[: n // 2]})
+
+
+def repeated_series(rng):
+    """40 entities over 12 days, the first 20 known. Entities 30-34 repeat
+    the series of 5-9 as 2x + 1, and 35-39 repeat those of 0-4, so each of
+    the ten pairs has C rows equal up to rounding."""
+    entities, returns, table = random_returns(rng, 40, 12)
+    returns[30:35] = 2 * returns[5:10] + 1
+    returns[35:] = returns[:5]
+    return entities, returns, table
+
+
+# (entities, returns, table) by name: random sets whose domain is the
+# factor (2T <= n) or C's rows (2T > n: T = n / 2 + 1, n - 1, n and
+# above n), each drawn four times, and the corr_files inputs (the factor)
+RETURN_SETS = {
+    **{
+        f"random_{n}x{T}": (lambda n=n, T=T: [random_returns(np.random.default_rng([n, T, k]), n, T) for k in range(4)])
+        for n, T in [(60, 20), (150, 40), (60, 30), (60, 31), (60, 59), (60, 60), (60, 90)]
+    },
+    "corr_files_seed_3": lambda: [corr_files_inputs(3)],
+    "corr_files_seed_2027": lambda: [corr_files_inputs(2027)],
+    "repeated_series": lambda: [repeated_series(np.random.default_rng([40, 12, k])) for k in range(4)],
+}
+# Inputs whose graphs may differ, by name. A repeated series makes the
+# distances of its two entities to every third one tie in C up to
+# rounding; the factor and np.corrcoef round them apart, each its own way,
+# so such ties break either way, and a twin's weights are not unique.
+TIED_SETS = {"repeated_series"}
+WEIGHT_TOL = 1e-12  # max |W_F - W_C| over the graph's edges
+VECTOR_TOL = 1e-12  # max |Y_F - Y_C|, relative to max |Y_C|
+
+
+class TestCorrelationFactor:
+    """``impute_embeddings`` on ``correlation_domain_matrix`` gives the run
+    on the np.corrcoef rows of the same filled series."""
+
+    @pytest.mark.parametrize("name", sorted(RETURN_SETS))
+    def test_run_matches_the_corrcoef_run(self, name):
+        config = ei.ImputationConfig(eta=1e-2)
+        for entities, returns, table in RETURN_SETS[name]():
+            keep, filled = spreadsheet_fill(returns)
+            kept = [e for e, k in zip(entities, keep) if k]
+            factor = ei.impute_embeddings(ei.correlation_domain_matrix(entities, returns), table, 8, config)
+            corr = ei.impute_embeddings(ei.DomainMatrix(kept, np.corrcoef(filled)), table, 8, config)
+            assert factor.problem.order == corr.problem.order
+            gained = directed_edges(factor.graph) - directed_edges(corr.graph)
+            lost = directed_edges(corr.graph) - directed_edges(factor.graph)
+            if name in TIED_SETS:
+                # the graphs differ only by edges swapped for edges of the
+                # same squared length in C, within the bound
+                C = corr.problem.domain.data
+                D2 = cdist(C, C) ** 2
+                assert len(gained) == len(lost)
+                gap = np.subtract(sorted(D2[e] for e in gained), sorted(D2[e] for e in lost))
+                assert np.all(np.abs(gap) <= 2 * squared_distance_bound(*filled.shape))
+                assert factor.result.converged
+                continue
+            assert not gained and not lost
+            assert factor.result.iterations == corr.result.iterations
+            W, V = factor.weights.matrix, corr.weights.matrix
+            assert np.array_equal(W.indptr, V.indptr) and np.array_equal(W.indices, V.indices)
+            assert np.abs(W.data - V.data).max() <= WEIGHT_TOL
+            Y, X = factor.result.Y, corr.result.Y
+            assert np.abs(Y - X).max() <= VECTOR_TOL * np.abs(X).max()
 
 
 # a field of each of the package's 13 dataclasses, with a value that got
