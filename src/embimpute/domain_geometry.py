@@ -9,10 +9,11 @@ the simplex weights and the k-NN score all read rows scaled so. That
 changes no distance's rank and no weight (but where a value is
 subnormal), and no square overflows or underflows merely because the
 rows are very large or very small.
-The keys are computed in float64 and stored as float32: each lies within
-a relative rho and an absolute M of the square of its pair's distance,
-and ``_limit`` says how far apart two keys must be to order their pairs
-for certain.
+The keys are made a block of rows at a time (``_key_rows``), in float64
+and rounded to float32: each lies within a relative rho and an absolute
+M of the square of its pair's distance, and ``_limit`` says how far
+apart two keys must be to order their pairs for certain. No n x n array
+is kept.
 ``scipy.spatial`` is imported on the first ``cdist`` call, not with the
 package.
 A small preprocessing helper, ``correlation_domain_matrix``, turns raw
@@ -28,20 +29,22 @@ from __future__ import annotations
 
 import math
 import mmap
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 
-_BLOCK_BYTES = 1 << 20  # bytes in one block: the key tiles, the graph and k-NN cuts and the weight gathers share it
+_BLOCK_BYTES = 1 << 20  # bytes in one block: the key rows, the graph and k-NN cuts and the weight gathers share it
 _MAX_MISSING_FRACTION = 0.20  # return rows missing more of their cells are dropped
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 _FLOAT32_UNIT_ROUNDOFF = 2.0**-24
 _FLOAT32_SUBNORMAL = 2.0**-149
-# rho, the relative rounding of keys stored as each dtype: float32 keys
-# are rounded once more after M is counted, float64 keys never
+# rho, the relative rounding of keys of each dtype: float32 keys are
+# rounded once more after M is counted, float64 keys never
 _STORAGE_ROUNDING = {
     np.dtype(np.float32): 2 * _FLOAT32_UNIT_ROUNDOFF / (1 - _FLOAT32_UNIT_ROUNDOFF),
     np.dtype(np.float64): 0.0,
@@ -120,7 +123,7 @@ def _unit_scaled(data: np.ndarray, out=None) -> np.ndarray:
 
 def _tile_side() -> int:
     """Side of the square float64 tiles of one block (362 for 1 MiB): the
-    key stage's Gram tiles and the graph's symmetry check take them."""
+    graph's symmetry check and its paired exact reads take them."""
     return math.isqrt(_BLOCK_BYTES // 8)
 
 
@@ -184,7 +187,9 @@ def _nearest_columns(block: np.ndarray, r: int, margin: float = 0.0, exact=None)
     sure = np.flatnonzero(~doubt)
     picked = ~doubt[rows]
     values = np.take(block, flat[picked]).reshape(-1, r)
-    order = np.argsort(values, axis=1, kind="stable")
+    # equal keys lie within each other's limits, so a row that stays sure
+    # has none, and any sort orders it alike
+    order = np.argsort(values, axis=1)
     head = np.empty((m, r), dtype=np.int64)
     head[sure] = np.take_along_axis(cols[picked].reshape(-1, r), order, axis=1)
     ranked = np.take_along_axis(values, order, axis=1)
@@ -210,10 +215,10 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
     shortcut. Distances that overflow raise ``ValidationError``, and
     offsets below about 1e-154 square to 0, so such rows read as equal.
 
-    The pipeline does not call it: it ranks its graph by
-    ``_squared_distance_keys`` over ``_unit_scaled`` rows, whose
-    distances neither overflow nor underflow merely because of the
-    domain's scale.
+    The pipeline does not call it, and keeps no n x n array: it ranks its
+    graph by ``_key_rows`` over ``_unit_scaled`` rows, a block of rows at
+    a time, whose distances neither overflow nor underflow merely because
+    of the domain's scale.
     """
     if isinstance(domain, DomainMatrix):
         data = domain.data
@@ -235,7 +240,8 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
 
 def _off_heap(shape, dtype) -> np.ndarray:
     """An uninitialized array of ``shape`` and ``dtype``; from 4 MiB, on
-    an anonymous mapping of its own.
+    an anonymous mapping of its own. ``align`` makes its reordered copy
+    of the domain rows here.
 
     A large matrix is kept off the malloc heap: once glibc's mmap
     threshold has risen past its size, the heap would place it wherever
@@ -259,24 +265,39 @@ def _off_heap(shape, dtype) -> np.ndarray:
     return np.frombuffer(area, dtype=dtype).reshape(shape)
 
 
-def _squared_distance_keys(data: np.ndarray):
+class _KeyRows(NamedTuple):
+    """Keys that rank the pairwise distances of ``n`` points, made one set
+    of rows at a time.
+
+    ``rows(index)`` gives a new array of the keys of the rows ``index``
+    (an int64 array) against all n columns, zero where a row meets its own
+    column; each key f lies within rho f + M of the square of its pair's
+    exact distance, with rho ``_STORAGE_ROUNDING`` of the keys' dtype and
+    M = ``margin`` (M = 0 and float64: the keys are the exact distances),
+    so a key orders its pair after another's for certain only past that
+    key's ``_limit``. ``exact(rows, cols)`` gives the float64 exact
+    distances of those pairs.
+    """
+
+    n: int
+    rows: Callable[[np.ndarray], np.ndarray]
+    margin: float
+    exact: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _key_rows(data: np.ndarray) -> _KeyRows:
     """Keys that rank the pairwise distances of the rows of ``data``, a
-    C-contiguous float64 matrix such as ``DomainMatrix.data``.
+    C-contiguous float64 matrix such as ``DomainMatrix.data``; O(n d)
+    work, as no key is made until its rows are asked for.
 
     Requires every |value| below 2, as ``_unit_scaled`` leaves it: then
     8 max|x|^2 < 32 d, so no Gram product, norm or sum overflows, and
     every key, at most 4 max|x|^2 < 16 d, fits in float32.
 
-    Returns ``(keys, margin, exact)``. ``keys`` is an n x n float32 matrix
-    of |x|^2 + |y|^2 - 2 x.y, clipped at 0, with an exactly zero
-    diagonal, made by ``_off_heap`` (from 4 MiB, that is 1024 rows,
-    off the malloc heap, so the peak resident size does not depend on what
-    earlier calls left there). The upper triangle is computed in float64,
-    in 1 MiB square tiles of ``X[a] @ X[b].T`` on BLAS's threads in one
-    Python loop; each tile is finished in place, rounded to float32, and
-    stored and mirrored while it is in cache. (Square tiles, not row
-    blocks: the mirrored write of a row block touches every row of the
-    matrix, that of a tile only a few hundred.)
+    ``rows(index)`` computes ``X[index] @ X.T`` in float64 on BLAS's
+    threads, finishes it to |x|^2 + |y|^2 - 2 x.y, clips it at 0, rounds
+    it once to float32 and zeroes each row's own column. The caller asks
+    for a block of rows at a time, so no n x n array is made.
 
     ``margin`` is M, and each key f lies within u f + M of
     cdist(x, y)^2, with u = 2^-24 the float32 rounding
@@ -296,26 +317,21 @@ def _squared_distance_keys(data: np.ndarray):
     """
     n, d = data.shape
     sq = np.einsum("ij,ij->i", data, data)
-    keys = _off_heap((n, n), np.float32)
-    side = _tile_side()
-    for lo in range(0, n, side):
-        for left in range(lo, n, side):
-            rows, cols = slice(lo, lo + side), slice(left, left + side)
-            tile = data[rows] @ data[cols].T
-            # finished in float64, then rounded once to float32 after it
-            # is clipped; stored through a contiguous float32 tile, as a
-            # transposed copy within the keys is slow
-            tile *= -2.0
-            tile += sq[rows, None]
-            tile += sq[cols]
-            key_tile = np.maximum(tile, 0.0, out=tile).astype(np.float32)
-            keys[rows, cols] = key_tile
-            if left > lo:  # a diagonal tile holds both triangles
-                keys[cols, rows] = key_tile.T
-    np.fill_diagonal(keys, 0.0)
+
+    def rows(index):
+        block = data[index] @ data.T
+        # finished in float64, then rounded once to float32 after it is
+        # clipped
+        block *= -2.0
+        block += sq[index, None]
+        block += sq
+        keys = np.maximum(block, 0.0, out=block).astype(np.float32)
+        keys[np.arange(index.size), index] = 0.0
+        return keys
+
     gamma = (d + 4) * _UNIT_ROUNDOFF / (1 - (d + 4) * _UNIT_ROUNDOFF)
     margin = 9 * gamma * sq.max() + 8 * (d + 4) * _SMALLEST_SUBNORMAL + _FLOAT32_SUBNORMAL
-    return keys, margin, lambda rows, cols: cdist(data[rows], data[cols])
+    return _KeyRows(n, rows, margin, lambda rows, cols: cdist(data[rows], data[cols]))
 
 
 def correlation_domain_matrix(entities, returns: np.ndarray) -> DomainMatrix:
@@ -352,7 +368,7 @@ def correlation_domain_matrix(entities, returns: np.ndarray) -> DomainMatrix:
     2 lambda_c^2 in exact arithmetic, lambda_c <= n u lambda_max the
     largest eigenvalue cut. As lambda_max <= sqrt(n) max|C_i|, that is at
     most 2 n^3 u^2 max|C_i|^2, below 2 n^3 u / 45 of the key margin
-    M >= 9 gamma_{r+4} max|F_i|^2 of the rows (``_squared_distance_keys``;
+    M >= 9 gamma_{r+4} max|F_i|^2 of the rows (``_key_rows``;
     max|F_i|^2 = 4^s max|C_i|^2): under a 700th of it for n <= 2^16.
     Rounding adds more. Taking the eigensolver's backward error as
     T u lambda_max, 4^-s |F_i - F_j|^2 lies within 16 (n + T) n u of

@@ -230,10 +230,9 @@ def align(domain: DomainMatrix, table: EmbeddingTable) -> AlignedProblem:
         )
     permutation = np.array(present + absent, dtype=np.int64)
     order = tuple(domain.entities[i] for i in permutation)
-    # off the heap, as the graph's keys are, so that where earlier calls
-    # left free heap does not decide the peak resident size; every index
-    # is in range, and "clip" writes straight into it where "raise" would
-    # buffer a second copy
+    # off the heap, so that where earlier calls left free heap does not
+    # decide the peak resident size; every index is in range, and "clip"
+    # writes straight into it where "raise" would buffer a second copy
     rows = _off_heap(domain.data.shape, float)
     np.take(domain.data, permutation, axis=0, out=rows, mode="clip")
     known = np.array([table.entries[tok] for tok in order[: len(present)]])

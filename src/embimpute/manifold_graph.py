@@ -5,52 +5,61 @@ graph connected; additional directed edges from nearest non-neighbors then
 raise every vertex's in-degree to the configured minimum. Tie-breaking is
 always by smaller vertex index so identical inputs yield identical graphs.
 
-One builder (``_build``) reads three things: an n x n matrix of keys
-that rank the distances, a margin M, and ``exact(rows, cols)``, the exact
-distances of those pairs. Each key f lies within rho f + M of the
-square of its pair's exact distance, with rho the relative rounding of
-the keys' dtype (M = 0 and float64: the keys are the exact distances),
-so a key orders its pair after another's for certain only past that
-key's ``_limit``, f (1 + rho) + 2M computed in float64 and rounded to
-the keys' dtype; every decision closer than that is made on exact
-distances. The pipeline and the CLI's ``graph-stats`` always pass the
-float32 Gram keys of ``domain_geometry._squared_distance_keys`` over the
-unit-scaled domain rows, its margin and ``cdist`` reads of those rows.
-``build_graph(D)``, ``build_mst`` and ``augment_to_min_degree`` are the
-M = 0 case: the keys are ``D`` and the exact values are read from it.
-Either way the graph is the one the exact distances define.
+One builder (``_build``) reads a ``domain_geometry._KeyRows``: rows of
+keys that rank the distances, made a set of rows at a time, a margin M,
+and ``exact(rows, cols)``, the exact distances of those pairs. Each key
+f lies within rho f + M of the square of its pair's exact distance, with
+rho the relative rounding of the keys' dtype (M = 0 and float64: the
+keys are the exact distances), so a key orders its pair after another's
+for certain only past that key's ``_limit``, f (1 + rho) + 2M computed
+in float64 and rounded to the keys' dtype; every decision closer than
+that is made on exact distances. The pipeline and the CLI's
+``graph-stats`` always pass the float32 Gram key rows of
+``domain_geometry._key_rows`` over the unit-scaled domain rows, its
+margin and ``cdist`` reads of those rows. ``build_graph(D)``,
+``build_mst`` and ``augment_to_min_degree`` are the M = 0 case
+(``_distance_rows``): the key rows are rows of ``D`` and the exact
+values are read from it. Either way the graph is the one the exact
+distances define.
 
-One blocked cut (``_nearest``: ``_nearest_columns`` over each 1 MiB row
-block of the keys in turn) takes every row's delta + 1 nearest columns
-by (distance, index), and both steps read it; a row whose keys near its
-(delta + 1)-th lie within each other's limits is ranked on exact
-distances. The tree is the unique minimum under the
-strict total order (weight, smaller index, larger index), so it is the
-tree Kruskal's algorithm yields when it scans edges in that order. For a
-fixed vertex that order ranks its edges by (weight, other end), so a
-vertex's first column in the cut other than itself is its least edge,
-and that edge is a tree edge (Borůvka's first round). A dense Prim over
-the components these edges leave adds the rest: each joining vertex's
-row of keys updates the frontier's least keys, kept in the keys' dtype,
-once. The frontier vertices within the limit of the least key are the
-candidates. When one candidate has one tree end within it, that edge is
-next, read from the candidate's own row. Otherwise each candidate is
-watched: its least edge by (exact distance, tree end) is read once, by
-one ``exact`` call per 1 MiB of keys near it, and folded with each later
-joining component, and the order picks among the candidates' least
-edges. Inside the package the tree passes as two endpoint arrays in no
-set order; only ``build_mst`` sorts it and reads its weights into
-tuples. The augmentation takes each short vertex's new sources from the
-same cut.
+One blocked cut (``_cut``: each block of 1 MiB of float64 key rows is
+made and cut by ``_nearest_columns`` in turn) takes every row's r
+nearest columns by (distance, index) and their keys, r = delta + 1 or,
+where that is more, ``_CUT_COLUMNS`` (n at most), and both steps read
+it; a row whose keys near its r-th lie within each other's limits is
+ranked on exact distances. The tree is the unique
+minimum under the strict total order (weight, smaller index, larger
+index), so it is the tree Kruskal's algorithm yields when it scans edges
+in that order. For a fixed vertex that order ranks its edges by
+(weight, other end), so a vertex's first column in the cut outside its
+component is its least edge out of it. Borůvka rounds grow the tree from
+the single vertices: each component's least edge, the least of its
+members' least edges, is a tree edge, and ``csgraph.connected_components``
+merges the components those edges join, at least halving them. Keys pick
+a component's edge; where several members' keys lie within the limit of
+the least, their edges' exact distances and the order do. A member with
+every cut column inside its own component has no edge in the cut; its
+outside edges are at least as long as its last cut column's, so its row
+of keys is made again, its component's columns left out, and cut for its
+least outside edge only when its last cut key lies within the limit of
+its component's least key; the wider the cut, the fewer such rows.
+Inside the package the tree passes as two
+endpoint arrays in no set order; only ``build_mst`` sorts it and reads
+its weights into tuples. The augmentation takes each short vertex's new
+sources from the first delta + 1 columns of the same cut.
 
-The stage takes O(n^2) time, plus the exact reads: none where no two
-keys are that close, at most one of about ten pairs per benchmark
-input, and a few per row or step on tie-heavy inputs (lattices,
-duplicate rows) and where float32 keys lie an ulp or two apart; it
-allocates nothing n x n beyond the keys. ``build_graph`` validates ``D``
-once; ``build_mst`` and ``augment_to_min_degree`` each validate their
-own input; the key stage's output is valid by construction. ``delta`` is
-checked before the cut, and the pipeline and the CLI check it before the
+The stage makes every key row once for the cut, and again for the
+members read in full (54 rows at seed 3 and 694 at seed 2027 on the
+clustered 8192 x 64 domain of the ``cli_lowdim_8k`` benchmark), plus
+the exact reads: none where no two keys are that close, at most one
+of about ten pairs per benchmark input, and a few per row or round on
+tie-heavy inputs (lattices, duplicate rows) and where float32 keys lie
+an ulp or two apart. Beyond its input it holds the cut, n r columns and
+keys, and one block of key rows at a time: O(n r) memory, nothing
+n x n. ``build_graph`` validates ``D`` once;
+``build_mst`` and ``augment_to_min_degree`` each validate their own
+input; the key rows are valid by construction. ``delta`` is checked
+before the cut, and the pipeline and the CLI check it before the
 distance stage.
 
 The graph is stored in the CSR layout of ``WeightMatrix``: row i lists the
@@ -66,11 +75,14 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .domain_geometry import _BLOCK_BYTES, _limit, _nearest_columns, _tile_side
+from .domain_geometry import _BLOCK_BYTES, _KeyRows, _limit, _nearest_columns, _tile_side
 from .errors import ValidationError, _check_integer
 
 # the minimum in-degree every entry point defaults to, the CLI's included
 _DELTA = 8
+# the fewest columns the graph's cut takes (n at most): where a vertex's
+# columns leave its component the tree needs no more of its row
+_CUT_COLUMNS = 32
 
 
 def _validated_distances(D) -> np.ndarray:
@@ -95,9 +107,11 @@ def _validated_distances(D) -> np.ndarray:
     return D
 
 
-def _entries(D: np.ndarray):
-    """Exact values read from a matrix: ``exact(rows, cols)`` is ``D[rows][:, cols]``."""
-    return lambda rows, cols: D[np.ix_(rows, cols)]
+def _distance_rows(D: np.ndarray) -> _KeyRows:
+    """The M = 0 key rows of a checked distance matrix: ``rows(index)`` is
+    a copy of ``D[index]``, and ``exact(rows, cols)`` is
+    ``D[rows][:, cols]``."""
+    return _KeyRows(D.shape[0], lambda index: D[index], 0.0, lambda rows, cols: D[np.ix_(rows, cols)])
 
 
 @dataclass(frozen=True)
@@ -143,119 +157,103 @@ class NeighborGraph:
         return self.indices.size
 
 
-def _nearest(keys: np.ndarray, r: int, margin: float, exact) -> np.ndarray:
-    """Each row's ``r`` nearest columns in (exact value, column) order:
-    one ``_nearest_columns`` cut per 1 MiB row block of ``keys``, in
-    turn."""
-    n = keys.shape[0]
-    nearest = np.empty((n, r), dtype=np.int64)
-    rows = max(1, _BLOCK_BYTES // (keys.itemsize * n))
-    for lo in range(0, n, rows):
-        # the cut numbers its rows from the block's first; exact from row 0
-        def block_exact(block_rows, cols):
-            return exact(lo + block_rows, cols)
+def _nearest(keys: _KeyRows, r: int, rows=None, label=None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``r`` nearest columns of each of ``rows`` (int64; every row by
+    default) in (exact value, column) order, and their keys: one
+    ``_nearest_columns`` cut per block of 1 MiB of float64 key rows, made
+    and cut in turn. With ``label``, the columns of a row's own label are
+    left out: each needs one other label."""
+    if rows is None:
+        rows = np.arange(keys.n)
+    nearest = np.empty((rows.size, r), dtype=np.int64)
+    near = []
+    step = max(1, _BLOCK_BYTES // (8 * keys.n))
+    for lo in range(0, rows.size, step):
+        index = rows[lo : lo + step]
+        block = keys.rows(index)
+        if label is not None:
+            block[label[index, None] == label] = np.inf
 
-        nearest[lo : lo + rows] = _nearest_columns(keys[lo : lo + rows], r, margin, block_exact)
-    return nearest
+        # the cut numbers its rows from the block's first, and reads
+        # exact values of columns within the limit of any of its rows
+        def block_exact(block_rows, cols, index=index):
+            values = keys.exact(index[block_rows], cols)
+            if label is not None:
+                values[label[index[block_rows], None] == label[cols]] = np.inf
+            return values
+
+        head = _nearest_columns(block, r, keys.margin, block_exact)
+        nearest[lo : lo + step] = head
+        near.append(np.take_along_axis(block, head, axis=1))
+    return nearest, np.concatenate(near)
 
 
-def _mst(keys: np.ndarray, nearest: np.ndarray, margin: float, exact) -> tuple[np.ndarray, np.ndarray]:
+def _limits(low: np.ndarray, margin: float) -> np.ndarray:
+    """``_limit`` of each key of ``low``; inf, the key of no edge, has
+    limit inf."""
+    limit = np.full_like(low, np.inf)
+    finite = low < np.inf
+    limit[finite] = _limit(low[finite], low.dtype, margin)
+    return limit
+
+
+def _paired(exact, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``exact`` of the pairs (a[i], b[i]): the diagonals of square reads
+    of 1 MiB at most."""
+    side = _tile_side()
+    return np.concatenate([np.diagonal(exact(a[i : i + side], b[i : i + side])) for i in range(0, a.size, side)])
+
+
+def _mst(keys: _KeyRows, nearest: np.ndarray, near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints (src, dst) of the n - 1 tree edges, in no set order.
 
-    ``nearest`` holds at least each row's 2 nearest columns, as
-    ``_nearest`` cuts them.
+    ``nearest`` holds at least each row's 2 nearest columns and ``near``
+    their keys, as ``_nearest`` cuts them.
     """
-    n = keys.shape[0]
+    n = keys.n
     every = np.arange(n)
-    # Borůvka's first round: for a fixed vertex the order ranks its edges
-    # by (weight, other end), so its least edge goes to its first column
-    # other than itself; a twin of smaller index ranks before the vertex
-    seed = np.where(nearest[:, 0] == every, nearest[:, 1], nearest[:, 0])
-    once = (seed[seed] != every) | (every < seed)  # a mutual pair is one edge
-    count, label = csgraph.connected_components(
-        sparse.csr_matrix((np.ones(n), seed, np.arange(n + 1)), shape=(n, n)), directed=False
-    )
-    order = np.argsort(label, kind="stable")
-    bounds = np.searchsorted(label[order], np.arange(count + 1)).tolist()
-
-    # Prim over the components. best_w[v]: least key from the tree to v,
-    # in the keys' dtype; tree vertices hold NaN, which fails every
-    # comparison and which fmin skips, so they are never picked or updated
-    # again
-    best_w = np.full(n, np.inf, dtype=keys.dtype)
-    in_tree = np.zeros(n, dtype=bool)
-    # a frontier vertex that has been a candidate among several is
-    # watched: its least edge by (exact weight, tree end) is kept in
-    # least_w, least_u, and each joining component is folded into it
-    watched = np.zeros(n, dtype=bool)
-    least_w = np.empty(n)
-    least_u = np.empty(n, dtype=np.int64)
-    src = np.empty(count - 1, dtype=np.int64)
-    dst = np.empty(count - 1, dtype=np.int64)
-    joining = label[0]
-    for step in range(count - 1):
-        members = order[bounds[joining] : bounds[joining + 1]]
-        for m in members.tolist():
-            np.minimum(best_w, keys[m], out=best_w)
-        best_w[members] = np.nan
-        in_tree[members] = True
-        watched[members] = False
-        if watched.any():
-            _fold_edges(keys, watched.nonzero()[0], np.sort(members), best_w, least_w, least_u, margin, exact)
-
-        # only frontier vertices within the limit of the least key can
-        # hold the least edge, and only through tree ends within it
-        limit = _limit(np.fmin.reduce(best_w), keys.dtype, margin)
-        cand = (best_w <= limit).nonzero()[0]
-        v = cand[0]
-        if cand.size == 1:
-            ends = keys[v] <= limit
-            ends &= in_tree
-            u = ends.argmax()
-            if np.count_nonzero(ends) > 1:
-                u = _least_edges(np.array([v]), ends.nonzero()[0], exact)[1][0]
-        else:
-            fresh = cand[~watched[cand]]
-            if fresh.size:
-                least_w[fresh] = np.inf
-                _fold_edges(keys, fresh, in_tree.nonzero()[0], best_w, least_w, least_u, margin, exact)
-                watched[fresh] = True
-            # a vertex's least edge by (weight, tree end) is its least by
-            # (weight, lo, hi) too, so the least of the candidates' least
-            # edges by (weight, lo, hi) is the next tree edge
-            ends = least_u[cand]
-            v = cand[np.lexsort((np.maximum(ends, cand), np.minimum(ends, cand), least_w[cand]))[0]]
-            u = least_u[v]
-        src[step], dst[step] = u, v
-        joining = label[v]
-    return np.concatenate([every[once], src]), np.concatenate([seed[once], dst])
-
-
-def _least_edges(frontier: np.ndarray, ends: np.ndarray, exact) -> tuple[np.ndarray, np.ndarray]:
-    """Each ``frontier`` vertex's least edge to the ascending tree vertices
-    ``ends`` by (exact weight, tree end): its weights and tree ends."""
-    weights = exact(frontier, ends)
-    # argmin takes the first, so the least tree end of the least weight
-    first = weights.argmin(axis=1)
-    return weights[np.arange(frontier.size), first], ends[first]
-
-
-def _fold_edges(keys, frontier, tree, best_w, least_w, least_u, margin, exact) -> None:
-    """Fold the edges from the ascending ``tree`` vertices into the least
-    edges of the ``frontier`` vertices, in 1 MiB chunks of tree columns.
-    A tree vertex past the ``_limit`` of a frontier vertex's least key is
-    never its least edge, so only the others are read exactly."""
-    limits = _limit(best_w[frontier, None], keys.dtype, margin)
-    span = max(1, _BLOCK_BYTES // (keys.itemsize * frontier.size))
-    for lo in range(0, tree.size, span):
-        ends = tree[lo : lo + span]
-        near = keys[np.ix_(frontier, ends)] <= limits
-        rows = frontier[near.any(axis=1)]
-        if rows.size:
-            w, u = _least_edges(rows, ends[near.any(axis=0)], exact)
-            better = (w < least_w[rows]) | ((w == least_w[rows]) & (u < least_u[rows]))
-            least_w[rows[better]] = w[better]
-            least_u[rows[better]] = u[better]
+    count, label = n, every
+    src, dst = [], []
+    while count > 1:
+        # each vertex's first cut column outside its component is its
+        # least edge out of it; the key inf marks a vertex with none
+        outside = label[nearest] != label[:, None]
+        first = outside.argmax(axis=1)
+        end = nearest[every, first]
+        key = np.where(outside[every, first], near[every, first], np.inf)
+        low = np.full(count, np.inf, dtype=key.dtype)
+        np.minimum.at(low, label, key)
+        # a vertex with no edge in the cut has none shorter than its last
+        # cut column's: it is read in full only within its component's limit
+        scan = np.flatnonzero((key == np.inf) & (near[:, -1] <= _limits(low, keys.margin)[label]))
+        if scan.size:
+            cut, cut_keys = _nearest(keys, 1, scan, label)
+            end[scan] = cut[:, 0]
+            key[scan] = cut_keys[:, 0]
+            np.minimum.at(low, label[scan], key[scan])
+        # only the edges within the limit of a component's least key can
+        # be its least edge; where there are several, exact distances decide
+        cand = np.flatnonzero(key <= _limits(low, keys.margin)[label])
+        comp = label[cand]
+        weight = key[cand].astype(float)
+        several = np.bincount(comp, minlength=count)[comp] > 1
+        if several.any():
+            weight[several] = _paired(keys.exact, cand[several], end[cand[several]])
+        lo = np.minimum(cand, end[cand])
+        hi = np.maximum(cand, end[cand])
+        order = np.lexsort((hi, lo, weight, comp))
+        pick = cand[order[np.searchsorted(comp[order], np.arange(count))]]
+        # each component's edge reaches another; two components that pick
+        # each other pick one edge, kept once
+        other = label[end[pick]]
+        ids = np.arange(count)
+        once = (other[other] != ids) | (ids < other)
+        src.append(pick[once])
+        dst.append(end[pick[once]])
+        joined = sparse.csr_matrix((np.ones(count), other, np.arange(count + 1)), shape=(count, count))
+        count, merged = csgraph.connected_components(joined, directed=False)
+        label = merged[label]
+    return np.concatenate(src), np.concatenate(dst)
 
 
 def build_mst(D) -> list[tuple[int, int, float]]:
@@ -263,8 +261,7 @@ def build_mst(D) -> list[tuple[int, int, float]]:
 
     Edges compare by the strict total order (weight, smaller index,
     larger index), so the tree is the unique minimum under that order.
-    Every vertex's least edge is a tree edge (Borůvka's first round);
-    a dense Prim over the components those edges leave adds the rest.
+    Borůvka rounds find it: each component's least edge is a tree edge.
     Returns n-1 undirected edges as (u, v, weight) tuples with u < v,
     sorted by the same order; the graph constructor materializes each as
     two directed edges.
@@ -272,8 +269,8 @@ def build_mst(D) -> list[tuple[int, int, float]]:
     D = _validated_distances(D)
     if D.shape[0] < 2:
         raise ValidationError("spanning tree needs at least 2 vertices")
-    exact = _entries(D)
-    src, dst = _mst(D, _nearest(D, 2, 0.0, exact), 0.0, exact)
+    keys = _distance_rows(D)
+    src, dst = _mst(keys, *_cut(keys, 1))
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     w = D[lo, hi]
@@ -324,19 +321,31 @@ def augment_to_min_degree(mst_edges, D, delta: int) -> NeighborGraph:
         raise ValidationError(f"tree edge endpoints must lie in [0, {n})")
     # an edge listed twice, in either direction, counts once
     ends = np.unique(np.sort(ends, axis=1), axis=0)
-    return _augment(ends[:, 0], ends[:, 1], _nearest(D, delta + 1, 0.0, _entries(D)), delta)
+    return _augment(ends[:, 0], ends[:, 1], _nearest(_distance_rows(D), delta + 1)[0], delta)
 
 
-def _build(keys: np.ndarray, margin: float, exact, delta: int) -> NeighborGraph:
-    # keys must be square with a zero diagonal, each within margin of the
-    # square of its pair's exact value (equal to it when margin is 0), and
-    # the exact values finite, non-negative and symmetric: checked by
-    # build_graph, or true by construction
-    delta = _check_integer(delta, "minimum degree", 1, keys.shape[0] - 1)
-    # one cut serves both steps: the tree reads each row's first two
-    # columns, the augmentation all delta + 1
-    nearest = _nearest(keys, delta + 1, margin, exact)
-    return _augment(*_mst(keys, nearest, margin, exact), nearest, delta)
+def _cut(keys: _KeyRows, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one cut both steps read: each row's delta + 1 nearest columns,
+    or ``_CUT_COLUMNS`` where that is more (n at most), and their keys."""
+    return _nearest(keys, min(keys.n, max(delta + 1, _CUT_COLUMNS)))
+
+
+def _graph(keys: _KeyRows, cut: tuple[np.ndarray, np.ndarray], delta: int) -> NeighborGraph:
+    """The tree and the augmentation from ``_cut(keys, delta)``; ``delta``
+    is already checked."""
+    nearest, near = cut
+    return _augment(*_mst(keys, nearest, near), nearest[:, : delta + 1], delta)
+
+
+def _build(keys: _KeyRows, delta: int) -> NeighborGraph:
+    # the key rows must be zero where a row meets its own column, each key
+    # within margin of the square of its pair's exact value (equal to it
+    # when margin is 0), and the exact values finite, non-negative and
+    # symmetric: checked by build_graph, or true by construction
+    delta = _check_integer(delta, "minimum degree", 1, keys.n - 1)
+    # one cut serves both steps: the tree reads each row's columns until
+    # one leaves its component, the augmentation the first delta + 1
+    return _graph(keys, _cut(keys, delta), delta)
 
 
 def build_graph(D, delta: int = _DELTA) -> NeighborGraph:
@@ -344,8 +353,7 @@ def build_graph(D, delta: int = _DELTA) -> NeighborGraph:
 
     ``D`` is validated once, then shared by both steps.
     """
-    D = _validated_distances(D)
-    return _build(D, 0.0, _entries(D), delta)
+    return _build(_distance_rows(_validated_distances(D)), delta)
 
 
 def _adjacency(graph: NeighborGraph) -> sparse.csr_matrix:

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_geometry import DomainMatrix, _squared_distance_keys, _unit_scaled
+from .domain_geometry import DomainMatrix, _key_rows, _unit_scaled
 from .embedding_io import AlignedProblem, EmbeddingTable, align, merge_imputed
 from .errors import _check_integer
 from .imputation_engine import ImputationConfig, ImputationResult, _validated_known, power_iterate
-from .manifold_graph import _DELTA, NeighborGraph, _build
+from .manifold_graph import _DELTA, NeighborGraph, _cut, _graph
 from .weight_solver import WeightMatrix, assemble_weight_matrix
 
 _STAGES = ("align", "distance", "graph", "weights", "iterate", "merge")
@@ -47,15 +47,18 @@ def _timed(timings: dict[str, float], stage: str, fn, *args):
 def _neighbor_graph(domain: DomainMatrix, delta: int, timings: dict[str, float]) -> tuple[NeighborGraph, DomainMatrix]:
     """Unit-scale the domain, then time the ``distance`` and ``graph``
     stages into ``timings``; ``delta`` is already checked against
-    ``domain.n``. Returns the graph and the unit-scaled domain, ``domain``
-    itself when its rows need no scaling."""
+    ``domain.n``. The ``distance`` stage makes the key rows a block at a
+    time and cuts each row's nearest columns; the ``graph``
+    stage builds the tree and the augmentation from that cut. Returns the
+    graph and the unit-scaled domain, ``domain`` itself when its rows need
+    no scaling."""
     data = _unit_scaled(domain.data)
     if data is not domain.data:
         domain = DomainMatrix(domain.entities, data)
-    keys, margin, exact = _timed(timings, "distance", _squared_distance_keys, data)
-    # valid by construction: the checks of the public build_graph would
-    # only reread the n x n matrix
-    return _timed(timings, "graph", _build, keys, margin, exact, delta), domain
+    # valid by construction, so none of the public build_graph's checks
+    keys = _key_rows(data)
+    cut = _timed(timings, "distance", _cut, keys, delta)
+    return _timed(timings, "graph", _graph, keys, cut, delta), domain
 
 
 def impute_aligned(

@@ -398,8 +398,8 @@ def test_delta_checked_before_the_quadratic_stages(command, delta, fixture_files
 
     # the pipeline calls the key stage, and never the distance matrix
     monkeypatch.setattr(domain_geometry, "euclidean_distance_matrix", never)
-    monkeypatch.setattr(pipeline, "_squared_distance_keys", never)
-    monkeypatch.setattr(manifold_graph, "_nearest", never)
+    monkeypatch.setattr(pipeline, "_key_rows", never)
+    monkeypatch.setattr(pipeline, "_cut", never)
     monkeypatch.setattr(manifold_graph, "_mst", never)
     tmp_path, _, _, domain_csv, vec_path = fixture_files  # n = 50
     args = [command, "--domain", str(domain_csv), "--delta", delta]

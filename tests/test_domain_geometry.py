@@ -220,25 +220,26 @@ class TestUnitScaled:
         assert np.array_equal(domain_geometry._unit_scaled(data), [[0.375, -1.5]])
 
 
-class TestSquaredDistanceKeys:
-    # 1023 rows: float32 keys just under 4 MiB, from the heap; 1024:
-    # exactly 4 MiB, on a mapping of their own
-    @pytest.mark.parametrize("n, owned", [(1023, False), (1024, True)])
-    def test_keys_within_margin_of_cdist_squared(self, n, owned):
-        # the key stage's precondition: every |value| below 2
+class TestKeyRows:
+    @pytest.mark.parametrize("n", [2, 300, 1024])
+    def test_key_rows_within_margin_of_cdist_squared(self, n):
+        # the key rows' precondition: every |value| below 2
         data = domain_geometry._unit_scaled(np.random.default_rng(n).normal(size=(n, 5)))
         assert np.abs(data).max() < 2.0
-        keys, margin, exact = domain_geometry._squared_distance_keys(data)
-        assert keys.dtype == np.float32 and keys.nbytes == 4 * n * n
-        assert (keys.base is not None) == owned  # np.empty owns its data
-        assert keys.flags.writeable and keys.shape == (n, n)
-        assert not np.diagonal(keys).any()
+        keys = domain_geometry._key_rows(data)
+        assert keys.n == n
         D = cdist(data, data)
         # stored with relative rounding u = rho / 2 (1 - u) <= rho / 2
-        rho = domain_geometry._STORAGE_ROUNDING[keys.dtype]
-        assert np.all(np.abs(keys - D**2) <= rho / 2 * keys + margin)
+        rho = domain_geometry._STORAGE_ROUNDING[np.dtype(np.float32)]
+        # every row once, in blocks of any rows in any order, and one row twice
+        every = np.random.default_rng(0).permutation(n)
+        for index in (*np.array_split(every, 3), np.array([n - 1, 0, n - 1])):
+            rows = keys.rows(index)
+            assert rows.dtype == np.float32 and rows.shape == (index.size, n)
+            assert not rows[np.arange(index.size), index].any()
+            assert np.all(np.abs(rows - D[index] ** 2) <= rho / 2 * rows + keys.margin)
         rows, cols = np.array([0, n - 1]), np.arange(0, n, 7)
-        assert np.array_equal(exact(rows, cols), D[np.ix_(rows, cols)])
+        assert np.array_equal(keys.exact(rows, cols), D[np.ix_(rows, cols)])
 
 
 class TestDistanceOverflow:

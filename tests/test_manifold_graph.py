@@ -500,7 +500,7 @@ class TestReferenceOracle:
         if rows:
             # 3-row blocks: the cut takes every input but two_points block
             # by block, and the tree's folds read many chunks
-            blocks_of(monkeypatch, rows, len(D), 8)
+            blocks_of(monkeypatch, rows, len(D))
         mst = build_mst(D)
         reference_mst = reference_kruskal(D)
         assert mst == reference_mst
@@ -531,23 +531,23 @@ def symmetric_distances(n):
     return euclidean_distance_matrix(np.random.default_rng(21).normal(size=(n, 3)))
 
 
-def blocks_of(monkeypatch, rows, n, itemsize):
-    """Shrink the block bounds so that the graph's cut splits an n-row
-    input of ``itemsize``-byte entries (8 for a distance matrix, 4 for the
-    pipeline's float32 keys) into blocks of ``rows`` rows; the key stage's
-    tiles shrink too."""
-    monkeypatch.setattr(domain_geometry, "_BLOCK_BYTES", itemsize * n * rows)
-    monkeypatch.setattr(manifold_graph, "_BLOCK_BYTES", itemsize * n * rows)
+def blocks_of(monkeypatch, rows, n):
+    """Shrink the block bound so that the graph's cut splits an n-row
+    input into blocks of ``rows`` rows: a block is 1 MiB of float64 key
+    rows, rows of a distance matrix or of Gram products alike."""
+    monkeypatch.setattr(manifold_graph, "_BLOCK_BYTES", 8 * n * rows)
 
 
-def cut_failing_past_the_first_block(monkeypatch, D, error):
-    """Make the graph's cut of ``D`` raise ``error`` in every row block but
-    the first; returns the threads it raised in."""
+def cut_failing_past_the_first_block(monkeypatch, error):
+    """Make the graph's cut raise ``error`` in every row block but the
+    first; returns the threads it raised in."""
     raised_in = []
+    cuts = []
     cut = manifold_graph._nearest_columns
 
     def failing_cut(block, *args, **kwargs):
-        if block.ctypes.data != D.ctypes.data:  # not the block of row 0
+        cuts.append(block)
+        if len(cuts) > 1:  # not the block of row 0
             raised_in.append(threading.current_thread())
             raise error
         return cut(block, *args, **kwargs)
@@ -562,14 +562,14 @@ class TestBlockedCut:
     def test_three_row_blocks_give_the_one_block_graph(self, monkeypatch):
         D = symmetric_distances(40)
         expected = build_graph(D, 4)  # one block
-        blocks_of(monkeypatch, 3, 40, 8)
+        blocks_of(monkeypatch, 3, 40)
         assert directed_edges(build_graph(D, 4)) == directed_edges(expected)
 
     def test_block_error_reaches_the_caller_unchanged(self, monkeypatch):
         D = symmetric_distances(40)
-        blocks_of(monkeypatch, 3, 40, 8)
+        blocks_of(monkeypatch, 3, 40)
         error = ValidationError("raised in the second block")
-        raised_in = cut_failing_past_the_first_block(monkeypatch, D, error)
+        raised_in = cut_failing_past_the_first_block(monkeypatch, error)
         with pytest.raises(ValidationError) as info:
             build_graph(D, 4)
         assert info.value is error
@@ -656,37 +656,65 @@ class TestFloat32KeyLimits:
             assert reads == [[0, 1]]
             assert head.tolist() == [[1, 0][:r]]
 
-    # the boundary key on a second candidate's edge, on a second tree end
-    # of the one candidate, or on both kinds, where only the fold's limit
-    # of vertex 2 reads the tree end 1
-    @pytest.mark.parametrize(
-        "boundary, bridge",
-        [([(1, 3)], (1, 3)), ([(1, 2)], (1, 2)), ([(1, 2), (0, 3)], (1, 2))],
-        ids=["candidate", "end", "fold"],
-    )
-    @pytest.mark.parametrize("past", [False, True])
-    def test_prim_takes_the_last_key_within_the_limit(self, boundary, bridge, past):
-        # two seed pairs, (0, 1) and (2, 3), joined by the edge (0, 2) of
-        # the least key or, within its limit, by a boundary edge of smaller
-        # exact distance; every other edge is far on both counts
-        later = self.boundary()[past]
-        keys = np.full((4, 4), 0.5, dtype=np.float32)
-        distances = np.full((4, 4), 0.9)
-        edges = {(0, 1): (0.0, 0.01), (2, 3): (0.0, 0.01), (0, 2): (self.LOW, 0.2)}
-        edges.update({edge: (later, {(1, 3): 0.1, (1, 2): 0.05, (0, 3): 0.1}[edge]) for edge in boundary})
+    def tree(self, n, edges, nearest):
+        """``_mst`` over n vertices whose listed edges have the given
+        (key, exact distance) and all others (0.5, 0.9), from a hand-made
+        cut; returns the tree's edges, the rows made in full and the
+        number of exact reads."""
+        keys = np.full((n, n), 0.5, dtype=np.float32)
+        distances = np.full((n, n), 0.9)
         for (u, v), (key, distance) in edges.items():
             keys[u, v] = keys[v, u] = key
             distances[u, v] = distances[v, u] = distance
         np.fill_diagonal(keys, 0.0)
         np.fill_diagonal(distances, 0.0)
-        reads = []
+        made, reads = [], []
+
+        def rows(index):
+            made.extend(index.tolist())
+            return keys[index]
 
         def exact(rows, cols):
             reads.append(1)
             return distances[np.ix_(rows, cols)]
 
-        nearest = np.array([[0, 1], [1, 0], [2, 3], [3, 2]])
-        src, dst = manifold_graph._mst(keys, nearest, self.MARGIN, exact)
-        tree = {tuple(sorted(edge)) for edge in zip(src.tolist(), dst.tolist())}
-        assert tree - {(0, 1), (2, 3)} == {(0, 2) if past else bridge}
-        assert bool(reads) != past
+        nearest = np.array(nearest)
+        near = np.take_along_axis(keys, nearest, axis=1)
+        src, dst = manifold_graph._mst(domain_geometry._KeyRows(n, rows, self.MARGIN, exact), nearest, near)
+        assert src.size == n - 1
+        return {tuple(sorted(edge)) for edge in zip(src.tolist(), dst.tolist())}, made, len(reads)
+
+    @pytest.mark.parametrize("past", [False, True])
+    def test_component_edge_within_the_limit_is_read_exactly(self, past):
+        # the first round joins (0, 1) and (2, 3); the second picks (0, 2)
+        # of the least key or, within its limit, the boundary edge (1, 3)
+        # of smaller exact distance: both components read the two in one
+        # exact read
+        later = self.boundary()[past]
+        edges = {(0, 1): (0.0, 0.01), (2, 3): (0.0, 0.01), (0, 2): (self.LOW, 0.2), (1, 3): (later, 0.1)}
+        tree, made, reads = self.tree(4, edges, [[0, 1, 2], [1, 0, 3], [2, 3, 0], [3, 2, 1]])
+        assert tree == {(0, 1), (2, 3), (0, 2) if past else (1, 3)}
+        assert not made
+        assert reads == (0 if past else 1)
+
+    @pytest.mark.parametrize("past", [False, True])
+    def test_member_without_outside_column_is_read_in_full_within_the_limit(self, past):
+        # the first round joins {0, 1, 2} and {3, 4}. Vertex 1 has every
+        # cut column inside its component; its last cut key, that of
+        # (1, 2), is the boundary key. Within the limit of the least key,
+        # (0, 3)'s, its row is made and cut, and its edge (1, 4), of
+        # smaller exact distance, joins the components; past it, it is not
+        later = self.boundary()[past]
+        edges = {
+            (0, 1): (0.0, 0.01),
+            (1, 2): (later, 0.02),
+            (3, 4): (0.0, 0.01),
+            (0, 3): (self.LOW, 0.2),
+            (1, 4): (later, 0.1),
+            (2, 4): (0.5, 0.8),
+        }
+        nearest = [[0, 1, 3], [1, 0, 2], [2, 1, 4], [3, 4, 0], [4, 3, 1]]
+        tree, made, reads = self.tree(5, edges, nearest)
+        assert tree == {(0, 1), (1, 2), (3, 4), (0, 3) if past else (1, 4)}
+        assert made == ([] if past else [1])
+        assert reads == (0 if past else 1)

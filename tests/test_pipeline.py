@@ -3,6 +3,8 @@ import importlib
 import math
 import pickle
 import pkgutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -101,15 +103,16 @@ class TestImputeAligned:
         monkeypatch.setattr(domain_geometry, "cdist", counting_cdist)
         blocks = []
         if rows:
-            # 3-row blocks of float32 keys split every input but
-            # two_points, so the cut runs block by block and the tree's
-            # folds read many chunks
-            blocks_of(monkeypatch, rows, n, 4)
+            # 3-row blocks of key rows split every input but two_points,
+            # so the cut runs block by block and the tree reads its full
+            # rows in blocks too
+            blocks_of(monkeypatch, rows, n)
             cut = manifold_graph._nearest_columns
 
-            def counting_cut(*args, **kwargs):
-                blocks.append(1)
-                return cut(*args, **kwargs)
+            def counting_cut(block, r, *args, **kwargs):
+                if r > 1:  # the tree's full rows are cut for one column
+                    blocks.append(1)
+                return cut(block, r, *args, **kwargs)
 
             monkeypatch.setattr(manifold_graph, "_nearest_columns", counting_cut)
         domain = ei.DomainMatrix(tuple(f"e{i}" for i in range(n)), data)
@@ -177,7 +180,7 @@ class TestImputeAligned:
         def never(*args):
             raise AssertionError("the distance stage ran before known was checked")
 
-        monkeypatch.setattr(pipeline, "_squared_distance_keys", never)
+        monkeypatch.setattr(pipeline, "_key_rows", never)
         domain, _ = random_problem(66)  # n = 40
         with pytest.raises(ei.ValidationError) as info:
             ei.impute_aligned(domain, known, 4)
@@ -191,6 +194,32 @@ class TestImputeAligned:
         )
         assert (weights.matrix != run.weights.matrix).nnz == 0
         assert result.Y.tobytes() == run.result.Y.tobytes()
+
+
+GRAPH_PEAK_CODE = """
+import resource
+import numpy as np
+from embimpute import DomainMatrix, domain_geometry
+from embimpute.pipeline import _neighbor_graph
+n = 8192
+domain = DomainMatrix([f"e{i}" for i in range(n)], np.random.default_rng(0).normal(size=(n, 4)))
+# imports, BLAS threads and the first mappings, on a small graph first
+domain_geometry.cdist(domain.data[:2], domain.data[:2])
+_neighbor_graph(DomainMatrix(domain.entities[:300], domain.data[:300]), 8, {})
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+graph, _ = _neighbor_graph(domain, 8, {})
+assert graph.in_degrees().min() >= 8
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux")
+def test_graph_of_8192_rows_keeps_no_n_by_n_array():
+    # a fresh process, whose peak resident size is this graph's: n x n
+    # float32 keys alone would take 256 MiB, and one block of key rows
+    # with the cut takes a few
+    child = subprocess.run([sys.executable, "-c", GRAPH_PEAK_CODE], capture_output=True, text=True, check=True)
+    assert int(child.stdout) < 64 * 1024
 
 
 class TestImputeEmbeddings:
@@ -222,8 +251,8 @@ class TestImputeEmbeddings:
 
         # the pipeline calls the key stage, and never the distance matrix
         monkeypatch.setattr(domain_geometry, "euclidean_distance_matrix", never)
-        monkeypatch.setattr(pipeline, "_squared_distance_keys", never)
-        monkeypatch.setattr(manifold_graph, "_nearest", never)
+        monkeypatch.setattr(pipeline, "_key_rows", never)
+        monkeypatch.setattr(pipeline, "_cut", never)
         monkeypatch.setattr(manifold_graph, "_mst", never)
         domain, table = random_problem(65)  # n = 40
         with pytest.raises(ei.ValidationError, match="^minimum degree"):
