@@ -307,13 +307,13 @@ class TestAugmentToMinDegree:
             assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("bad", [0, 4, 2.5])
-    def test_delta_checked_before_prim(self, bad, monkeypatch):
-        def no_prim(*args):
-            raise AssertionError("the cut or Prim ran before delta was checked")
+    def test_delta_checked_before_the_cut_and_the_tree(self, bad, monkeypatch):
+        def never(*args):
+            raise AssertionError("the cut or the tree ran before delta was checked")
 
         D = points([0.0, 1.0, 3.0, 7.0])
-        monkeypatch.setattr(manifold_graph, "_nearest", no_prim)
-        monkeypatch.setattr(manifold_graph, "_mst", no_prim)
+        monkeypatch.setattr(manifold_graph, "_nearest", never)
+        monkeypatch.setattr(manifold_graph, "_mst", never)
         with pytest.raises(ValidationError, match="^minimum degree"):
             build_graph(D, bad)
 
@@ -499,7 +499,7 @@ class TestReferenceOracle:
         D = euclidean_distance_matrix(make())
         if rows:
             # 3-row blocks: the cut takes every input but two_points block
-            # by block, and the tree's folds read many chunks
+            # by block, and the tree re-makes rows block by block
             blocks_of(monkeypatch, rows, len(D))
         mst = build_mst(D)
         reference_mst = reference_kruskal(D)
@@ -508,6 +508,26 @@ class TestReferenceOracle:
             incoming = reference_augment(reference_mst, D, delta)
             indptr = np.cumsum([0] + [a.size for a in incoming])
             for graph in (build_graph(D, delta), augment_to_min_degree(mst, D, delta)):
+                assert np.array_equal(graph.indptr, indptr)
+                assert np.array_equal(graph.indices, np.concatenate(incoming))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+    def test_narrowest_cut_gives_the_same_graph(self, name, monkeypatch):
+        # the cut at delta + 1 columns and 3-row blocks: the tree re-makes
+        # many rows in full, its component masked, in blocks of their own,
+        # on the distances and on the Gram keys of the same rows
+        make, deltas = ORACLE_INPUTS[name]
+        unit = domain_geometry._unit_scaled(make())
+        D = euclidean_distance_matrix(unit)
+        reference_mst = reference_kruskal(D)
+        monkeypatch.setattr(manifold_graph, "_CUT_COLUMNS", 2)
+        blocks_of(monkeypatch, 3, len(D))
+        assert build_mst(D) == reference_mst
+        keys = domain_geometry._key_rows(unit)
+        for delta in deltas:
+            incoming = reference_augment(reference_mst, D, delta)
+            indptr = np.cumsum([0] + [a.size for a in incoming])
+            for graph in (build_graph(D, delta), manifold_graph._build(keys, delta)):
                 assert np.array_equal(graph.indptr, indptr)
                 assert np.array_equal(graph.indices, np.concatenate(incoming))
 
