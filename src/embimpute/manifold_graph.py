@@ -220,7 +220,8 @@ def _mst(keys: _KeyRows, nearest: np.ndarray, near: np.ndarray) -> tuple[np.ndar
         outside = label[nearest] != label[:, None]
         first = outside.argmax(axis=1)
         end = nearest[every, first]
-        key = np.where(outside[every, first], near[every, first], np.inf)
+        key = near[every, first]  # in the keys' dtype, which sets their limits
+        key[~outside[every, first]] = np.inf
         low = np.full(count, np.inf, dtype=key.dtype)
         np.minimum.at(low, label, key)
         # a vertex with no edge in the cut has none shorter than its last
