@@ -51,8 +51,8 @@ sources from the first delta + 1 columns of the same cut.
 The stage makes every key row once for the cut, and again for the
 members read in full (54 rows at seed 3 and 694 at seed 2027 on the
 clustered 8192 x 64 domain of the ``cli_lowdim_8k`` benchmark), plus
-the exact reads: none where no two keys are that close, at most one
-of about ten pairs per benchmark input, and a few per row or round on
+the exact reads: none where no two keys are that close, at most four
+of about 32 pairs per benchmark pass, and a few per row or round on
 tie-heavy inputs (lattices, duplicate rows) and where float32 keys lie
 an ulp or two apart. Beyond its input it holds the cut, n r columns and
 keys, and one block of key rows at a time: O(n r) memory, nothing
