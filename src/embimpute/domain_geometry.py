@@ -9,8 +9,9 @@ the simplex weights and the k-NN score all read rows scaled so. That
 changes no distance's rank and no weight (but where a value is
 subnormal), and no square overflows or underflows merely because the
 rows are very large or very small.
-The keys are made a block of rows at a time (``_key_rows``), in float64
-and rounded to float32: each lies within a relative rho and an absolute
+The keys are made a block of rows at a time (``_key_rows``), each block
+by one GEMM of augmented rows into one reused float64 buffer, and rounded
+to float32: each lies within a relative rho and an absolute
 M of the square of its pair's distance, and ``_limit`` says how far
 apart two keys must be to order their pairs for certain. No n x n array
 is kept.
@@ -37,7 +38,11 @@ import numpy as np
 
 from .errors import ValidationError
 
-_BLOCK_BYTES = 1 << 20  # bytes in one block: the key rows, the graph and k-NN cuts and the weight gathers share it
+_BLOCK_BYTES = 1 << 20  # bytes in one block: the graph and k-NN cuts and the weight gathers share it
+# the fewest rows in one GEMM block of key rows (n at most): BLAS packs
+# all n columns of the right operand once per call, so fewer rows would
+# spend much of each call on that
+_BLOCK_ROWS = 128
 _MAX_MISSING_FRACTION = 0.20  # return rows missing more of their cells are dropped
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
@@ -119,6 +124,20 @@ def _unit_scaled(data: np.ndarray, out=None) -> np.ndarray:
     top = max(data.max(initial=0.0), -data.min(initial=0.0))
     e = math.frexp(top)[1]  # top = m 2^e with m in [1/2, 1)
     return data if top == 0 or e == 1 else np.ldexp(data, 1 - e, out=out)
+
+
+def _slice_rows(n: int) -> int:
+    """Rows of ``n`` float64 values that fill ``_BLOCK_BYTES``, at least
+    one: the graph cuts its key rows in slices of this many."""
+    return max(1, _BLOCK_BYTES // (8 * n))
+
+
+def _block_rows(n: int) -> int:
+    """Rows in one block of key rows against ``n`` columns: whole slices,
+    at least ``_BLOCK_ROWS`` rows, n at most; 128 at n = 8192, two slices
+    of 109 at n = 1192 (no ragged slice to cut), 300 at n = 300."""
+    rows = _slice_rows(n)
+    return min(n, rows * -(-_BLOCK_ROWS // rows))
 
 
 def _tile_side() -> int:
@@ -241,7 +260,8 @@ def euclidean_distance_matrix(domain: DomainMatrix | np.ndarray) -> np.ndarray:
 def _off_heap(shape, dtype) -> np.ndarray:
     """An uninitialized array of ``shape`` and ``dtype``; from 4 MiB, on
     an anonymous mapping of its own. ``align`` makes its reordered copy
-    of the domain rows here.
+    of the domain rows here, and ``_key_rows`` its right operand and its
+    two buffers.
 
     A large matrix is kept off the malloc heap: once glibc's mmap
     threshold has risen past its size, the heap would place it wherever
@@ -249,8 +269,10 @@ def _off_heap(shape, dtype) -> np.ndarray:
     that stretch of heap after it is freed, so the peak resident size
     would vary from call to call. Its own mapping adds exactly its pages,
     asks for huge pages as numpy does from 4 MiB, and returns them when
-    the matrix is freed. A smaller one comes from the heap, where it
-    reuses resident pages instead of faulting in fresh ones.
+    the matrix is freed; glibc's own mapping would, once freed, raise
+    its mmap threshold to the matrix's size, so that later arrays up to
+    that size stay on the heap too. A smaller one comes from the heap,
+    where it reuses resident pages instead of faulting in fresh ones.
     """
     size = np.dtype(dtype).itemsize * math.prod(shape)
     if size < _HUGE_PAGE_BYTES:
@@ -269,8 +291,9 @@ class _KeyRows(NamedTuple):
     """Keys that rank the pairwise distances of ``n`` points, made one set
     of rows at a time.
 
-    ``rows(index)`` gives a new array of the keys of the rows ``index``
-    (an int64 array) against all n columns, zero where a row meets its own
+    ``rows(index)`` gives the keys of the rows ``index`` (an int64 array
+    of at most ``_block_rows(n)`` rows) against all n columns, in an array
+    that the next call may overwrite, zero where a row meets its own
     column; each key f lies within rho f + M of the square of its pair's
     exact distance, with rho ``_STORAGE_ROUNDING`` of the keys' dtype and
     M = ``margin`` (M = 0 and float64: the keys are the exact distances),
@@ -291,23 +314,32 @@ def _key_rows(data: np.ndarray) -> _KeyRows:
     work, as no key is made until its rows are asked for.
 
     Requires every |value| below 2, as ``_unit_scaled`` leaves it: then
-    8 max|x|^2 < 32 d, so no Gram product, norm or sum overflows, and
-    every key, at most 4 max|x|^2 < 16 d, fits in float32.
+    8 max|x|^2 < 32 d, so no product, norm or sum overflows, and every
+    key, at most 4 max|x|^2 < 16 d, fits in float32.
 
-    ``rows(index)`` computes ``X[index] @ X.T`` in float64 on BLAS's
-    threads, finishes it to |x|^2 + |y|^2 - 2 x.y, clips it at 0, rounds
-    it once to float32 and zeroes each row's own column. The caller asks
-    for a block of rows at a time, so no n x n array is made.
+    ``rows(index)`` makes the keys of a block of rows with one GEMM of
+    augmented operands on BLAS's threads: [-2x, |x|^2, 1] . [y, 1, |y|^2]
+    is |x|^2 + |y|^2 - 2 x.y in float64. The block goes to a float64
+    buffer and is then clipped at 0 and rounded once to float32 into a
+    float32 buffer, which it returns with each row's own column zeroed;
+    both buffers are made once and sit off the heap (``_off_heap``), with
+    the right operand. So no key row takes the heap, and no n x n array
+    is made.
 
     ``margin`` is M, and each key f lies within u f + M of
     cdist(x, y)^2, with u = 2^-24 the float32 rounding
     (``_STORAGE_ROUNDING`` holds rho = 2u / (1 - u); see ``_limit``).
     Before rounding, the float64 key lies within
-    8 gamma_{d+4} max|x|^2 of cdist(x, y)^2 (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 3): the inner products, norms
-    and sums err by at most gamma_{d+2} (|x| + |y|)^2, and ``cdist`` by
-    gamma_{d+4} |x - y|^2, both under 4 gamma_{d+4} max|x|^2 with
-    gamma_m = m u / (1 - m u). M is that bound plus one more
+    10 gamma_{d+4} max|x|^2 of cdist(x, y)^2 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3; gamma_m = m u_64 /
+    (1 - m u_64), u_64 = 2^-53). The GEMM sums d + 2 terms, two of them
+    the computed norms, each within gamma_d |x|^2 of its |x|^2; as
+    2 sum |x_i y_i| <= 2 |x| |y|, the key errs by at most
+    gamma_{d+2} (|x| + |y|)^2 + gamma_d (1 + gamma_{d+2}) (|x|^2 + |y|^2),
+    and ``cdist`` by gamma_{d+4} |x - y|^2. With |x|, |y| <= max|x|
+    these are at most 6 gamma_{d+4} max|x|^2 (as
+    gamma_d gamma_{d+2} <= 4 u_64 for every d + 2 <= 2^27) and
+    4 gamma_{d+4} max|x|^2. M is that bound plus one more
     gamma_{d+4} max|x|^2, which covers the rounding of the float64
     limits, an absolute term for float64 subnormal products, and the
     float32 subnormal spacing, which covers the absolute rounding of keys
@@ -317,20 +349,27 @@ def _key_rows(data: np.ndarray) -> _KeyRows:
     """
     n, d = data.shape
     sq = np.einsum("ij,ij->i", data, data)
+    right = _off_heap((n, d + 2), float)
+    right[:, :d] = data
+    right[:, d] = 1.0
+    right[:, d + 1] = sq
+    gemm = _off_heap((_block_rows(n), n), float)
+    keys = _off_heap(gemm.shape, np.float32)
 
     def rows(index):
-        block = data[index] @ data.T
-        # finished in float64, then rounded once to float32 after it is
-        # clipped
-        block *= -2.0
-        block += sq[index, None]
-        block += sq
-        keys = np.maximum(block, 0.0, out=block).astype(np.float32)
-        keys[np.arange(index.size), index] = 0.0
-        return keys
+        m = index.size
+        left = np.empty((m, d + 2))
+        np.multiply(data[index], -2.0, out=left[:, :d])
+        left[:, d] = sq[index]
+        left[:, d + 1] = 1.0
+        block = np.matmul(left, right.T, out=gemm[:m])
+        # clipped at 0 in float64 and rounded once to float32, in one pass
+        np.maximum(block, 0.0, out=keys[:m], casting="same_kind")
+        keys[np.arange(m), index] = 0.0
+        return keys[:m]
 
     gamma = (d + 4) * _UNIT_ROUNDOFF / (1 - (d + 4) * _UNIT_ROUNDOFF)
-    margin = 9 * gamma * sq.max() + 8 * (d + 4) * _SMALLEST_SUBNORMAL + _FLOAT32_SUBNORMAL
+    margin = 11 * gamma * sq.max() + 8 * (d + 4) * _SMALLEST_SUBNORMAL + _FLOAT32_SUBNORMAL
     return _KeyRows(n, rows, margin, lambda rows, cols: cdist(data[rows], data[cols]))
 
 
@@ -367,15 +406,15 @@ def correlation_domain_matrix(entities, returns: np.ndarray) -> DomainMatrix:
     The cut moves a squared distance 4^-s |F_i - F_j|^2 by at most
     2 lambda_c^2 in exact arithmetic, lambda_c <= n u lambda_max the
     largest eigenvalue cut. As lambda_max <= sqrt(n) max|C_i|, that is at
-    most 2 n^3 u^2 max|C_i|^2, below 2 n^3 u / 45 of the key margin
-    M >= 9 gamma_{r+4} max|F_i|^2 of the rows (``_key_rows``;
-    max|F_i|^2 = 4^s max|C_i|^2): under a 700th of it for n <= 2^16.
+    most 2 n^3 u^2 max|C_i|^2, below 2 n^3 u / 55 of the key margin
+    M >= 11 gamma_{r+4} max|F_i|^2 of the rows (``_key_rows``;
+    max|F_i|^2 = 4^s max|C_i|^2): under an 800th of it for n <= 2^16.
     Rounding adds more. Taking the eigensolver's backward error as
     T u lambda_max, 4^-s |F_i - F_j|^2 lies within 16 (n + T) n u of
     |C_i - C_j|^2 for the C formed exactly from the computed Z, counting
     Z^T Z, the eigensolver, the product Z V and the rounding of distances;
     where the rows are C's own, their squared distances lie within it
-    too. That is of the order of the margin 9 gamma_{n+4} max|C_i|^2 of
+    too. That is of the order of the margin 11 gamma_{n+4} max|C_i|^2 of
     keys over C's rows themselves; two distances of C closer than it may
     rank either way.
 

@@ -22,9 +22,11 @@ margin and ``cdist`` reads of those rows. ``build_graph(D)``,
 values are read from it. Either way the graph is the one the exact
 distances define.
 
-One blocked cut (``_cut``: each block of 1 MiB of float64 key rows is
-made and cut by ``_nearest_columns`` in turn) takes every row's r
-nearest columns by (distance, index) and their keys, r = delta + 1 or,
+One blocked cut (``_cut``: each block of ``_block_rows(n)`` key rows,
+whole slices and at least 128 rows, n at most, is made and then cut by
+``_nearest_columns`` one slice of 1 MiB of float64 rows at a time)
+takes every row's r nearest columns by (distance, index) and their
+keys, r = delta + 1 or,
 where that is more, ``_CUT_COLUMNS`` (n at most), and both steps read
 it; a row whose keys near its r-th lie within each other's limits is
 ranked on exact distances. The tree is the unique
@@ -55,8 +57,12 @@ the exact reads: none where no two keys are that close, at most four
 of about 32 pairs per benchmark pass, and a few per row or round on
 tie-heavy inputs (lattices, duplicate rows) and where float32 keys lie
 an ulp or two apart. Beyond its input it holds the cut, n r columns and
-keys, and one block of key rows at a time: O(n r) memory, nothing
-n x n. ``build_graph`` validates ``D`` once;
+keys; the Gram key rows' n x (d + 2) right operand and their float64
+and float32 buffers of one block; and the cut's copy of one slice:
+O(n (r + d + b)) memory for blocks of b rows, nothing n x n. At
+n = 8192, d = 64 that is about 20 MiB: 3 MiB of cut, 4 MiB of operand,
+8 MiB of float64 and 4 MiB of float32 key rows, and a 0.5 MiB copy.
+``build_graph`` validates ``D`` once;
 ``build_mst`` and ``augment_to_min_degree`` each validate their own
 input; the key rows are valid by construction. ``delta`` is checked
 before the cut, and the pipeline and the CLI check it before the
@@ -75,7 +81,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .domain_geometry import _BLOCK_BYTES, _KeyRows, _limit, _nearest_columns, _tile_side
+from .domain_geometry import _KeyRows, _block_rows, _limit, _nearest_columns, _slice_rows, _tile_side
 from .errors import ValidationError, _check_integer
 
 # the minimum in-degree every entry point defaults to, the CLI's included
@@ -159,32 +165,39 @@ class NeighborGraph:
 
 def _nearest(keys: _KeyRows, r: int, rows=None, label=None) -> tuple[np.ndarray, np.ndarray]:
     """The ``r`` nearest columns of each of ``rows`` (int64; every row by
-    default) in (exact value, column) order, and their keys: one
-    ``_nearest_columns`` cut per block of 1 MiB of float64 key rows, made
-    and cut in turn. With ``label``, the columns of a row's own label are
+    default) in (exact value, column) order, and their keys: each block of
+    ``_block_rows(n)`` key rows (one GEMM, for the Gram key rows) is made
+    and then cut by ``_nearest_columns``, one slice of ``_slice_rows(n)``
+    rows at a time. With ``label``, the columns of a row's own label are
     left out: each needs one other label."""
     if rows is None:
         rows = np.arange(keys.n)
     nearest = np.empty((rows.size, r), dtype=np.int64)
     near = []
-    step = max(1, _BLOCK_BYTES // (8 * keys.n))
+    step, width = _block_rows(keys.n), _slice_rows(keys.n)
     for lo in range(0, rows.size, step):
-        index = rows[lo : lo + step]
-        block = keys.rows(index)
-        if label is not None:
-            block[label[index, None] == label] = np.inf
-
-        # the cut numbers its rows from the block's first, and reads
-        # exact values of columns within the limit of any of its rows
-        def block_exact(block_rows, cols, index=index):
-            values = keys.exact(index[block_rows], cols)
+        block = keys.rows(rows[lo : lo + step])
+        # cut a slice at a time: the cut copies what it is given, and a
+        # copy of a whole block, 4 MiB at n = 8192, would take the malloc
+        # heap, where numpy's huge-page advice outlives it (see _off_heap)
+        end = min(lo + step, rows.size)
+        for a in range(lo, end, width):
+            index = rows[a : min(a + width, end)]
+            part = block[a - lo : a - lo + index.size]
             if label is not None:
-                values[label[index[block_rows], None] == label[cols]] = np.inf
-            return values
+                part[label[index, None] == label] = np.inf
 
-        head = _nearest_columns(block, r, keys.margin, block_exact)
-        nearest[lo : lo + step] = head
-        near.append(np.take_along_axis(block, head, axis=1))
+            # the cut numbers its rows from the slice's first, and reads
+            # exact values of columns within the limit of any of its rows
+            def part_exact(part_rows, cols, index=index):
+                values = keys.exact(index[part_rows], cols)
+                if label is not None:
+                    values[label[index[part_rows], None] == label[cols]] = np.inf
+                return values
+
+            head = _nearest_columns(part, r, keys.margin, part_exact)
+            nearest[a : a + index.size] = head
+            near.append(np.take_along_axis(part, head, axis=1))
     return nearest, np.concatenate(near)
 
 

@@ -46,7 +46,7 @@ is that one-row call into the same code. A singular system makes the
 stacked call raise; the group's systems are then solved one at a time,
 and each singular one goes to ``lstsq``. The Gram gather (k·d values per
 row) and the lockstep state (k·k per row) are blocked separately, each
-in the distance stage's 1 MiB blocks, so the extra memory stays near
+in blocks of ``_BLOCK_BYTES``, 1 MiB, so the extra memory stays near
 2 MiB whatever n and d are.
 """
 

@@ -220,20 +220,45 @@ class TestUnitScaled:
         assert np.array_equal(domain_geometry._unit_scaled(data), [[0.375, -1.5]])
 
 
+def spread_norm_rows():
+    """300 rows whose norms span 2^-30 to 1: the norms of the augmented
+    GEMM's operands set its error, and the largest sets M."""
+    rng = np.random.default_rng(35)
+    return rng.normal(size=(300, 5)) * 2.0 ** rng.integers(-30, 1, size=(300, 1))
+
+
+def near_duplicate_rows():
+    """150 rows, each twice, 1e-9 apart: keys near 0 and clipped there."""
+    rng = np.random.default_rng(36)
+    return np.repeat(rng.normal(size=(150, 5)), 2, axis=0) + 1e-9 * rng.normal(size=(300, 5))
+
+
+KEY_ROW_INPUTS = {
+    **{str(n): lambda n=n: np.random.default_rng(n).normal(size=(n, 5)) for n in (2, 300, 1024)},
+    # the GEMM's terms cancel to a few bits of |x|^2
+    "offset_1e6": lambda: np.random.default_rng(5).normal(size=(300, 8)) + 1e6,
+    "spread_norm": spread_norm_rows,
+    "near_duplicate": near_duplicate_rows,
+}
+
+
 class TestKeyRows:
-    @pytest.mark.parametrize("n", [2, 300, 1024])
-    def test_key_rows_within_margin_of_cdist_squared(self, n):
+    @pytest.mark.parametrize("name", sorted(KEY_ROW_INPUTS))
+    def test_key_rows_within_margin_of_cdist_squared(self, name):
         # the key rows' precondition: every |value| below 2
-        data = domain_geometry._unit_scaled(np.random.default_rng(n).normal(size=(n, 5)))
+        data = domain_geometry._unit_scaled(KEY_ROW_INPUTS[name]())
+        n = len(data)
         assert np.abs(data).max() < 2.0
         keys = domain_geometry._key_rows(data)
         assert keys.n == n
         D = cdist(data, data)
         # stored with relative rounding u = rho / 2 (1 - u) <= rho / 2
         rho = domain_geometry._STORAGE_ROUNDING[np.dtype(np.float32)]
-        # every row once, in blocks of any rows in any order, and one row twice
+        # every row once, in blocks of up to a block's rows in any order,
+        # and one row twice
         every = np.random.default_rng(0).permutation(n)
-        for index in (*np.array_split(every, 3), np.array([n - 1, 0, n - 1])):
+        blocks = np.array_split(every, -(-n // domain_geometry._block_rows(n)))
+        for index in (*blocks, np.array([n - 1, n - 1])):
             rows = keys.rows(index)
             assert rows.dtype == np.float32 and rows.shape == (index.size, n)
             assert not rows[np.arange(index.size), index].any()

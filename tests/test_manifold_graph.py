@@ -485,11 +485,11 @@ class TestReferenceOracle:
     def test_two_inputs_span_several_row_blocks(self):
         for name in ("lattice_2d_shuffled_20", "tripled_rows_363"):
             n = len(ORACLE_INPUTS[name][0]())
-            assert 8 * n * n > manifold_graph._BLOCK_BYTES, name
+            assert domain_geometry._block_rows(n) < n, name
 
     def test_a_delta_one_input_spans_several_row_blocks(self):
         n = len(ORACLE_INPUTS["lattice_2d_shuffled_30"][0]())
-        assert 8 * n * n > 4 * manifold_graph._BLOCK_BYTES
+        assert 4 * domain_geometry._block_rows(n) < n
         assert ORACLE_INPUTS["lattice_2d_shuffled_30"][1] == (1,)
 
     @pytest.mark.parametrize("rows", [None, 3])
@@ -531,11 +531,47 @@ class TestReferenceOracle:
                 assert np.array_equal(graph.indptr, indptr)
                 assert np.array_equal(graph.indices, np.concatenate(incoming))
 
+    def test_blocks_of_several_slices(self, monkeypatch):
+        # blocks of 15 key rows, each cut in slices of 5, on a shuffled
+        # lattice of 144 points whose ties are read exactly: the last
+        # block holds 9 rows, cut as 5 and a ragged 4
+        make, deltas = ORACLE_INPUTS["lattice_2d_shuffled"]
+        unit = domain_geometry._unit_scaled(make())
+        D = euclidean_distance_matrix(unit)
+        blocks_of(monkeypatch, 5, len(D))
+        monkeypatch.setattr(domain_geometry, "_BLOCK_ROWS", 15)
+        cuts = []
+        cut = manifold_graph._nearest_columns
+
+        def counting_cut(block, r, *args, **kwargs):
+            if r > 1:  # not the tree's re-made rows
+                cuts.append(len(block))
+            return cut(block, r, *args, **kwargs)
+
+        monkeypatch.setattr(manifold_graph, "_nearest_columns", counting_cut)
+        keys = domain_geometry._key_rows(unit)
+        asked = []
+
+        def rows(index):
+            asked.append(index.size)
+            return keys.rows(index)
+
+        reference_mst = reference_kruskal(D)
+        for delta in deltas:
+            cuts.clear()
+            asked.clear()
+            graph = manifold_graph._build(keys._replace(rows=rows), delta)
+            assert asked[:10] == [15] * 9 + [9]
+            assert cuts == [5] * 28 + [4]
+            incoming = reference_augment(reference_mst, D, delta)
+            assert np.array_equal(graph.indptr, np.cumsum([0] + [a.size for a in incoming]))
+            assert np.array_equal(graph.indices, np.concatenate(incoming))
+
     def test_three_row_blocks_of_a_tie_heavy_lattice(self, monkeypatch):
         # 40 blocks: a block written to the wrong rows, or not at all,
         # changes the graph
         D = euclidean_distance_matrix(np.random.default_rng(26).permutation(lattice(10, 12)))
-        monkeypatch.setattr(manifold_graph, "_BLOCK_BYTES", 8 * 120 * 3)
+        blocks_of(monkeypatch, 3, 120)
         expected = reference_augment(reference_kruskal(D), D, 8)
         assert np.array_equal(build_graph(D, 8).indices, np.concatenate(expected))
 
@@ -552,10 +588,12 @@ def symmetric_distances(n):
 
 
 def blocks_of(monkeypatch, rows, n):
-    """Shrink the block bound so that the graph's cut splits an n-row
-    input into blocks of ``rows`` rows: a block is 1 MiB of float64 key
-    rows, rows of a distance matrix or of Gram products alike."""
-    monkeypatch.setattr(manifold_graph, "_BLOCK_BYTES", 8 * n * rows)
+    """Shrink the block bound and the row floor so that the graph's cut
+    splits an n-row input into blocks, and slices, of ``rows`` rows, rows
+    of a distance matrix or of Gram products alike: a slice is 1 MiB of
+    float64 key rows, and a block whole slices and at least 128 rows."""
+    monkeypatch.setattr(domain_geometry, "_BLOCK_BYTES", 8 * n * rows)
+    monkeypatch.setattr(domain_geometry, "_BLOCK_ROWS", rows)
 
 
 def cut_failing_past_the_first_block(monkeypatch, error):
@@ -595,6 +633,36 @@ class TestBlockedCut:
         assert info.value is error
         # raised once, on the calling thread: no later block is cut
         assert raised_in == [threading.current_thread()]
+
+
+class TestKeyRowBlocks:
+    def test_cut_asks_for_floor_blocks_into_buffers_made_once(self, monkeypatch):
+        # at n = 8192 a 1 MiB slice holds 16 float64 rows; the cut asks
+        # for blocks of 128, the floor, and every block reuses the buffers
+        n, d = 8192, 4
+        data = domain_geometry._unit_scaled(np.random.default_rng(37).normal(size=(n, d)))
+        made = []
+        off_heap = domain_geometry._off_heap
+
+        def counting_off_heap(shape, dtype):
+            made.append((shape, np.dtype(dtype)))
+            return off_heap(shape, dtype)
+
+        monkeypatch.setattr(domain_geometry, "_off_heap", counting_off_heap)
+        keys = domain_geometry._key_rows(data)
+        asked = []
+
+        def rows(index):
+            asked.append(index.size)
+            return keys.rows(index)
+
+        counted = keys._replace(rows=rows)
+        cut = manifold_graph._cut(counted, 8)
+        assert asked == [domain_geometry._BLOCK_ROWS] * (n // domain_geometry._BLOCK_ROWS)
+        manifold_graph._graph(counted, cut, 8)
+        # the right operand and the float64 and float32 buffers, each once
+        block = (domain_geometry._BLOCK_ROWS, n)
+        assert made == [((n, d + 2), np.float64), (block, np.float64), (block, np.float32)]
 
 
 class TestDistanceValidation:
