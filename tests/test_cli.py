@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import inspect
+import platform
 import subprocess
 import sys
 
@@ -438,6 +439,22 @@ def test_unwritable_entity_fails_before_any_stage(tmp_path, monkeypatch, capsys)
     assert captured.err == f"error: {saved.value}\n"
     assert captured.err == "error: token 'e 25' contains whitespace and cannot be serialized\n"
     assert not (tmp_path / "out.vec").exists()
+
+
+def test_every_command_hands_the_free_heap_back(fixture_files, monkeypatch, capsys):
+    if platform.libc_ver()[0] == "glibc":
+        assert cli._malloc_trim is not None
+    calls = []
+    monkeypatch.setattr(cli, "_malloc_trim", calls.append)
+    tmp_path, _, _, domain_csv, vec_path = fixture_files
+    out = tmp_path / "out.vec"
+    assert main(["impute", "--domain", str(domain_csv), "--embeddings", str(vec_path), "--out", str(out)]) == 0
+    assert calls == [0]
+    # after a failed command too, and after any other command
+    assert main(["graph-stats", "--domain", str(tmp_path / "missing.csv")]) == 1
+    assert main(["graph-stats", "--domain", str(domain_csv)]) == 0
+    assert calls == [0, 0, 0]
+    capsys.readouterr()
 
 
 class TestDegenerateInputsThroughFiles:
